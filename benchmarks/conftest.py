@@ -1,7 +1,9 @@
 """Shared fixtures for the pytest-benchmark suite.
 
 Every bench module runs its experiment once (module scope), prints the
-paper-style table, saves the JSON payload under ``bench_results/``, and then
+paper-style table, saves the JSON payload to a temporary directory (so a
+test run never rewrites the committed ``bench_results/``; those come only
+from an explicit ``repro-bench <exp> --save-dir bench_results``), and then
 benchmarks a representative kernel with assertions on the *shape* of the
 result (who wins, by roughly what factor) — absolute numbers are not the
 reproduction claim.
@@ -14,8 +16,6 @@ import pytest
 from repro.bench.config import BenchConfig
 from repro.bench.runner import run_experiment
 
-RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "bench_results")
-
 
 @pytest.fixture(scope="session")
 def config():
@@ -24,8 +24,9 @@ def config():
 
 
 @pytest.fixture(scope="session")
-def run_and_record():
+def run_and_record(tmp_path_factory):
     """Run an experiment by name, print its tables, persist the JSON."""
+    results_dir = tmp_path_factory.mktemp("bench_results")
     cache = {}
 
     def _run(name, config):
@@ -33,8 +34,7 @@ def run_and_record():
             result = run_experiment(name, config)
             print()
             print(result.render())
-            os.makedirs(RESULTS_DIR, exist_ok=True)
-            result.save(os.path.join(RESULTS_DIR, f"{name}.json"))
+            result.save(os.path.join(results_dir, f"{name}.json"))
             cache[name] = result
         return cache[name]
 

@@ -14,7 +14,8 @@ keeps optimizing, so every PR leaves a perf trajectory in
   the same pairs, both with the cache off so the work itself is measured.
 * ``update_latency`` — raw per-update wall clock over a hybrid
   insert/delete stream, the end-to-end number the Figure 10 experiments
-  report on real datasets.
+  report on real datasets, split into the maintenance phases
+  ``UpdateStats`` times (SrrSEARCH, BFS, removal pass).
 
 Wired into the CLI as ``repro-bench micro``; CI runs the quick profile as
 a perf-smoke job that fails on crash, never on timing.
@@ -139,19 +140,30 @@ def _bench_update_latency(config, extra):
     )
     all_stats = engine.apply_stream(stream)
     table = Table(
-        "update latency over a hybrid stream",
-        ["kind", "count", "mean_us", "median_us", "max_us"],
+        "update latency over a hybrid stream (phases: mean per update)",
+        ["kind", "count", "mean_us", "median_us", "max_us",
+         "srr_us", "bfs_us", "removal_us"],
     )
     summaries = {}
     for kind in ("insert", "delete"):
-        elapsed = [s.elapsed for s in all_stats if s.kind == kind]
-        summary = distribution_summary(elapsed)
+        stats = [s for s in all_stats if s.kind == kind]
+        summary = distribution_summary([s.elapsed for s in stats])
+        # SrrSEARCH, the DecUPDATE/IncSPC BFS and the removal pass, as
+        # UpdateStats times them.
+        summary["phases_mean_s"] = {
+            phase: sum(getattr(s, phase) for s in stats) / max(1, len(stats))
+            for phase in ("srr_s", "bfs_s", "removal_s")
+        }
         summaries[kind] = summary
+        phases = summary["phases_mean_s"]
         table.add_row(
             kind, summary["count"],
             round(summary["mean"] * 1e6, 1),
             round(summary["median"] * 1e6, 1),
             round(summary["max"] * 1e6, 1),
+            round(phases["srr_s"] * 1e6, 1),
+            round(phases["bfs_s"] * 1e6, 1),
+            round(phases["removal_s"] * 1e6, 1),
         )
     extra["update_latency"] = summaries
     return table

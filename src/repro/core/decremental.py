@@ -30,7 +30,9 @@ collapses to the self-label and no other vertex can hold it as a hub.
 """
 
 from collections import deque
+from time import perf_counter
 
+from repro.core.labels import prequery_prunes
 from repro.core.stats import UpdateStats
 from repro.exceptions import EdgeNotFound
 
@@ -57,8 +59,10 @@ def dec_spc(graph, index, a, b, stats=None, use_isolated_fast_path=True):
     lb = index.label_set(b)
     lab = set(la.hubs) & set(lb.hubs)  # common hubs of a and b (rank numbers)
 
+    t0 = perf_counter()
     sr_a, r_a = _srr_search(graph, index, a, b, lab)
     sr_b, r_b = _srr_search(graph, index, b, a, lab)
+    stats.srr_s += perf_counter() - t0
     stats.sr_a, stats.sr_b = len(sr_a), len(sr_b)
     stats.r_a, stats.r_b = len(r_a), len(r_b)
 
@@ -71,11 +75,10 @@ def dec_spc(graph, index, a, b, stats=None, use_isolated_fast_path=True):
     affected_hubs = sorted(sr_a | sr_b, key=lambda v: rank[v])
     stats.affected_hubs = len(affected_hubs)
     for h_vertex in affected_hubs:  # descending order of rank
-        h_in_lab = rank[h_vertex] in lab
         if h_vertex in sr_a:
-            _dec_update(graph, index, h_vertex, targets_b, h_in_lab, stats)
+            _dec_update(graph, index, h_vertex, targets_b, stats)
         else:
-            _dec_update(graph, index, h_vertex, targets_a, h_in_lab, stats)
+            _dec_update(graph, index, h_vertex, targets_a, stats)
     return stats
 
 
@@ -177,8 +180,9 @@ def _srr_search(graph, index, a, b, lab):
     return sr, r
 
 
-def _dec_update(graph, index, h_vertex, targets, h_in_lab, stats):
+def _dec_update(graph, index, h_vertex, targets, stats):
     """Algorithm 6: repair all (h, ·, ·) labels with one rank-pruned BFS."""
+    t0 = perf_counter()
     order = index.order
     rank = order.rank_map()
     label_of = index.label_set
@@ -186,7 +190,8 @@ def _dec_update(graph, index, h_vertex, targets, h_in_lab, stats):
 
     # PreQUERY array: the root's labels from *strictly* higher-ranked hubs.
     hub_labels = label_of(h_vertex)
-    root_dist = {hr: d for hr, d, _ in hub_labels if hr != h}
+    root_get = {hr: d for hr, d, _ in hub_labels if hr != h}.get
+    above_h = h - 1
 
     updated = set()  # U[v] = True
     dist = {h_vertex: 0}
@@ -197,17 +202,9 @@ def _dec_update(graph, index, h_vertex, targets, h_in_lab, stats):
         dv = dist[v]
         stats.bfs_visits += 1
 
-        # d̄ = PreQUERY(h, v) distance via hubs ranked above h.
+        # Prune when PreQUERY(h, v) via hubs ranked above h gives d̄ < D[v].
         ls = label_of(v)
-        hubs, dists = ls.hubs, ls.dists
-        d_bar = INF
-        for i in range(len(hubs)):
-            rd = root_dist.get(hubs[i])
-            if rd is not None:
-                cand = rd + dists[i]
-                if cand < d_bar:
-                    d_bar = cand
-        if d_bar < dv:
+        if prequery_prunes(ls, root_get, above_h, dv):
             continue
 
         if v in targets:
@@ -236,6 +233,8 @@ def _dec_update(graph, index, h_vertex, targets, h_in_lab, stats):
                     queue.append(w)
             elif dw == dnext:
                 count[w] += cv
+    t1 = perf_counter()
+    stats.bfs_s += t1 - t0
 
     # Label removal: unvisited or pruned targets have spc(ĥ, u) = 0 — they
     # either lost their connection to h or are fully dominated by higher
@@ -248,8 +247,8 @@ def _dec_update(graph, index, h_vertex, targets, h_in_lab, stats):
     # The reverse hub map narrows the pass from all targets to the targets
     # that actually hold h (DESIGN.md §9); the intersection is a fresh set,
     # safe to iterate while removals shrink holders(h).
-    del h_in_lab
     for u in index.holders(h) & targets:
         if u not in updated:
             label_of(u).remove(h)
             stats.removed += 1
+    stats.removal_s += perf_counter() - t1

@@ -23,10 +23,10 @@ skipping their removal is part of what makes IncSPC fast.
 """
 
 from collections import deque
+from time import perf_counter
 
+from repro.core.labels import prequery_prunes
 from repro.core.stats import UpdateStats
-
-INF = float("inf")
 
 
 def inc_spc(graph, index, a, b, stats=None):
@@ -55,11 +55,13 @@ def inc_spc(graph, index, a, b, stats=None):
 
     in_a = set(aff_a)
     in_b = set(aff_b)
+    t0 = perf_counter()
     for h in aff:  # ascending rank number == descending order of rank
         if h in in_a and h <= rank_b:
             _inc_update(graph, index, h, a, b, stats)
         if h in in_b and h <= rank_a:
             _inc_update(graph, index, h, b, a, stats)
+    stats.bfs_s += perf_counter() - t0
     return stats
 
 
@@ -78,7 +80,7 @@ def _inc_update(graph, index, h, va, vb, stats):
 
     hub_vertex = order.vertex(h)
     hub_labels = label_of(hub_vertex)
-    root_dist = dict(zip(hub_labels.hubs, hub_labels.dists))
+    root_get = dict(zip(hub_labels.hubs, hub_labels.dists)).get
 
     dist = {vb: d0 + 1}
     count = {vb: c0}
@@ -89,19 +91,11 @@ def _inc_update(graph, index, h, va, vb, stats):
         dv = dist[v]
         stats.bfs_visits += 1
 
-        # d_L = SpcQUERY(h, v) distance, via the root-label array.  The
-        # probe must see the up-to-date index, including labels renewed
-        # earlier in this same update.
+        # Prune when d_L = SpcQUERY(h, v), via the root-label array, is
+        # below D[v].  The probe must see the up-to-date index, including
+        # labels renewed earlier in this same update.
         ls = label_of(v)
-        hubs, dists = ls.hubs, ls.dists
-        dl = INF
-        for i in range(len(hubs)):
-            rd = root_dist.get(hubs[i])
-            if rd is not None:
-                cand = rd + dists[i]
-                if cand < dl:
-                    dl = cand
-        if dl < dv:
+        if prequery_prunes(ls, root_get, h, dv):
             continue
 
         existing = ls.get(h)

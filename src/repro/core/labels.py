@@ -34,7 +34,7 @@ applied batch to journal per-vertex label deltas for hub-partitioned
 shards (DESIGN.md §13) without the maintenance algorithms knowing.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 INF = float("inf")
 
@@ -270,3 +270,30 @@ def counting_probe(source_labels, target_label_of, hub_filter=None):
         return best, count
 
     return probe
+
+
+def prequery_prunes(labels, root_get, bound, dist):
+    """Return True if some hub ranked ``<= bound`` certifies a path < ``dist``.
+
+    The prune test of every counting maintenance BFS: the visit at v with
+    tentative distance ``dist`` = D[v] is pruned when a hub x in L(v) with
+    rank number at most ``bound`` gives ``root_get(x) + sd(x, v) < dist``,
+    where ``root_get`` is the ``dict.get`` of the BFS root's hub -> distance
+    map.  DecSPC passes ``bound = h - 1`` (PreQUERY: hubs strictly above h),
+    IncSPC ``bound = h``.
+
+    Equal to comparing the full minimum over L(v) against ``dist``, but
+    cheaper twice over.  It scans only ``hubs[:bisect_right(hubs, bound)]``:
+    the root's labels obey the rank constraint (every hub ranks at or above
+    its holder, see ``check_invariants``), so no hub past the bound can be
+    in the root's map.  And it stops at the first witness, since one hub
+    below ``dist`` already decides the test.  A tie ``== dist`` never
+    prunes: equal-length paths still have to be counted.
+    """
+    hubs = labels.hubs
+    dists = labels.dists
+    for i in range(bisect_right(hubs, bound)):
+        rd = root_get(hubs[i])
+        if rd is not None and rd + dists[i] < dist:
+            return True
+    return False

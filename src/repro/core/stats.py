@@ -35,6 +35,12 @@ class UpdateStats:
     r_b: int = 0
     isolated_fast_path: bool = False
     elapsed: float = 0.0
+    # Per-phase wall seconds (one clock pair per phase or per hub, never
+    # per visit): DecSPC's SrrSEARCH, its DecUPDATE BFS (PreQUERY scan
+    # included) and its removal pass; IncSPC's BFS.
+    srr_s: float = 0.0
+    bfs_s: float = 0.0
+    removal_s: float = 0.0
 
     @property
     def total_label_ops(self):
@@ -59,6 +65,9 @@ class UpdateStats:
         self.r_a += other.r_a
         self.r_b += other.r_b
         self.elapsed += other.elapsed
+        self.srr_s += other.srr_s
+        self.bfs_s += other.bfs_s
+        self.removal_s += other.removal_s
         return self
 
 

@@ -13,13 +13,16 @@ Deleting arc (a, b) partitions the affected vertices by side of the arc:
 Repair runs per affected hub in descending rank order: hubs from SRa run a
 forward rank-pruned BFS fixing (h, ·, ·) entries in L_in(u) for u on the
 target side; hubs from SRb run the mirror-image backward BFS fixing
-out-labels on the source side.  The removal phase deletes untouched labels
-of opposite-side vertices when the hub was a common hub of the arc's
-endpoints, exactly as in the undirected Algorithm 6.
+out-labels on the source side.  The removal phase then deletes untouched
+(h, ·, ·) labels of opposite-side vertices.  As in the undirected code, it
+runs for every affected hub, not only for common hubs of the arc's
+endpoints (DESIGN.md §5).
 """
 
 from collections import deque
+from time import perf_counter
 
+from repro.core.labels import prequery_prunes
 from repro.core.stats import UpdateStats
 from repro.exceptions import EdgeNotFound
 
@@ -38,8 +41,10 @@ def dec_spc_directed(graph, index, a, b, stats=None):
     lab_in = set(index.in_label_set(a).hubs) & set(index.in_label_set(b).hubs)
     lab_out = set(index.out_label_set(a).hubs) & set(index.out_label_set(b).hubs)
 
+    t0 = perf_counter()
     sr_a, r_a = _srr_search_directed(graph, index, a, b, lab_in, source_side=True)
     sr_b, r_b = _srr_search_directed(graph, index, a, b, lab_out, source_side=False)
+    stats.srr_s += perf_counter() - t0
     stats.sr_a, stats.sr_b = len(sr_a), len(sr_b)
     stats.r_a, stats.r_b = len(r_a), len(r_b)
 
@@ -54,15 +59,11 @@ def dec_spc_directed(graph, index, a, b, stats=None):
         # cycle a vertex can both precede and follow the deleted arc.  Such
         # hubs need the repair BFS in *both* directions.
         if h_vertex in sr_a:
-            _dec_update_directed(
-                graph, index, h_vertex, targets_b,
-                h_in_lab=rank[h_vertex] in lab_in, stats=stats, forward=True,
-            )
+            _dec_update_directed(graph, index, h_vertex, targets_b, stats,
+                                 forward=True)
         if h_vertex in sr_b:
-            _dec_update_directed(
-                graph, index, h_vertex, targets_a,
-                h_in_lab=rank[h_vertex] in lab_out, stats=stats, forward=False,
-            )
+            _dec_update_directed(graph, index, h_vertex, targets_a, stats,
+                                 forward=False)
     return stats
 
 
@@ -121,8 +122,9 @@ def _srr_search_directed(graph, index, a, b, lab, source_side):
     return sr, r
 
 
-def _dec_update_directed(graph, index, h_vertex, targets, h_in_lab, stats, forward):
+def _dec_update_directed(graph, index, h_vertex, targets, stats, forward):
     """Directed Algorithm 6: one rank-pruned BFS from an affected hub."""
+    t0 = perf_counter()
     order = index.order
     rank = order.rank_map()
     h = rank[h_vertex]
@@ -134,7 +136,8 @@ def _dec_update_directed(graph, index, h_vertex, targets, h_in_lab, stats, forwa
         step = graph.predecessors
         root_side = index.in_label_set(h_vertex)
         target_side = index.out_label_set
-    root_dist = {hr: d for hr, d, _ in root_side if hr != h}
+    root_get = {hr: d for hr, d, _ in root_side if hr != h}.get
+    above_h = h - 1
 
     updated = set()
     dist = {h_vertex: 0}
@@ -145,15 +148,7 @@ def _dec_update_directed(graph, index, h_vertex, targets, h_in_lab, stats, forwa
         dv = dist[v]
         stats.bfs_visits += 1
         ls = target_side(v)
-        hubs, dists = ls.hubs, ls.dists
-        d_bar = INF
-        for i in range(len(hubs)):
-            rd = root_dist.get(hubs[i])
-            if rd is not None:
-                cand = rd + dists[i]
-                if cand < d_bar:
-                    d_bar = cand
-        if d_bar < dv:
+        if prequery_prunes(ls, root_get, above_h, dv):
             continue
         if v in targets:
             existing = ls.get(h)
@@ -180,15 +175,17 @@ def _dec_update_directed(graph, index, h_vertex, targets, h_in_lab, stats, forwa
                     queue.append(w)
             elif dw == dnext:
                 count[w] += cv
+    t1 = perf_counter()
+    stats.bfs_s += t1 - t0
 
     # Unconditional removal phase — see the note in
     # repro.core.decremental._dec_update: stale labels from incremental
     # updates can resurface if removal is gated on the common-hub flag.
     # The reverse hub map of the side being repaired narrows the pass to
     # the targets that actually hold h.
-    del h_in_lab
     holder_set = index.in_holders(h) if forward else index.out_holders(h)
     for u in holder_set & targets:
         if u not in updated:
             target_side(u).remove(h)
             stats.removed += 1
+    stats.removal_s += perf_counter() - t1

@@ -14,10 +14,10 @@ path crossing the new arc.
 """
 
 from collections import deque
+from time import perf_counter
 
+from repro.core.labels import prequery_prunes
 from repro.core.stats import UpdateStats
-
-INF = float("inf")
 
 
 def inc_spc_directed(graph, index, a, b, stats=None):
@@ -33,11 +33,13 @@ def inc_spc_directed(graph, index, a, b, stats=None):
     graph.add_edge(a, b)
 
     in_a, out_b = set(aff_in), set(aff_out)
+    t0 = perf_counter()
     for h in sorted(in_a | out_b):
         if h in in_a and h <= rank[b]:
             _inc_update_directed(graph, index, h, a, b, stats, forward=True)
         if h in out_b and h <= rank[a]:
             _inc_update_directed(graph, index, h, b, a, stats, forward=False)
+    stats.bfs_s += perf_counter() - t0
     return stats
 
 
@@ -59,7 +61,7 @@ def _inc_update_directed(graph, index, h, va, vb, stats, forward):
     if entry is None:
         return
     d0, c0 = entry
-    root_dist = dict(zip(root_side.hubs, root_side.dists))
+    root_get = dict(zip(root_side.hubs, root_side.dists)).get
 
     dist = {vb: d0 + 1}
     count = {vb: c0}
@@ -69,15 +71,7 @@ def _inc_update_directed(graph, index, h, va, vb, stats, forward):
         dv = dist[v]
         stats.bfs_visits += 1
         ls = target_side(v)
-        hubs, dists = ls.hubs, ls.dists
-        dl = INF
-        for i in range(len(hubs)):
-            rd = root_dist.get(hubs[i])
-            if rd is not None:
-                cand = rd + dists[i]
-                if cand < dl:
-                    dl = cand
-        if dl < dv:
+        if prequery_prunes(ls, root_get, h, dv):
             continue
         existing = ls.get(h)
         if existing is not None:

@@ -14,7 +14,9 @@ full deletions of a pendant, lower-ranked endpoint.
 """
 
 import heapq
+from time import perf_counter
 
+from repro.core.labels import prequery_prunes
 from repro.core.stats import UpdateStats
 from repro.exceptions import EdgeNotFound, GraphError
 
@@ -92,8 +94,10 @@ def _decremental_repair(graph, index, a, b, w_ab, stats, remove, new_weight):
     lb = index.label_set(b)
     lab = set(la.hubs) & set(lb.hubs)
 
+    t0 = perf_counter()
     sr_a, r_a = _srr_search_dijkstra(graph, index, a, b, w_ab, lab)
     sr_b, r_b = _srr_search_dijkstra(graph, index, b, a, w_ab, lab)
+    stats.srr_s += perf_counter() - t0
     stats.sr_a, stats.sr_b = len(sr_a), len(sr_b)
     stats.r_a, stats.r_b = len(r_a), len(r_b)
 
@@ -107,11 +111,10 @@ def _decremental_repair(graph, index, a, b, w_ab, stats, remove, new_weight):
     affected = sorted(sr_a | sr_b, key=lambda v: rank[v])
     stats.affected_hubs = len(affected)
     for h_vertex in affected:
-        h_in_lab = rank[h_vertex] in lab
         if h_vertex in sr_a:
-            _dec_update_dijkstra(graph, index, h_vertex, targets_b, h_in_lab, stats)
+            _dec_update_dijkstra(graph, index, h_vertex, targets_b, stats)
         else:
-            _dec_update_dijkstra(graph, index, h_vertex, targets_a, h_in_lab, stats)
+            _dec_update_dijkstra(graph, index, h_vertex, targets_a, stats)
 
 
 def _srr_search_dijkstra(graph, index, a, b, w_ab, lab):
@@ -164,14 +167,16 @@ def _srr_search_dijkstra(graph, index, a, b, w_ab, lab):
     return sr, r
 
 
-def _dec_update_dijkstra(graph, index, h_vertex, targets, h_in_lab, stats):
+def _dec_update_dijkstra(graph, index, h_vertex, targets, stats):
     """Weighted Algorithm 6: rank-pruned Dijkstra from an affected hub."""
+    t0 = perf_counter()
     order = index.order
     rank = order.rank_map()
     label_of = index.label_set
     h = rank[h_vertex]
     hub_labels = label_of(h_vertex)
-    root_dist = {hr: d for hr, d, _ in hub_labels if hr != h}
+    root_get = {hr: d for hr, d, _ in hub_labels if hr != h}.get
+    above_h = h - 1
 
     updated = set()
     dist = {h_vertex: 0}
@@ -185,15 +190,7 @@ def _dec_update_dijkstra(graph, index, h_vertex, targets, h_in_lab, stats):
         settled.add(v)
         stats.bfs_visits += 1
         ls = label_of(v)
-        hubs, dists = ls.hubs, ls.dists
-        d_bar = INF
-        for i in range(len(hubs)):
-            rd = root_dist.get(hubs[i])
-            if rd is not None:
-                cand = rd + dists[i]
-                if cand < d_bar:
-                    d_bar = cand
-        if d_bar < dv:
+        if prequery_prunes(ls, root_get, above_h, dv):
             continue
         if v in targets:
             existing = ls.get(h)
@@ -221,13 +218,15 @@ def _dec_update_dijkstra(graph, index, h_vertex, targets, h_in_lab, stats):
                 heapq.heappush(heap, (cand, rank[w], w))
             elif cand == dw:
                 count[w] += cv
+    t1 = perf_counter()
+    stats.bfs_s += t1 - t0
 
     # Unconditional removal phase — see the note in
     # repro.core.decremental._dec_update: stale labels from incremental
     # updates can resurface if removal is gated on the common-hub flag.
     # Narrowed to holders(h) ∩ targets via the reverse hub map.
-    del h_in_lab
     for u in index.holders(h) & targets:
         if u not in updated:
             label_of(u).remove(h)
             stats.removed += 1
+    stats.removal_s += perf_counter() - t1

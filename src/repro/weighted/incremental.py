@@ -9,11 +9,11 @@ of an existing edge is the identical procedure with the new weight.
 """
 
 import heapq
+from time import perf_counter
 
+from repro.core.labels import prequery_prunes
 from repro.core.stats import UpdateStats
 from repro.exceptions import GraphError
-
-INF = float("inf")
 
 
 def inc_spc_weighted(graph, index, a, b, weight, stats=None):
@@ -55,11 +55,13 @@ def decrease_weight(graph, index, a, b, new_weight, stats=None):
 def _repair_after_shortening(graph, index, a, b, weight, aff_a, aff_b, stats):
     rank = index.order.rank_map()
     in_a, in_b = set(aff_a), set(aff_b)
+    t0 = perf_counter()
     for h in sorted(in_a | in_b):
         if h in in_a and h <= rank[b]:
             _inc_update_dijkstra(graph, index, h, a, b, weight, stats)
         if h in in_b and h <= rank[a]:
             _inc_update_dijkstra(graph, index, h, b, a, weight, stats)
+    stats.bfs_s += perf_counter() - t0
 
 
 def _inc_update_dijkstra(graph, index, h, va, vb, w_ab, stats):
@@ -74,7 +76,7 @@ def _inc_update_dijkstra(graph, index, h, va, vb, w_ab, stats):
 
     hub_vertex = order.vertex(h)
     hub_labels = label_of(hub_vertex)
-    root_dist = dict(zip(hub_labels.hubs, hub_labels.dists))
+    root_get = dict(zip(hub_labels.hubs, hub_labels.dists)).get
 
     dist = {vb: d0 + w_ab}
     count = {vb: c0}
@@ -87,15 +89,7 @@ def _inc_update_dijkstra(graph, index, h, va, vb, w_ab, stats):
         settled.add(v)
         stats.bfs_visits += 1
         ls = label_of(v)
-        hubs, dists = ls.hubs, ls.dists
-        dl = INF
-        for i in range(len(hubs)):
-            rd = root_dist.get(hubs[i])
-            if rd is not None:
-                cand = rd + dists[i]
-                if cand < dl:
-                    dl = cand
-        if dl < dv:
+        if prequery_prunes(ls, root_get, h, dv):
             continue
         existing = ls.get(h)
         if existing is not None:

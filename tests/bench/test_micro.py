@@ -62,3 +62,13 @@ class TestResultShape:
         path = tmp_path / "micro.json"
         result.save(str(path))
         assert path.stat().st_size > 0
+
+    def test_update_latency_reports_phases(self):
+        result = run(tiny_config())
+        lat = result.extra["update_latency"]
+        assert set(lat["delete"]["phases_mean_s"]) == {
+            "srr_s", "bfs_s", "removal_s"}
+        assert lat["delete"]["phases_mean_s"]["bfs_s"] > 0
+        assert lat["insert"]["phases_mean_s"]["srr_s"] == 0
+        assert result.tables[2].columns[-3:] == [
+            "srr_us", "bfs_us", "removal_us"]

@@ -24,6 +24,22 @@ class TestUpdateStats:
         assert a.elapsed == 0.75
         assert a.sr_a == 4 and a.r_b == 6
 
+    def test_merge_sums_phase_timers(self):
+        a = UpdateStats(srr_s=0.5, bfs_s=1.0, removal_s=0.25)
+        a.merge(UpdateStats(srr_s=0.25, bfs_s=0.5, removal_s=0.5))
+        assert (a.srr_s, a.bfs_s, a.removal_s) == (0.75, 1.5, 0.75)
+
+    def test_phase_timers_filled_by_the_kernels(self):
+        import repro
+
+        engine = repro.open(repro.Graph.from_edges(
+            [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]))
+        ins = engine.insert_edge(1, 3)
+        assert ins.bfs_s > 0 and ins.srr_s == 0 and ins.removal_s == 0
+        dele = engine.delete_edge(0, 2)
+        assert not dele.isolated_fast_path
+        assert dele.srr_s > 0 and dele.bfs_s > 0 and dele.removal_s > 0
+
     def test_merge_returns_self_for_chaining(self):
         a = UpdateStats()
         assert a.merge(UpdateStats(inserted=1)) is a
