@@ -19,8 +19,6 @@ from collections import deque
 from repro.core.index import SPCIndex
 from repro.order import VertexOrder, make_order
 
-INF = float("inf")
-
 
 def build_spc_index(graph, order=None, strategy="degree"):
     """Construct the SPC-Index of ``graph`` under ``order``.
@@ -50,26 +48,31 @@ def build_spc_index(graph, order=None, strategy="degree"):
 
     for root in order:  # live vertices, highest rank first
         r = rank[root]
-        if root not in graph:
-            # Vertices may exist in the order but not the graph only if the
-            # caller passed a stale order; treat as isolated.
-            index.label_set(root).set(r, 0, 1)
-            continue
-        _hub_push(graph, index, rank, root, r)
+        root_labels = index.label_set(root)
+        root_labels.set(r, 0, 1)  # self label (v, 0, 1)
+        # Vertices may exist in the order but not the graph only if the
+        # caller passed a stale order; they stay isolated.
+        if root in graph:
+            hub_push(graph.neighbors, root_labels, index.label_set, rank, root, r)
     return index
 
 
-def _hub_push(graph, index, rank, root, r):
-    """One pruned BFS rooted at ``root`` (rank ``r``), pushing hub-``r`` labels."""
-    label_of = index.label_set
-    root_labels = label_of(root)
-    root_labels.set(r, 0, 1)  # self label (v, 0, 1)
+def hub_push(step, root_labels, labels_of, rank, root, r):
+    """One pruned BFS rooted at ``root`` (rank ``r``), pushing hub-``r`` labels.
+
+    The BFS follows ``step`` (``graph.neighbors`` here; ``successors`` or
+    ``predecessors`` in the directed builder) and writes into
+    ``labels_of(w)``.  The pruning probe pairs each visited label set with
+    ``root_labels``, the root's opposite-side label set, which must already
+    hold the root's self label.  An undirected graph is the directed case
+    with both sides equal to L.
+    """
     root_dist = dict(zip(root_labels.hubs, root_labels.dists))
 
     dist = {root: 0}
     count = {root: 1}
     queue = deque()
-    for w in graph.neighbors(root):
+    for w in step(root):
         if rank[w] > r:
             dist[w] = 1
             count[w] = 1
@@ -79,7 +82,7 @@ def _hub_push(graph, index, rank, root, r):
         v = queue.popleft()
         dv = dist[v]
         # Pruning probe: distance via hubs ranked higher than root.
-        ls = label_of(v)
+        ls = labels_of(v)
         hubs, dists = ls.hubs, ls.dists
         pruned = False
         for i in range(len(hubs)):
@@ -92,7 +95,7 @@ def _hub_push(graph, index, rank, root, r):
         ls.set(r, dv, count[v])
         cv = count[v]
         dnext = dv + 1
-        for w in graph.neighbors(v):
+        for w in step(v):
             dw = dist.get(w)
             if dw is None:
                 if rank[w] > r:
@@ -101,4 +104,3 @@ def _hub_push(graph, index, rank, root, r):
                     queue.append(w)
             elif dw == dnext:
                 count[w] += cv
-    return index

@@ -51,38 +51,40 @@ def dec_spc(graph, index, a, b, stats=None, use_isolated_fast_path=True):
     if not graph.has_edge(a, b):
         raise EdgeNotFound(a, b)
 
-    if use_isolated_fast_path and _try_isolated_fast_path(graph, index, a, b, stats):
+    if use_isolated_fast_path and try_isolated_fast_path(graph, index, a, b, stats):
         return stats
 
     order = index.order
-    la = index.label_set(a)
-    lb = index.label_set(b)
+    rank = order.rank_map()
+    label_of = index.label_set
+    step = graph.neighbors
+    la = label_of(a)
+    lb = label_of(b)
     lab = set(la.hubs) & set(lb.hubs)  # common hubs of a and b (rank numbers)
 
     t0 = perf_counter()
-    sr_a, r_a = _srr_search(graph, index, a, b, lab)
-    sr_b, r_b = _srr_search(graph, index, b, a, lab)
+    sr_a, r_a = srr_search(step, label_of, a, lb, lab, rank)
+    sr_b, r_b = srr_search(step, label_of, b, la, lab, rank)
     stats.srr_s += perf_counter() - t0
     stats.sr_a, stats.sr_b = len(sr_a), len(sr_b)
     stats.r_a, stats.r_b = len(r_a), len(r_b)
 
     graph.remove_edge(a, b)
 
-    rank = order.rank_map()
     targets_b = sr_b | r_b  # opposite side for hubs from SRa
     targets_a = sr_a | r_a
 
     affected_hubs = sorted(sr_a | sr_b, key=lambda v: rank[v])
     stats.affected_hubs = len(affected_hubs)
+    holders = index.holders
     for h_vertex in affected_hubs:  # descending order of rank
-        if h_vertex in sr_a:
-            _dec_update(graph, index, h_vertex, targets_b, stats)
-        else:
-            _dec_update(graph, index, h_vertex, targets_a, stats)
+        targets = targets_b if h_vertex in sr_a else targets_a
+        dec_bfs(step, label_of, label_of(h_vertex), holders, rank, h_vertex,
+                targets, stats)
     return stats
 
 
-def _try_isolated_fast_path(graph, index, a, b, stats):
+def try_isolated_fast_path(graph, index, a, b, stats):
     """§3.2.3: deleting the last edge of a lower-ranked, degree-1 vertex.
 
     Returns True when the optimization applied (edge removed, index fixed).
@@ -129,31 +131,32 @@ def _try_isolated_fast_path(graph, index, a, b, stats):
     return True
 
 
-def _srr_search(graph, index, a, b, lab):
-    """Algorithm 5: compute (SR, R) for side ``a`` against opposite ``b``.
+def srr_search(step, labels_of, start, fixed, lab, rank):
+    """Algorithm 5: compute (SR, R) for the side of the edge at ``start``.
 
-    Runs on G_i (edge still present).  ``lab`` holds the common hubs of the
-    edge endpoints as rank numbers.
+    Runs on G_i (edge still present).  The BFS follows ``step`` from
+    ``start`` and answers SpcQUERY(v, far end) by pairing ``labels_of(v)``
+    with ``fixed``, the far endpoint's label set.  ``lab`` holds the common
+    hubs of the edge endpoints as rank numbers.  The directed SrrSEARCH
+    runs this kernel once per side, with in- or out-labels; here both sides
+    are L.
     """
-    rank = index.order.rank_map()
-    label_of = index.label_set
-    lb = label_of(b)
-    # Opposite-endpoint label array: sd/spc(v, b) probes cost O(|L(v)|).
-    b_entry = {h: (d, c) for h, d, c in lb}
+    # Far-endpoint label array: sd/spc(v, far end) probes cost O(|L(v)|).
+    fixed_entry = {h: (d, c) for h, d, c in fixed}
 
     sr, r = set(), set()
-    dist = {a: 0}
-    count = {a: 1}
-    queue = deque([a])
+    dist = {start: 0}
+    count = {start: 1}
+    queue = deque([start])
     while queue:
         v = queue.popleft()
         dv = dist[v]
-        # (d, c) = SpcQUERY(v, b) via the array.
+        # (d, c) = SpcQUERY(v, far end) via the array.
         d_q, c_q = INF, 0
-        ls = label_of(v)
+        ls = labels_of(v)
         hubs, dists, counts = ls.hubs, ls.dists, ls.counts
         for i in range(len(hubs)):
-            e = b_entry.get(hubs[i])
+            e = fixed_entry.get(hubs[i])
             if e is not None:
                 cand = dists[i] + e[0]
                 if cand < d_q:
@@ -162,14 +165,14 @@ def _srr_search(graph, index, a, b, lab):
                 elif cand == d_q:
                     c_q += counts[i] * e[1]
         if dv + 1 != d_q:
-            continue  # unaffected: no shortest v-b path crosses (a, b)
+            continue  # unaffected: no shortest path to the far end crosses the edge
         if rank[v] in lab or count[v] == c_q:
             sr.add(v)
         else:
             r.add(v)
         cv = count[v]
         dnext = dv + 1
-        for w in graph.neighbors(v):
+        for w in step(v):
             dw = dist.get(w)
             if dw is None:
                 dist[w] = dnext
@@ -180,17 +183,20 @@ def _srr_search(graph, index, a, b, lab):
     return sr, r
 
 
-def _dec_update(graph, index, h_vertex, targets, stats):
-    """Algorithm 6: repair all (h, ·, ·) labels with one rank-pruned BFS."""
+def dec_bfs(step, labels_of, root_labels, holders, rank, h_vertex, targets, stats):
+    """Algorithm 6: repair all (h, ·, ·) labels with one rank-pruned BFS.
+
+    The BFS follows ``step`` from ``h_vertex`` and repairs the entries of
+    ``labels_of(v)`` for v in ``targets``; ``root_labels`` is the hub's own
+    label set on the opposite side, the PreQUERY array, and ``holders`` is
+    the reverse hub map of the side being repaired.  The directed DecSPC
+    runs this kernel too, with in- or out-labels; here both sides are L.
+    """
     t0 = perf_counter()
-    order = index.order
-    rank = order.rank_map()
-    label_of = index.label_set
     h = rank[h_vertex]
 
     # PreQUERY array: the root's labels from *strictly* higher-ranked hubs.
-    hub_labels = label_of(h_vertex)
-    root_get = {hr: d for hr, d, _ in hub_labels if hr != h}.get
+    root_get = {hr: d for hr, d, _ in root_labels if hr != h}.get
     above_h = h - 1
 
     updated = set()  # U[v] = True
@@ -203,7 +209,7 @@ def _dec_update(graph, index, h_vertex, targets, stats):
         stats.bfs_visits += 1
 
         # Prune when PreQUERY(h, v) via hubs ranked above h gives d̄ < D[v].
-        ls = label_of(v)
+        ls = labels_of(v)
         if prequery_prunes(ls, root_get, above_h, dv):
             continue
 
@@ -224,7 +230,7 @@ def _dec_update(graph, index, h_vertex, targets, stats):
 
         cv = count[v]
         dnext = dv + 1
-        for w in graph.neighbors(v):
+        for w in step(v):
             dw = dist.get(w)
             if dw is None:
                 if h <= rank[w]:
@@ -247,8 +253,8 @@ def _dec_update(graph, index, h_vertex, targets, stats):
     # The reverse hub map narrows the pass from all targets to the targets
     # that actually hold h (DESIGN.md §9); the intersection is a fresh set,
     # safe to iterate while removals shrink holders(h).
-    for u in index.holders(h) & targets:
+    for u in holders(h) & targets:
         if u not in updated:
-            label_of(u).remove(h)
+            labels_of(u).remove(h)
             stats.removed += 1
     stats.removal_s += perf_counter() - t1

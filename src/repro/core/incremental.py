@@ -55,32 +55,37 @@ def inc_spc(graph, index, a, b, stats=None):
 
     in_a = set(aff_a)
     in_b = set(aff_b)
+    step = graph.neighbors
+    label_of = index.label_set
+    rank = order.rank_map()  # read-only hot-loop access
+    vertex = order.vertex
     t0 = perf_counter()
     for h in aff:  # ascending rank number == descending order of rank
+        hub_labels = label_of(vertex(h))
         if h in in_a and h <= rank_b:
-            _inc_update(graph, index, h, a, b, stats)
+            inc_bfs(step, label_of, hub_labels, rank, h, la.get(h), b, stats)
         if h in in_b and h <= rank_a:
-            _inc_update(graph, index, h, b, a, stats)
+            inc_bfs(step, label_of, hub_labels, rank, h, lb.get(h), a, stats)
     stats.bfs_s += perf_counter() - t0
     return stats
 
 
-def _inc_update(graph, index, h, va, vb, stats):
-    """Pruned BFS rooted at hub ``h`` entering through va -> vb (Algorithm 3)."""
-    order = index.order
-    rank = order.rank_map()  # read-only hot-loop access
-    label_of = index.label_set
+def inc_bfs(step, labels_of, root_labels, rank, h, entry, vb, stats):
+    """Pruned BFS rooted at hub ``h`` entering the new edge at vb (Algorithm 3).
 
-    entry = label_of(va).get(h)
+    ``entry`` is the (h, d, c) entry of the edge's near endpoint va, read
+    just before this call, so the BFS starts at vb with D = d + 1 and C = c.
+    It follows ``step`` and repairs ``labels_of(v)``; ``root_labels`` is the
+    hub's own label set on the opposite side, the PreQUERY array.  The
+    directed IncSPC runs this kernel too, once with in-labels and once with
+    out-labels; here both sides are L.
+    """
     if entry is None:
         # The (h, ·, ·) entry vanished since the AFF snapshot — cannot happen
         # for insertions (labels are never removed), but guard for safety.
         return
     d0, c0 = entry
-
-    hub_vertex = order.vertex(h)
-    hub_labels = label_of(hub_vertex)
-    root_get = dict(zip(hub_labels.hubs, hub_labels.dists)).get
+    root_get = dict(zip(root_labels.hubs, root_labels.dists)).get
 
     dist = {vb: d0 + 1}
     count = {vb: c0}
@@ -94,7 +99,7 @@ def _inc_update(graph, index, h, va, vb, stats):
         # Prune when d_L = SpcQUERY(h, v), via the root-label array, is
         # below D[v].  The probe must see the up-to-date index, including
         # labels renewed earlier in this same update.
-        ls = label_of(v)
+        ls = labels_of(v)
         if prequery_prunes(ls, root_get, h, dv):
             continue
 
@@ -113,7 +118,7 @@ def _inc_update(graph, index, h, va, vb, stats):
 
         cv = count[v]
         dnext = dv + 1
-        for w in graph.neighbors(v):
+        for w in step(v):
             dw = dist.get(w)
             if dw is None:
                 if h <= rank[w]:

@@ -4,16 +4,14 @@
 each direction, to generate labels for the L_in and L_out sets of other
 vertices."  The forward BFS from root r follows out-arcs and pushes
 (r, D, C) into L_in(w) — paths r → w; the backward BFS follows in-arcs and
-pushes into L_out(w) — paths w → r.  Pruning probes mirror the undirected
-builder, always pairing an out-side array with an in-side label set.
+pushes into L_out(w) — paths w → r.  Both run the undirected builder's
+:func:`repro.core.builder.hub_push`, always pairing an out-side root label
+set with in-side target label sets or the mirror.
 """
 
-from collections import deque
-
+from repro.core.builder import hub_push
 from repro.directed.index import DirectedSPCIndex
 from repro.order import VertexOrder, make_order
-
-INF = float("inf")
 
 
 def build_directed_spc_index(graph, order=None, strategy="degree"):
@@ -24,62 +22,16 @@ def build_directed_spc_index(graph, order=None, strategy="degree"):
         order = VertexOrder(order)
     index = DirectedSPCIndex(order, with_self_labels=False)
     rank = order.rank_map()
+    lin, lout = index.in_label_set, index.out_label_set
 
     for root in order:
         r = rank[root]
-        index.in_label_set(root).set(r, 0, 1)
-        index.out_label_set(root).set(r, 0, 1)
+        lin(root).set(r, 0, 1)
+        lout(root).set(r, 0, 1)
         if root not in graph:
             continue
         # Forward: paths root -> w; prune via L_out(root) x L_in(w).
-        _directed_push(
-            graph, rank, root, r,
-            step=graph.successors,
-            root_side=index.out_label_set(root),
-            target_side=index.in_label_set,
-        )
+        hub_push(graph.successors, lout(root), lin, rank, root, r)
         # Backward: paths w -> root; prune via L_out(w) x L_in(root).
-        _directed_push(
-            graph, rank, root, r,
-            step=graph.predecessors,
-            root_side=index.in_label_set(root),
-            target_side=index.out_label_set,
-        )
+        hub_push(graph.predecessors, lin(root), lout, rank, root, r)
     return index
-
-
-def _directed_push(graph, rank, root, r, step, root_side, target_side):
-    root_dist = dict(zip(root_side.hubs, root_side.dists))
-    dist = {root: 0}
-    count = {root: 1}
-    queue = deque()
-    for w in step(root):
-        if rank[w] > r:
-            dist[w] = 1
-            count[w] = 1
-            queue.append(w)
-    while queue:
-        v = queue.popleft()
-        dv = dist[v]
-        ls = target_side(v)
-        hubs, dists = ls.hubs, ls.dists
-        pruned = False
-        for i in range(len(hubs)):
-            rd = root_dist.get(hubs[i])
-            if rd is not None and rd + dists[i] < dv:
-                pruned = True
-                break
-        if pruned:
-            continue
-        ls.set(r, dv, count[v])
-        cv = count[v]
-        dnext = dv + 1
-        for w in step(v):
-            dw = dist.get(w)
-            if dw is None:
-                if rank[w] > r:
-                    dist[w] = dnext
-                    count[w] = cv
-                    queue.append(w)
-            elif dw == dnext:
-                count[w] += cv

@@ -10,12 +10,14 @@ Both phases mirror the unweighted DecSPC with the old edge weight playing
 the role of the +1 hop: SrrSEARCH runs on G_i and prunes vertices v with
 sd(v, a) + w_ab != sd(v, b); DecUPDATE runs rank-pruned Dijkstras on the
 modified graph.  The §3.2.3 isolated-vertex fast path applies verbatim to
-full deletions of a pendant, lower-ranked endpoint.
+full deletions of a pendant, lower-ranked endpoint, so both backends call
+:func:`repro.core.decremental.try_isolated_fast_path`.
 """
 
 import heapq
 from time import perf_counter
 
+from repro.core.decremental import try_isolated_fast_path
 from repro.core.labels import prequery_prunes
 from repro.core.stats import UpdateStats
 from repro.exceptions import EdgeNotFound, GraphError
@@ -29,7 +31,7 @@ def dec_spc_weighted(graph, index, a, b, stats=None, use_isolated_fast_path=True
         stats = UpdateStats(kind="delete", edge=(a, b))
     if not graph.has_edge(a, b):
         raise EdgeNotFound(a, b)
-    if use_isolated_fast_path and _try_isolated_fast_path(graph, index, a, b, stats):
+    if use_isolated_fast_path and try_isolated_fast_path(graph, index, a, b, stats):
         return stats
     w_ab = graph.weight(a, b)
     _decremental_repair(graph, index, a, b, w_ab, stats, remove=True, new_weight=None)
@@ -50,41 +52,6 @@ def increase_weight(graph, index, a, b, new_weight, stats=None):
         graph, index, a, b, old, stats, remove=False, new_weight=new_weight
     )
     return stats
-
-
-def _try_isolated_fast_path(graph, index, a, b, stats):
-    """§3.2.3 fast path for stranding a pendant, lower-ranked endpoint.
-
-    Mirrors the unweighted fast path: stale entries retained by earlier
-    incremental updates may reference the stranded vertex as hub even
-    though the canonical argument says none can (see
-    repro/core/decremental.py), and the reverse hub map purges exactly
-    those holders in O(affected).
-    """
-    rank = index.order.rank_map()
-    deg_a = graph.degree(a)
-    deg_b = graph.degree(b)
-    if deg_b == 1 and deg_a == 1:
-        if rank[a] > rank[b]:
-            a, b = b, a
-    elif deg_a == 1:
-        a, b = b, a
-    elif deg_b != 1:
-        return False
-    if rank[a] > rank[b]:
-        return False
-    graph.remove_edge(a, b)
-    rb = rank[b]
-    label_of = index.label_set
-    for u in list(index.holders(rb)):
-        if u != b and label_of(u).remove(rb):
-            stats.removed += 1
-    lb = label_of(b)
-    stats.removed += len(lb) - 1
-    lb.clear()
-    lb.set(rb, 0, 1)
-    stats.isolated_fast_path = True
-    return True
 
 
 def _decremental_repair(graph, index, a, b, w_ab, stats, remove, new_weight):
@@ -222,7 +189,7 @@ def _dec_update_dijkstra(graph, index, h_vertex, targets, stats):
     stats.bfs_s += t1 - t0
 
     # Unconditional removal phase — see the note in
-    # repro.core.decremental._dec_update: stale labels from incremental
+    # repro.core.decremental.dec_bfs: stale labels from incremental
     # updates can resurface if removal is gated on the common-hub flag.
     # Narrowed to holders(h) ∩ targets via the reverse hub map.
     for u in index.holders(h) & targets:

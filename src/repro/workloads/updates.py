@@ -153,7 +153,7 @@ def random_insertions(graph, k, seed=0, max_tries_factor=200,
         if u == v:
             continue
         key = (u, v) if u <= v else (v, u)
-        if key in chosen or graph.has_edge(u, v):
+        if key in chosen or graph.has_edge(*key):
             continue
         chosen.add(key)
         if weighted:
@@ -281,7 +281,7 @@ def skewed_insertions(graph, k, seed=0, bucket="high",
         if u == v:
             continue
         key = (u, v) if u <= v else (v, u)
-        if key in chosen or graph.has_edge(u, v):
+        if key in chosen or graph.has_edge(*key):
             continue
         chosen.add(key)
         if weighted:

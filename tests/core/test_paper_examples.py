@@ -13,7 +13,7 @@ These tests pin the implementation to the paper's own traces:
 import pytest
 
 from repro.core import build_spc_index, dec_spc, inc_spc
-from repro.core.decremental import _srr_search
+from repro.core.decremental import srr_search
 from repro.verify import check_invariants, verify_espc
 from tests.conftest import PAPER_INDEX
 
@@ -145,7 +145,8 @@ class TestExample39Toy:
         la = index.label_set("a")
         lb = index.label_set("b")
         lab = set(la.hubs) & set(lb.hubs)
-        sr_a, r_a = _srr_search(toy_graph, index, "a", "b", lab)
+        sr_a, r_a = srr_search(toy_graph.neighbors, index.label_set, "a", lb,
+                               lab, index.order.rank_map())
         assert "w" in sr_a
         assert "h" in sr_a  # h is a common hub of a and b (Condition A)
 
@@ -157,8 +158,10 @@ class TestFigure6Decremental:
         la = paper_index.label_set(1)
         lb = paper_index.label_set(2)
         lab = set(la.hubs) & set(lb.hubs)
-        sr_v1, r_v1 = _srr_search(paper_graph, paper_index, 1, 2, lab)
-        sr_v2, r_v2 = _srr_search(paper_graph, paper_index, 2, 1, lab)
+        step, rank = paper_graph.neighbors, paper_index.order.rank_map()
+        label_of = paper_index.label_set
+        sr_v1, r_v1 = srr_search(step, label_of, 1, lb, lab, rank)
+        sr_v2, r_v2 = srr_search(step, label_of, 2, la, lab, rank)
         assert sr_v1 == {1, 6, 10}
         assert r_v1 == set()
         assert sr_v2 == {2}

@@ -3,7 +3,10 @@
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import build_spc_index
 from repro.directed import build_directed_spc_index, dec_spc_directed, inc_spc_directed
+from repro.graph import DiGraph
+from repro.order import make_order
 from repro.verify import verify_espc_directed, verify_espc_weighted
 from repro.weighted import (
     build_weighted_spc_index,
@@ -12,7 +15,7 @@ from repro.weighted import (
     inc_spc_weighted,
     increase_weight,
 )
-from tests.property.strategies import small_digraphs, small_weighted_graphs
+from tests.property.strategies import small_digraphs, small_graphs, small_weighted_graphs
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -49,6 +52,44 @@ class TestDirectedProperty:
             u, v = arcs[idx % len(arcs)]
             dec_spc_directed(g, index, u, v)
         assert verify_espc_directed(g, index)
+
+    @settings(max_examples=30, **COMMON)
+    @given(g=small_digraphs(),
+           ops=st.lists(st.tuples(st.booleans(), st.integers(0, 10_000)),
+                        max_size=8))
+    def test_mixed_arc_stream(self, g, ops):
+        index = build_directed_spc_index(g)
+        n = g.num_vertices
+        pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+        for insert, idx in ops:
+            if insert:
+                candidates = [p for p in pairs if not g.has_edge(*p)]
+                if candidates:
+                    inc_spc_directed(g, index, *candidates[idx % len(candidates)])
+            else:
+                arcs = sorted(g.edges())
+                if arcs:
+                    dec_spc_directed(g, index, *arcs[idx % len(arcs)])
+            assert verify_espc_directed(g, index)
+
+    @settings(max_examples=30, **COMMON)
+    @given(g=small_graphs())
+    def test_symmetric_digraph_matches_undirected(self, g):
+        """The directed builder runs the undirected kernel once per side, so
+        on the symmetric digraph of G both sides equal G's labels."""
+        order = list(make_order(g, "degree"))
+        dg = DiGraph()
+        for v in g.vertices():
+            dg.add_vertex(v)
+        for u, v in g.edges():
+            dg.add_edge(u, v)
+            dg.add_edge(v, u)
+        index = build_spc_index(g, order=order)
+        directed = build_directed_spc_index(dg, order=order)
+        for v in g.vertices():
+            labels = list(index.label_set(v))
+            assert list(directed.in_label_set(v)) == labels
+            assert list(directed.out_label_set(v)) == labels
 
 
 class TestWeightedProperty:

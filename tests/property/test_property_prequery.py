@@ -18,8 +18,6 @@ from hypothesis import strategies as st
 
 import repro.core.decremental
 import repro.core.incremental
-import repro.directed.decremental
-import repro.directed.incremental
 import repro.weighted.decremental
 import repro.weighted.incremental
 from repro.core import build_spc_index, dec_spc, inc_spc
@@ -38,9 +36,9 @@ from tests.property.strategies import small_digraphs, small_graphs
 INF = float("inf")
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
+# The directed backend runs the core kernels, so patching core covers it.
 KERNEL_MODULES = (
     repro.core.decremental, repro.core.incremental,
-    repro.directed.decremental, repro.directed.incremental,
     repro.weighted.decremental, repro.weighted.incremental,
 )
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exceptions import WorkloadError
-from repro.graph import complete_graph, erdos_renyi, path_graph
+from repro.graph import complete_graph, erdos_renyi, path_graph, random_directed
 from repro.workloads import (
     DeleteEdge,
     InsertEdge,
@@ -44,6 +44,22 @@ class TestInsertionWorkloads:
         upd = InsertEdge(1, 2)
         assert upd.undo() == DeleteEdge(1, 2)
         assert DeleteEdge(1, 2).undo() == InsertEdge(1, 2)
+
+
+class TestDirectedInsertions:
+    """Insertions on a DiGraph emit the normalized (min, max) arc, so the
+    absence test must look at that arc, not at the drawn (u, v)."""
+
+    @pytest.mark.parametrize("make", [
+        lambda g, seed: random_insertions(g, 60, seed=seed),
+        lambda g, seed: skewed_insertions(g, 60, seed=seed, bucket="high"),
+        lambda g, seed: skewed_insertions(g, 60, seed=seed, bucket="low"),
+    ], ids=["random", "skewed-high", "skewed-low"])
+    def test_emitted_arcs_are_absent(self, make):
+        for seed in range(20):
+            g = random_directed(300, 900, seed=seed)
+            for upd in make(g, seed):
+                assert not g.has_edge(upd.u, upd.v), (seed, upd)
 
 
 class TestDeletionWorkloads:
