@@ -18,7 +18,11 @@ are counted ``skipped_stale`` — an audit coverage gap, never a divergence.
 
 A replication-stream gap (the primary compacted its WAL) re-bootstraps
 from the fresh checkpoint, like a replica; pending samples that fell
-below the new base are skipped.
+below the new base are skipped.  A checkpoint that cannot be read at that
+moment (``ServeError``, including ``WalCorruptionError``) counts as one
+stalled re-bootstrap: the loop retries it after ``poll_interval`` and dies
+only when ``stall_budget`` runs out.  The bootstrap in the constructor
+still fails loudly.
 """
 
 import heapq
@@ -60,7 +64,8 @@ class ShadowAuditor:
         retuning the sampler's rate.
     stall_budget:
         Consecutive no-progress re-bootstraps before the auditor gives
-        up (``None`` uses :attr:`MAX_STALLED_BOOTSTRAPS`).  The chaos
+        up (``None`` uses :attr:`MAX_STALLED_BOOTSTRAPS`); a re-bootstrap
+        whose checkpoint cannot be read counts as one.  The chaos
         harness *raises* it so the auditor outlives a corrupted-stream
         window: it keeps re-bootstrapping until the supervisor's repair
         rewrites the log, then verifies the healed fleet's answers.
@@ -91,7 +96,9 @@ class ShadowAuditor:
         self.batches_applied = 0
         self.bootstraps = 0
         self._stop = threading.Event()
-        self._bootstrap()  # fails loudly on a bad checkpoint
+        self._snapshot_path = os.path.join(state_dir, SNAPSHOT_FILENAME)
+        # Fails loudly on a bad checkpoint.
+        self._bootstrap(load_checkpoint(self._snapshot_path))
         self._thread = threading.Thread(
             target=self._audit_loop, name="spc-shadow-auditor", daemon=True
         )
@@ -195,9 +202,8 @@ class ShadowAuditor:
     # Audit thread
     # ------------------------------------------------------------------
 
-    def _bootstrap(self):
-        """(Re)build the shadow graph from the primary's checkpoint."""
-        payload = load_checkpoint(os.path.join(self._dir, SNAPSHOT_FILENAME))
+    def _bootstrap(self, payload):
+        """(Re)build the shadow graph from the primary's checkpoint payload."""
         backend_cls = get_backend(payload["backend"])
         self._backend_name = backend_cls.name
         self._directed = backend_cls.directed
@@ -220,18 +226,35 @@ class ShadowAuditor:
 
     def _audit_loop(self):
         stalled = 0
+        unreadable = None  # why the last re-bootstrap could not load
         try:
             while not self._stop.is_set():
                 progressed = False
-                records, gap = self._tailer.poll()
+                # A failed re-bootstrap is retried before the stale tailer
+                # is polled again.
+                records, gap = (
+                    ([], True) if unreadable is not None
+                    else self._tailer.poll()
+                )
                 for seq, updates in records:
                     self._replayer.apply_batch(seq, updates)
                     self.batches_applied += 1
                     progressed = True
                 if gap:
                     before = self._replayer.seq
-                    self._bootstrap()
-                    if records or self._replayer.seq > before:
+                    try:
+                        payload = load_checkpoint(self._snapshot_path)
+                    except ServeError as exc:
+                        # The checkpoint is missing, torn or corrupted
+                        # right now (a chaos window, a rewrite in flight):
+                        # one stalled re-bootstrap, retried below.
+                        unreadable = exc
+                    else:
+                        unreadable = None
+                        self._bootstrap(payload)
+                    if unreadable is None and (
+                        records or self._replayer.seq > before
+                    ):
                         stalled = 0
                     else:
                         stalled += 1
@@ -241,7 +264,9 @@ class ShadowAuditor:
                                 f"stream gap at seq {self._replayer.seq}: "
                                 f"{stalled} consecutive re-bootstraps made "
                                 f"no progress"
-                            )
+                                + (f" (last: {unreadable})"
+                                   if unreadable is not None else "")
+                            ) from unreadable
                         self._stop.wait(self._poll_interval)
                         continue
                 else:

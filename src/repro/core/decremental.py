@@ -15,20 +15,22 @@ overestimates.  DecSPC works in two phases:
     Everything is computed on G_i, before the edge is removed, with a
     pruned BFS per side that stops at unaffected vertices.
 
-2.  **DecUPDATE** (Algorithm 6) runs one rank-pruned BFS on G_{i+1} from
-    each affected hub h (in descending order of rank, so PreQUERY's upper
-    bound d̄ — computed from strictly higher-ranked, already-repaired hubs —
-    is sound).  Visited vertices in the opposite side's SR ∪ R get their
-    (h, ·, ·) label renewed or inserted and are marked U[v] = True.  If h
-    was a common hub of a and b, labels of *unvisited* opposite-side
-    vertices are removed afterwards: either h got disconnected from them or
-    their label became dominated.
+2.  **DecUPDATE** (Algorithm 6) repairs, for each affected hub h (in
+    descending order of rank, so PreQUERY's upper bound d̄ — computed from
+    strictly higher-ranked, already-repaired hubs — is sound), the
+    (h, ·, ·) labels of the opposite side's SR ∪ R on G_{i+1}.  Only those
+    targets ranked below h can change, so the rank-pruned BFS runs inside
+    that region alone, seeded from the unchanged (h, ·, ·) entries of its
+    boundary.  Visited targets get their label renewed or inserted and are
+    marked U[v] = True; labels of unvisited targets are removed afterwards:
+    either h got disconnected from them or their label became dominated.
 
 The §3.2.3 isolated-vertex optimization short-circuits the whole procedure
 when the deletion strands a degree-1, lower-ranked endpoint: its label set
 collapses to the self-label and no other vertex can hold it as a hub.
 """
 
+from bisect import bisect_right
 from collections import deque
 from time import perf_counter
 
@@ -71,16 +73,17 @@ def dec_spc(graph, index, a, b, stats=None, use_isolated_fast_path=True):
 
     graph.remove_edge(a, b)
 
-    targets_b = sr_b | r_b  # opposite side for hubs from SRa
-    targets_a = sr_a | r_a
+    below_b = regions_below(sr_b | r_b, rank)  # opposite side for SRa hubs
+    below_a = regions_below(sr_a | r_a, rank)
 
     affected_hubs = sorted(sr_a | sr_b, key=lambda v: rank[v])
     stats.affected_hubs = len(affected_hubs)
     holders = index.holders
     for h_vertex in affected_hubs:  # descending order of rank
-        targets = targets_b if h_vertex in sr_a else targets_a
-        dec_bfs(step, label_of, label_of(h_vertex), holders, rank, h_vertex,
-                targets, stats)
+        h = rank[h_vertex]
+        region = below_b(h) if h_vertex in sr_a else below_a(h)
+        dec_bfs(step, step, label_of, label_of(h_vertex), holders, rank,
+                h_vertex, region, stats)
     return stats
 
 
@@ -183,14 +186,39 @@ def srr_search(step, labels_of, start, fixed, lab, rank):
     return sr, r
 
 
-def dec_bfs(step, labels_of, root_labels, holders, rank, h_vertex, targets, stats):
-    """Algorithm 6: repair all (h, ·, ·) labels with one rank-pruned BFS.
 
-    The BFS follows ``step`` from ``h_vertex`` and repairs the entries of
-    ``labels_of(v)`` for v in ``targets``; ``root_labels`` is the hub's own
-    label set on the opposite side, the PreQUERY array, and ``holders`` is
-    the reverse hub map of the side being repaired.  The directed DecSPC
-    runs this kernel too, with in- or out-labels; here both sides are L.
+
+def regions_below(targets, rank):
+    """Return ``region(h)``: the vertices of ``targets`` ranked strictly below h.
+
+    The targets are sorted by rank once per delete; each affected hub then
+    takes its region as a ``bisect_right`` slice.  No target ranked at or
+    above h can hold h (the rank constraint), and h itself keeps its
+    self-label, so the slice is exactly the set DecUPDATE may change.
+    """
+    ordered = sorted(targets, key=rank.__getitem__)
+    ranks = [rank[v] for v in ordered]
+    return lambda h: ordered[bisect_right(ranks, h):]
+
+
+def dec_bfs(step, back, labels_of, root_labels, holders, rank, h_vertex, region,
+            stats):
+    """Algorithm 6: repair the (h, ·, ·) labels of ``region`` from its boundary.
+
+    ``region`` lists the opposite-side targets ranked strictly below h.
+    Every other vertex's (h, ·, ·) entry survives the delete unchanged, so
+    a region vertex starts from its neighbours outside the region that hold
+    h: ``back`` (the reverse of ``step``) finds them, and their stored
+    entries seed the minimum distance d_w + 1 with the summed counts of the
+    seeds at that minimum.  A distance-bucketed BFS along ``step`` then
+    relaxes the region and never leaves it.  ``labels_of`` gives the label
+    sets the BFS probes and writes, ``root_labels`` the hub's own label set
+    on the opposite side (the PreQUERY array), and ``holders`` the reverse
+    hub map of the side being repaired.  The undirected DecSPC passes
+    ``graph.neighbors`` as both ``step`` and ``back``; the directed one
+    passes successors and predecessors, or the mirror pair.  DESIGN.md §4
+    argues soundness: seeds are not PreQUERY-checked, because a stale seed
+    only ever offers a distance that the visit's own PreQUERY prunes.
     """
     t0 = perf_counter()
     h = rank[h_vertex]
@@ -198,62 +226,94 @@ def dec_bfs(step, labels_of, root_labels, holders, rank, h_vertex, targets, stat
     # PreQUERY array: the root's labels from *strictly* higher-ranked hubs.
     root_get = {hr: d for hr, d, _ in root_labels if hr != h}.get
     above_h = h - 1
+    inside = set(region)
+    held = holders(h)
+
+    dist = {}
+    count = {}
+    buckets = {}  # seeded distance -> region vertices starting there
+    entry_of = {}  # boundary vertex -> its (h, ·, ·) entry, looked up once
+    for u in region:
+        best = INF
+        cu = 0
+        for w in back(u):
+            if w in held and w not in inside:
+                e = entry_of.get(w)
+                if e is None:
+                    e = entry_of[w] = labels_of(w).get(h)
+                dw, cw = e
+                dw += 1
+                if dw < best:
+                    best = dw
+                    cu = cw
+                elif dw == best:
+                    cu += cw
+        if cu:  # some neighbour outside the region holds h
+            dist[u] = best
+            count[u] = cu
+            buckets.setdefault(best, []).append(u)
 
     updated = set()  # U[v] = True
-    dist = {h_vertex: 0}
-    count = {h_vertex: 1}
-    queue = deque([h_vertex])
-    while queue:
-        v = queue.popleft()
-        dv = dist[v]
-        stats.bfs_visits += 1
+    frontier = []
+    dv = 0
+    while frontier or buckets:
+        if not frontier:
+            dv = min(buckets)
+            frontier = buckets.pop(dv)
+        dnext = dv + 1
+        nxt = buckets.pop(dnext, [])
+        for v in frontier:
+            if dist[v] != dv:
+                continue  # a seed the region reached by a shorter path
+            stats.bfs_visits += 1
 
-        # Prune when PreQUERY(h, v) via hubs ranked above h gives d̄ < D[v].
-        ls = labels_of(v)
-        if prequery_prunes(ls, root_get, above_h, dv):
-            continue
+            # Prune when PreQUERY(h, v) via hubs ranked above h gives d̄ < D[v].
+            ls = labels_of(v)
+            if prequery_prunes(ls, root_get, above_h, dv):
+                continue
 
-        if v in targets:
+            cv = count[v]
             existing = ls.get(h)
             if existing is None:
-                ls.set(h, dv, count[v])
+                ls.set(h, dv, cv)
                 stats.inserted += 1
             else:
                 d_i, c_i = existing
                 if d_i != dv:
-                    ls.set(h, dv, count[v])
+                    ls.set(h, dv, cv)
                     stats.renew_dist += 1
-                elif c_i != count[v]:
-                    ls.set(h, dv, count[v])
+                elif c_i != cv:
+                    ls.set(h, dv, cv)
                     stats.renew_count += 1
             updated.add(v)
 
-        cv = count[v]
-        dnext = dv + 1
-        for w in step(v):
-            dw = dist.get(w)
-            if dw is None:
-                if h <= rank[w]:
-                    dist[w] = dnext
-                    count[w] = cv
-                    queue.append(w)
-            elif dw == dnext:
-                count[w] += cv
+            for w in step(v):
+                if w in inside:
+                    dw = dist.get(w)
+                    if dw is None or dw > dnext:
+                        dist[w] = dnext
+                        count[w] = cv
+                        nxt.append(w)
+                    elif dw == dnext:
+                        count[w] += cv
+        frontier = nxt
+        dv = dnext
     t1 = perf_counter()
     stats.bfs_s += t1 - t0
 
-    # Label removal: unvisited or pruned targets have spc(ĥ, u) = 0 — they
-    # either lost their connection to h or are fully dominated by higher
-    # hubs — so any (h, ·, ·) entry they still hold must go.  The paper runs
-    # this phase only when h is a common hub of the deleted edge (the H_ab
-    # flag); we run it unconditionally because stale labels retained by
-    # earlier *incremental* updates (Lemma 3.1's optimization) can resurface
-    # when a deletion raises a distance back to the stale value, and those
-    # labels are not covered by the common-hub argument.  See DESIGN.md §5.
-    # The reverse hub map narrows the pass from all targets to the targets
-    # that actually hold h (DESIGN.md §9); the intersection is a fresh set,
-    # safe to iterate while removals shrink holders(h).
-    for u in holders(h) & targets:
+    # Label removal: unvisited or pruned region vertices have spc(ĥ, u) = 0
+    # — they either lost their connection to h or are fully dominated by
+    # higher hubs — so any (h, ·, ·) entry they still hold must go.  The
+    # paper runs this phase only when h is a common hub of the deleted edge
+    # (the H_ab flag); we run it unconditionally because stale labels
+    # retained by earlier *incremental* updates (Lemma 3.1's optimization)
+    # can resurface when a deletion raises a distance back to the stale
+    # value, and those labels are not covered by the common-hub argument.
+    # See DESIGN.md §5.  The reverse hub map narrows the pass from the
+    # region to the region vertices that actually hold h (DESIGN.md §9);
+    # the intersection is a fresh set, safe to iterate while removals
+    # shrink holders(h).
+    for u in held & inside:
         if u not in updated:
             labels_of(u).remove(h)
             stats.removed += 1

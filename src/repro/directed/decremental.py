@@ -11,19 +11,20 @@ Deleting arc (a, b) partitions the affected vertices by side of the arc:
   with a *forward* BFS from b, Condition A over L_out(a) ∩ L_out(b).
 
 Repair runs per affected hub in descending rank order: hubs from SRa run a
-forward rank-pruned BFS fixing (h, ·, ·) entries in L_in(u) for u on the
-target side; hubs from SRb run the mirror-image backward BFS fixing
-out-labels on the source side.  The removal phase then deletes untouched
-(h, ·, ·) labels of opposite-side vertices.  As in the undirected code, it
-runs for every affected hub, not only for common hubs of the arc's
-endpoints (DESIGN.md §5).  Both phases are the undirected kernels
+forward boundary-seeded BFS fixing (h, ·, ·) entries in L_in(u) for u on
+the target side, seeded across in-arcs; hubs from SRb run the mirror-image
+backward BFS fixing out-labels on the source side, seeded across out-arcs.
+The removal phase then deletes untouched (h, ·, ·) labels of opposite-side
+vertices.  As in the undirected code, it runs for every affected hub, not
+only for common hubs of the arc's endpoints (DESIGN.md §5).  Both phases
+are the undirected kernels
 :func:`repro.core.decremental.srr_search` and
 :func:`repro.core.decremental.dec_bfs`, given one side each.
 """
 
 from time import perf_counter
 
-from repro.core.decremental import dec_bfs, srr_search
+from repro.core.decremental import dec_bfs, regions_below, srr_search
 from repro.core.stats import UpdateStats
 from repro.exceptions import EdgeNotFound
 
@@ -51,18 +52,19 @@ def dec_spc_directed(graph, index, a, b, stats=None):
 
     graph.remove_edge(a, b)
 
-    targets_b = sr_b | r_b
-    targets_a = sr_a | r_a
+    below_b = regions_below(sr_b | r_b, rank)
+    below_a = regions_below(sr_a | r_a, rank)
     affected = sorted(sr_a | sr_b, key=lambda v: rank[v])
     stats.affected_hubs = len(affected)
     for h_vertex in affected:
+        h = rank[h_vertex]
         # Unlike the undirected case, SRa and SRb need not be disjoint: on a
         # cycle a vertex can both precede and follow the deleted arc.  Such
-        # hubs need the repair BFS in *both* directions.
+        # hubs need the repair in *both* directions.
         if h_vertex in sr_a:
-            dec_bfs(graph.successors, lin, lout(h_vertex), index.in_holders,
-                    rank, h_vertex, targets_b, stats)
+            dec_bfs(graph.successors, graph.predecessors, lin, lout(h_vertex),
+                    index.in_holders, rank, h_vertex, below_b(h), stats)
         if h_vertex in sr_b:
-            dec_bfs(graph.predecessors, lout, lin(h_vertex), index.out_holders,
-                    rank, h_vertex, targets_a, stats)
+            dec_bfs(graph.predecessors, graph.successors, lout, lin(h_vertex),
+                    index.out_holders, rank, h_vertex, below_a(h), stats)
     return stats

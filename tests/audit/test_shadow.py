@@ -1,5 +1,8 @@
 """ShadowAuditor end to end against a live SPCService."""
 
+import time
+from unittest import mock
+
 import pytest
 
 from repro.audit import (
@@ -14,7 +17,8 @@ from repro.audit import (
 from repro.engine import EngineConfig, SPCEngine
 from repro.exceptions import AuditDivergenceError, ServeError
 from repro.graph.generators import erdos_renyi, random_directed, random_weighted
-from repro.serve.service import ServeConfig, SPCService
+from repro.serve.persist import load_checkpoint
+from repro.serve.service import SNAPSHOT_FILENAME, ServeConfig, SPCService
 from repro.workloads import random_insertions
 
 BACKEND_GRAPHS = [
@@ -194,6 +198,100 @@ def test_lagging_auditor_rebootstraps_after_wal_compaction(tmp_path):
         assert auditor.healthy
     finally:
         auditor.close()
+        service.close()
+
+
+def _force_gap_over_a_corrupt_checkpoint(auditor, tmp_path):
+    """Corrupt the primary's checkpoint, then make the auditor's next poll
+    report a stream gap, so its re-bootstrap reads the corrupt file.
+    Returns the checkpoint's good bytes."""
+    snapshot = tmp_path / SNAPSHOT_FILENAME
+    good = snapshot.read_bytes()
+    snapshot.write_bytes(good[: len(good) // 2])  # torn: fails to parse
+    auditor._tailer.poll = lambda: ([], True)
+    return good
+
+
+def _wait_until(predicate, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition not reached in time"
+        time.sleep(0.005)
+
+
+def test_unreadable_checkpoint_on_a_gap_is_retried(tmp_path):
+    graph = erdos_renyi(30, 70, seed=3)
+    vs = sorted(graph.vertices())
+    engine = SPCEngine(graph, config=EngineConfig(backend="core"))
+    service = SPCService(
+        engine,
+        config=ServeConfig(publish_every=1, durability_dir=str(tmp_path)),
+        overwrite=True,
+    )
+    sampler = AuditSampler(rate=1.0, capacity=4096, seed=1)
+    service.set_answer_tap(sampler)
+    auditor = ShadowAuditor(sampler, str(tmp_path), poll_interval=0.001,
+                            stall_budget=1 << 20)
+    try:
+        updates = list(random_insertions(graph.copy(), 4, seed=5))
+        drive(service, updates[:2], [(vs[0], vs[-1])])
+        assert auditor.drain(timeout=20.0)
+        reads = []
+
+        def counted_load(path):
+            reads.append(path)
+            return load_checkpoint(path)
+
+        with mock.patch("repro.audit.shadow.load_checkpoint", counted_load):
+            good = _force_gap_over_a_corrupt_checkpoint(auditor, tmp_path)
+            # Several failed re-bootstraps go by without killing the thread.
+            _wait_until(lambda: len(reads) >= 5)
+            assert auditor.healthy
+            assert auditor.bootstraps == 1
+            (tmp_path / SNAPSHOT_FILENAME).write_bytes(good)
+            _wait_until(lambda: auditor.bootstraps == 2)
+        drive(service, updates[2:], [(vs[1], vs[-2])])
+        assert auditor.drain(timeout=20.0)
+        assert auditor.healthy
+        assert auditor.seq == service.snapshot().seq
+        assert auditor.report.total == 0
+    finally:
+        auditor.close()
+        service.close()
+
+
+def test_unreadable_checkpoint_spends_the_stall_budget(tmp_path):
+    graph = erdos_renyi(30, 70, seed=3)
+    engine = SPCEngine(graph, config=EngineConfig(backend="core"))
+    service = SPCService(
+        engine,
+        config=ServeConfig(publish_every=1, durability_dir=str(tmp_path)),
+        overwrite=True,
+    )
+    sampler = AuditSampler(rate=1.0, capacity=4096, seed=1)
+    auditor = ShadowAuditor(sampler, str(tmp_path), poll_interval=0.001,
+                            stall_budget=3)
+    try:
+        _force_gap_over_a_corrupt_checkpoint(auditor, tmp_path)
+        _wait_until(lambda: not auditor.healthy)
+        assert isinstance(auditor.fatal, ServeError)
+        assert "3 consecutive re-bootstraps" in str(auditor.fatal)
+        assert isinstance(auditor.fatal.__cause__, ServeError)
+        with pytest.raises(ServeError):
+            auditor.close()
+    finally:
+        service.close()
+
+
+def test_constructor_bootstrap_fails_loudly(tmp_path):
+    service, _, auditor = serve_with_audit(tmp_path)
+    auditor.close()
+    snapshot = tmp_path / SNAPSHOT_FILENAME
+    snapshot.write_bytes(snapshot.read_bytes()[:10])
+    try:
+        with pytest.raises(ServeError):
+            ShadowAuditor(AuditSampler(rate=1.0, seed=1), str(tmp_path))
+    finally:
         service.close()
 
 
