@@ -1,8 +1,8 @@
 """Serve-and-audit load harness: a replicated fleet under live shadow audit.
 
 Drives routed read traffic and a cyclic update stream against an
-:class:`~repro.cluster.SPCCluster` — like :mod:`repro.cluster.loadgen` —
-but with the audit stack attached end to end: an
+:class:`~repro.cluster.SPCCluster` through the shared load driver of
+:mod:`repro.serve.loadgen`, with the audit stack attached end to end: an
 :class:`~repro.audit.AuditSampler` tapped into the router, a
 :class:`~repro.audit.ShadowAuditor` tailing the primary's WAL, and an
 optional *kill-and-corrupt* fault script:
@@ -26,10 +26,8 @@ Wired into the benchmark CLI as ``repro-bench audit`` (results land in
 ``bench_results/audit.json``); importable via :func:`run_audit_loadgen`.
 """
 
-import random
 import shutil
 import tempfile
-import threading
 import time
 
 from repro.audit.comparator import (
@@ -45,8 +43,10 @@ from repro.cluster.cluster import ClusterConfig, SPCCluster
 from repro.engine import EngineConfig, SPCEngine
 from repro.exceptions import AuditDivergenceError, ClusterError, ServeError
 from repro.serve.loadgen import (
-    _next_pair,
-    _percentile,
+    _close_quietly,
+    _latency_ms,
+    _Reader,
+    _run_load,
     make_pair_picker,
     make_workload,
 )
@@ -58,101 +58,6 @@ EXPECTED_SEVERITY = {
     "dist": DIST_MISMATCH,
     "refusal": REFUSAL,
 }
-
-
-def _reader_loop(cluster, pairs, deadline, seed, record, picker=None):
-    """Routed point + batch reads until the deadline (the sampler sees
-    every answer through the router's tap — no per-read bookkeeping)."""
-    rng = random.Random(seed)
-    latencies = []
-    problems = []
-    reads = 0
-    try:
-        while time.time() < deadline:
-            s, t = _next_pair(pairs, rng, picker)
-            start = time.perf_counter()
-            cluster.query_tagged(s, t)
-            latencies.append(time.perf_counter() - start)
-            reads += 1
-            if reads % 64 == 0:
-                batch = [_next_pair(pairs, rng, picker) for _ in range(8)]
-                cluster.router.query_many_tagged(batch)
-                reads += len(batch)
-    except Exception as exc:  # noqa: BLE001 — a dead reader fails the run
-        problems.append(f"reader thread crashed: {exc!r}")
-    record["reads"] = reads
-    record["latencies"] = latencies
-    record["problems"] = problems
-
-
-def _submitter_loop(cluster, cycle, deadline, batch_size, pause, record):
-    submitted = 0
-    i = 0
-    record["problems"] = problems = []
-    try:
-        while cycle and time.time() < deadline:
-            chunk = cycle[i:i + batch_size]
-            if not chunk:
-                i = 0
-                continue
-            cluster.submit_many(chunk)
-            submitted += len(chunk)
-            i = (i + len(chunk)) % len(cycle)
-            if pause:
-                time.sleep(pause)
-    except Exception as exc:  # noqa: BLE001 — surfaced as a run failure
-        problems.append(f"submitter thread crashed: {exc!r}")
-    record["submitted"] = submitted
-
-
-def _fault_controller(cluster, deadline, duration, kill, corrupt, record):
-    """Kill replica-0 at 0.3·T; tamper the last replica at 0.45·T.
-
-    Scheduling is absolute (against the run's start), not cumulative:
-    killing a replica joins its applier thread, which under full reader
-    load can take a sizable slice of a short run — relative sleeps would
-    silently push the corruption past the deadline and a strict corrupt
-    run would then fail with a misleading "undetected".  A corruption
-    that still misses its window is recorded as a run problem, never
-    skipped silently.
-    """
-    problems = []
-    events = {}
-    start = deadline - duration
-    try:
-        if kill:
-            time.sleep(max(0.0, start + duration * 0.3 - time.time()))
-            if time.time() < deadline:
-                cluster.kill_replica("replica-0")
-                events["killed"] = "replica-0"
-                events["killed_at_seq"] = cluster.primary.applied_seq
-        if corrupt:
-            time.sleep(max(0.0, start + duration * 0.45 - time.time()))
-            if time.time() < deadline:
-                names = cluster.router.replica_names()
-                victim = events.get("killed")
-                candidates = [nm for nm in names if nm != victim]
-                if not candidates:
-                    raise ClusterError(
-                        "corruption needs a live replica; run with "
-                        "replicas >= 2 when also killing one"
-                    )
-                target = candidates[-1]
-                cluster.replicas[target].set_snapshot_wrapper(
-                    corrupt_snapshot_wrapper(corrupt)
-                )
-                events["corrupted"] = target
-                events["corrupted_at_seq"] = cluster.primary.applied_seq
-            else:
-                problems.append(
-                    f"corruption ({corrupt}) missed its injection window: "
-                    f"the run ended before 0.45·T came around (raise "
-                    f"duration above {duration} s)"
-                )
-    except Exception as exc:  # noqa: BLE001 — a failed injection is a failure
-        problems.append(f"fault controller crashed: {exc!r}")
-    record["events"] = events
-    record["problems"] = problems
 
 
 def run_audit_loadgen(backend="core", replicas=2, readers=3, duration=1.2,
@@ -230,54 +135,49 @@ def run_audit_loadgen(backend="core", replicas=2, readers=3, duration=1.2,
             sampler.set_metrics(registry)
             auditor.set_metrics(registry)
     except BaseException:
-        if auditor is not None:
-            try:
-                auditor.close()
-            except ServeError:
-                pass
-        if cluster is not None:
-            try:
-                cluster.close()
-            except ClusterError:
-                pass
-        if own_dir:
-            shutil.rmtree(state_dir, ignore_errors=True)
+        _close_quietly([auditor, cluster], state_dir if own_dir else None)
         raise
 
-    run_started = time.time()
-    deadline = run_started + duration
-    reader_records = [{} for _ in range(readers)]
-    threads = [
-        threading.Thread(
-            target=_reader_loop,
-            args=(cluster, pairs, deadline, seed + 30 + i, reader_records[i],
-                  make_pair_picker(source_picker, vertices, seed + 30 + i,
-                                   picker_kwargs)),
-            name=f"audit-reader-{i}",
-        )
-        for i in range(readers)
-    ]
-    submit_record = {}
-    threads.append(threading.Thread(
-        target=_submitter_loop,
-        args=(cluster, cycle, deadline, batch_size, pause, submit_record),
-        name="audit-submitter",
-    ))
-    fault_record = {"events": {}, "problems": []}
-    if kill or corrupt:
-        threads.append(threading.Thread(
-            target=_fault_controller,
-            args=(cluster, deadline, duration, kill, corrupt, fault_record),
-            name="audit-fault-controller",
-        ))
+    events = {}
 
+    def kill_replica():
+        cluster.kill_replica("replica-0")
+        events["killed"] = "replica-0"
+        events["killed_at_seq"] = cluster.primary.applied_seq
+
+    def corrupt_replica():
+        victim = events.get("killed")
+        candidates = [
+            nm for nm in cluster.router.replica_names() if nm != victim
+        ]
+        if not candidates:
+            raise ClusterError(
+                "corruption needs a live replica; run with "
+                "replicas >= 2 when also killing one"
+            )
+        target = candidates[-1]
+        cluster.replicas[target].set_snapshot_wrapper(
+            corrupt_snapshot_wrapper(corrupt)
+        )
+        events["corrupted"] = target
+        events["corrupted_at_seq"] = cluster.primary.applied_seq
+
+    # Kill replica-0 at 0.3·T; tamper the last live replica at 0.45·T.
+    faults = [(0.3, kill_replica)] if kill else []
+    if corrupt:
+        faults.append((0.45, corrupt_replica))
     problems = []
     try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        run_ended = time.time()
+        run = _run_load(
+            "audit",
+            [_Reader(cluster.query_tagged, cluster.router.query_many_tagged)
+             for _ in range(readers)],
+            pairs, seed + 30, cluster.submit_many, cycle, batch_size, pause,
+            duration, faults=faults,
+            picker=lambda sd: make_pair_picker(source_picker, vertices, sd,
+                                               picker_kwargs),
+        )
+        run_started, run_ended = run["started"], run["ended"]
         cluster.sync(timeout=30.0)
         if not auditor.drain(timeout=drain_timeout):
             problems.append(
@@ -299,16 +199,7 @@ def run_audit_loadgen(backend="core", replicas=2, readers=3, duration=1.2,
         except ServeError as exc:
             problems.append(f"auditor died: {exc}")
     except BaseException:
-        try:
-            auditor.close()
-        except ServeError:
-            pass
-        try:
-            cluster.close()
-        except ClusterError:
-            pass
-        if own_dir:
-            shutil.rmtree(state_dir, ignore_errors=True)
+        _close_quietly([auditor, cluster], state_dir if own_dir else None)
         raise
     try:
         cluster.close()
@@ -317,10 +208,7 @@ def run_audit_loadgen(backend="core", replicas=2, readers=3, duration=1.2,
     if own_dir:
         shutil.rmtree(state_dir, ignore_errors=True)
 
-    for rec in reader_records:
-        problems.extend(rec.get("problems", []))
-    problems.extend(submit_record.get("problems", []))
-    problems.extend(fault_record.get("problems", []))
+    problems.extend(run["problems"])
 
     report = auditor.report
     severities = report.severities_seen()
@@ -355,10 +243,7 @@ def run_audit_loadgen(backend="core", replicas=2, readers=3, duration=1.2,
                     f"{expected!r} class, got {severities}"
                 )
 
-    latencies = sorted(
-        lat for rec in reader_records for lat in rec.get("latencies", [])
-    )
-    reads = sum(rec.get("reads", 0) for rec in reader_records)
+    reads = run["reads"]
     result = {
         "backend": backend,
         "replicas": replicas,
@@ -368,11 +253,8 @@ def run_audit_loadgen(backend="core", replicas=2, readers=3, duration=1.2,
         "graph": {"n": n, "m": m},
         "reads": reads,
         "read_qps": round(reads / elapsed) if elapsed else 0,
-        "read_latency_ms": {
-            "p50": round(_percentile(latencies, 50) * 1e3, 4),
-            "p99": round(_percentile(latencies, 99) * 1e3, 4),
-        },
-        "updates_submitted": submit_record.get("submitted", 0),
+        "read_latency_ms": _latency_ms(run["latencies"]),
+        "updates_submitted": run["submitted"],
         "sample_rate": sample_rate,
         "sampler": sampler_stats,
         "auditor": auditor_stats,
@@ -381,7 +263,7 @@ def run_audit_loadgen(backend="core", replicas=2, readers=3, duration=1.2,
         "severities_seen": severities,
         "detection": detection,
         "telemetry": list(telemetry_paths) if registry is not None else None,
-        "fault_injection": fault_record["events"],
+        "fault_injection": events,
         "audit_problems": problems,
     }
     if strict and problems:

@@ -4,8 +4,9 @@ Drives mixed traffic against an :class:`~repro.cluster.SPCCluster` — N
 reader threads issuing routed point and batch queries, one submitter
 feeding the primary a cyclic update stream — while a fault controller
 kills one replica mid-stream and later crash-recovers it from the current
-checkpoint + WAL tail.  Like :mod:`repro.serve.loadgen`, the harness
-checks *consistency*, never timing (CI's cluster-smoke job trips only on
+checkpoint + WAL tail.  It runs on the shared load driver of
+:mod:`repro.serve.loadgen` and, like every harness on it, checks
+*consistency*, never timing (CI's cluster-smoke job trips only on
 violations):
 
 * **staleness violations** — under ``bounded_staleness``, an answer
@@ -32,10 +33,8 @@ Wired into the benchmark CLI as ``repro-bench cluster`` (results land in
 """
 
 import os
-import random
 import shutil
 import tempfile
-import threading
 import time
 
 from repro.engine import EngineConfig, SPCEngine
@@ -43,8 +42,10 @@ from repro.exceptions import ClusterError
 from repro.cluster.cluster import ClusterConfig, SPCCluster
 from repro.serve.loadgen import (
     _check_answer,
-    _next_pair,
-    _percentile,
+    _close_quietly,
+    _latency_ms,
+    _Reader,
+    _run_load,
     make_pair_picker,
     make_workload,
 )
@@ -53,128 +54,53 @@ from repro.serve.service import SNAPSHOT_FILENAME, WAL_FILENAME, ServeConfig
 from repro.serve.wal import read_wal
 
 
-def _audit_read(target, seq, floor, answered, bounded, delta,
-                last_seq_by_target, served, problems):
-    """Apply the full consistency audit to one routed read — point and
-    batch reads share it, so the two router paths cannot silently get
-    different coverage.
+class _ClusterReader(_Reader):
+    """Routed point and batch reads, each recorded with its claimed seq
+    for the replay oracle and audited on the spot — both router paths
+    share one audit, so they cannot silently get different coverage.
 
-    ``answered`` is ``[((s, t), (d, c)), ...]``; every answer is recorded
-    for the replay oracle, checked for malformed shapes (the same
-    ``_check_answer`` the serve loadgen applies), and the target's seq is
-    checked for staleness (``floor`` was sampled *before* routing, so the
-    bound is conservative) and per-target monotonicity.
+    Every answer is checked for a malformed shape (the serve loadgen's
+    ``_check_answer``); the target's seq for staleness (``floor`` is
+    sampled *before* routing, so the bound is conservative) and for
+    per-target monotonicity.
     """
-    if bounded and seq < floor - delta:
-        problems.append(
-            f"staleness violation: {target} served seq {seq} with "
-            f"primary at >= {floor}, delta {delta}"
-        )
-    last = last_seq_by_target.get(target)
-    if last is not None and seq < last:
-        problems.append(
-            f"snapshot regressed on {target}: seq {seq} after {last}"
-        )
-    last_seq_by_target[target] = seq
-    for (s, t), answer in answered:
-        served.append((seq, s, t, answer))
-        _check_answer(seq, s, t, answer, problems)
 
+    def __init__(self, cluster, bounded, delta):
+        super().__init__(cluster.query_tagged,
+                         cluster.router.query_many_tagged)
+        self.cluster = cluster
+        self.bounded = bounded
+        self.delta = delta
+        self.floor = 0
+        self.last_seq_by_target = {}
+        self.served = []  # (seq, s, t, answer) — every answer served
 
-def _reader_loop(cluster, pairs, deadline, seed, delta, bounded, record,
-                 picker=None):
-    """Issue routed reads until the deadline, recording every answer with
-    its claimed seq so the replay oracle can audit all of them."""
-    rng = random.Random(seed)
-    latencies = []
-    served = []          # (seq, s, t, answer) — every answer served
-    problems = []
-    last_seq_by_target = {}
-    reads = 0
-    try:
-        while time.time() < deadline:
-            s, t = _next_pair(pairs, rng, picker)
-            floor = cluster.primary.applied_seq
-            start = time.perf_counter()
-            answer, seq, target = cluster.query_tagged(s, t)
-            latencies.append(time.perf_counter() - start)
-            reads += 1
-            _audit_read(target, seq, floor, [((s, t), answer)], bounded,
-                        delta, last_seq_by_target, served, problems)
-            if reads % 64 == 0:
-                batch = [_next_pair(pairs, rng, picker) for _ in range(8)]
-                floor = cluster.primary.applied_seq
-                answers, bseq, btarget = cluster.router.query_many_tagged(
-                    batch
-                )
-                reads += len(batch)
-                _audit_read(btarget, bseq, floor, list(zip(batch, answers)),
-                            bounded, delta, last_seq_by_target, served,
-                            problems)
-    except Exception as exc:  # noqa: BLE001 — a dead reader fails the run
-        problems.append(f"reader thread crashed: {exc!r}")
-    record["reads"] = reads
-    record["latencies"] = latencies
-    record["served"] = served
-    record["problems"] = problems
+    def before(self):
+        self.floor = self.cluster.primary.applied_seq
 
+    def judge(self, s, t, out):
+        answer, seq, target = out
+        self._audit(target, seq, [((s, t), answer)])
 
-def _submitter_loop(cluster, cycle, deadline, batch_size, pause, record):
-    submitted = 0
-    i = 0
-    record["problems"] = problems = []
-    try:
-        while cycle and time.time() < deadline:
-            chunk = cycle[i:i + batch_size]
-            if not chunk:
-                i = 0
-                continue
-            cluster.submit_many(chunk)
-            submitted += len(chunk)
-            i = (i + len(chunk)) % len(cycle)
-            if pause:
-                time.sleep(pause)
-    except Exception as exc:  # noqa: BLE001 — surfaced as a run failure
-        problems.append(f"submitter thread crashed: {exc!r}")
-    record["submitted"] = submitted
+    def judge_many(self, batch, out):
+        answers, seq, target = out
+        self._audit(target, seq, list(zip(batch, answers)))
 
-
-def _fault_controller(cluster, deadline, duration, record):
-    """Kill replica-0 a third of the way in, crash-recover it at two
-    thirds, and measure how long the restart takes to converge."""
-    problems = []
-    events = {}
-    try:
-        time.sleep(max(0.0, duration * 0.3))
-        if time.time() >= deadline:
-            record.update(events=events, problems=problems)
-            return
-        cluster.kill_replica("replica-0")
-        events["killed_at_seq"] = cluster.primary.applied_seq
-        time.sleep(max(0.0, duration * 0.3))
-        # A mid-run durable checkpoint (no truncation: the replay oracle
-        # needs the full log) makes the restart a true checkpoint + tail
-        # recovery rather than a replay-everything one.
-        cluster.checkpoint()
-        target_seq = cluster.primary.applied_seq
-        events["restarted_at_seq"] = target_seq
-        start = time.perf_counter()
-        replica = cluster.restart_replica("replica-0")
-        if replica.catch_up(target_seq, timeout=30.0):
-            events["catch_up_ms"] = round(
-                (time.perf_counter() - start) * 1e3, 3
+    def _audit(self, target, seq, answered):
+        if self.bounded and seq < self.floor - self.delta:
+            self.problems.append(
+                f"staleness violation: {target} served seq {seq} with "
+                f"primary at >= {self.floor}, delta {self.delta}"
             )
-            events["converged"] = True
-        else:
-            events["converged"] = False
-            problems.append(
-                f"restarted replica stuck at seq {replica.applied_seq}, "
-                f"needed {target_seq}"
+        last = self.last_seq_by_target.get(target)
+        if last is not None and seq < last:
+            self.problems.append(
+                f"snapshot regressed on {target}: seq {seq} after {last}"
             )
-    except Exception as exc:  # noqa: BLE001 — a failed injection is a failure
-        problems.append(f"fault controller crashed: {exc!r}")
-    record["events"] = events
-    record["problems"] = problems
+        self.last_seq_by_target[target] = seq
+        for (s, t), answer in answered:
+            self.served.append((seq, s, t, answer))
+            _check_answer(s, t, answer, self.problems, seq=seq)
 
 
 def _verify_against_replay(state_dir, initial_payload, served, problems,
@@ -285,54 +211,54 @@ def run_cluster_loadgen(backend="core", replicas=2, readers=4, duration=1.2,
             cluster.set_metrics(registry, tracer=tracer)
             engine.set_metrics(registry)
     except BaseException:
-        # A half-booted fleet must not leak its writer/applier threads,
-        # and a dir this function created must not leak onto disk.
-        if cluster is not None:
-            try:
-                cluster.close()
-            except ClusterError:
-                pass
-        if own_dir:
-            shutil.rmtree(state_dir, ignore_errors=True)
+        _close_quietly([cluster], state_dir if own_dir else None)
         raise
 
-    deadline = time.time() + duration
-    bounded = policy == "bounded_staleness"
-    reader_records = [{} for _ in range(readers)]
-    threads = [
-        threading.Thread(
-            target=_reader_loop,
-            args=(cluster, pairs, deadline, seed + 20 + i, staleness_delta,
-                  bounded, reader_records[i],
-                  make_pair_picker(source_picker, vertices, seed + 20 + i,
-                                   picker_kwargs)),
-            name=f"cluster-reader-{i}",
-        )
-        for i in range(readers)
-    ]
-    submit_record = {}
-    threads.append(threading.Thread(
-        target=_submitter_loop,
-        args=(cluster, cycle, deadline, batch_size, pause, submit_record),
-        name="cluster-submitter",
-    ))
-    fault_record = {"events": {}, "problems": []}
-    if inject_fault:
-        threads.append(threading.Thread(
-            target=_fault_controller,
-            args=(cluster, deadline, duration, fault_record),
-            name="cluster-fault-controller",
-        ))
+    events = {}
 
-    start = time.time()
+    def kill_replica():
+        cluster.kill_replica("replica-0")
+        events["killed_at_seq"] = cluster.primary.applied_seq
+
+    def restart_replica():
+        # A mid-run durable checkpoint (no truncation: the replay oracle
+        # needs the full log) makes the restart a true checkpoint + tail
+        # recovery rather than a replay-everything one.
+        cluster.checkpoint()
+        target_seq = cluster.primary.applied_seq
+        events["restarted_at_seq"] = target_seq
+        began = time.perf_counter()
+        replica = cluster.restart_replica("replica-0")
+        events["converged"] = replica.catch_up(target_seq, timeout=30.0)
+        if events["converged"]:
+            events["catch_up_ms"] = round(
+                (time.perf_counter() - began) * 1e3, 3
+            )
+        else:
+            problems.append(
+                f"restarted replica stuck at seq {replica.applied_seq}, "
+                f"needed {target_seq}"
+            )
+
+    bounded = policy == "bounded_staleness"
+    cluster_readers = [
+        _ClusterReader(cluster, bounded, staleness_delta)
+        for _ in range(readers)
+    ]
     problems = []
     try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        run = _run_load(
+            "cluster", cluster_readers, pairs, seed + 20,
+            cluster.submit_many, cycle, batch_size, pause, duration,
+            # Kill replica-0 a third of the way in, crash-recover it at
+            # 0.6·T, and measure how long the restart takes to converge.
+            faults=[(0.3, kill_replica), (0.6, restart_replica)]
+            if inject_fault else (),
+            picker=lambda sd: make_pair_picker(source_picker, vertices, sd,
+                                               picker_kwargs),
+        )
         final_seq = cluster.sync(timeout=30.0)
-        elapsed = time.time() - start
+        elapsed = time.time() - run["started"]
         stats = cluster.stats()
         cluster.check_invariants()
         if registry is not None:
@@ -343,12 +269,7 @@ def run_cluster_loadgen(backend="core", replicas=2, readers=4, duration=1.2,
                 stem=f"cluster-{backend}",
             )
     except BaseException:
-        try:
-            cluster.close()
-        except ClusterError:
-            pass
-        if own_dir:
-            shutil.rmtree(state_dir, ignore_errors=True)
+        _close_quietly([cluster], state_dir if own_dir else None)
         raise
     for name, replica in cluster.replicas.items():
         if not replica.healthy:
@@ -365,13 +286,8 @@ def run_cluster_loadgen(backend="core", replicas=2, readers=4, duration=1.2,
     except ClusterError as exc:
         problems.append(f"shutdown failure: {exc}")
 
-    for rec in reader_records:
-        problems.extend(rec.get("problems", []))
-    problems.extend(submit_record.get("problems", []))
-    problems.extend(fault_record.get("problems", []))
-    served = [
-        item for rec in reader_records for item in rec.get("served", [])
-    ]
+    problems.extend(run["problems"])
+    served = [item for reader in cluster_readers for item in reader.served]
     try:
         replay_report = _verify_against_replay(
             state_dir, initial_payload, served, problems, backend
@@ -380,10 +296,7 @@ def run_cluster_loadgen(backend="core", replicas=2, readers=4, duration=1.2,
         if own_dir:
             shutil.rmtree(state_dir, ignore_errors=True)
 
-    latencies = sorted(
-        lat for rec in reader_records for lat in rec.get("latencies", [])
-    )
-    reads = sum(rec.get("reads", 0) for rec in reader_records)
+    reads = run["reads"]
     primary_stats = stats["primary"]
     if primary_stats["errors"]:
         problems.append(
@@ -400,12 +313,9 @@ def run_cluster_loadgen(backend="core", replicas=2, readers=4, duration=1.2,
         "graph": {"n": n, "m": m},
         "reads": reads,
         "read_qps": round(reads / elapsed) if elapsed else 0,
-        "read_latency_ms": {
-            "p50": round(_percentile(latencies, 50) * 1e3, 4),
-            "p99": round(_percentile(latencies, 99) * 1e3, 4),
-        },
+        "read_latency_ms": _latency_ms(run["latencies"]),
         "answers_audited": len(served),
-        "updates_submitted": submit_record.get("submitted", 0),
+        "updates_submitted": run["submitted"],
         "updates_applied": primary_stats["applied_updates"],
         "applied_batches": primary_stats["applied_batches"],
         "telemetry": list(telemetry_paths) if registry is not None else None,
@@ -414,7 +324,7 @@ def run_cluster_loadgen(backend="core", replicas=2, readers=4, duration=1.2,
         "router_fallbacks": stats["router"]["fallbacks"],
         "router_waits": stats["router"]["waits"],
         "replica_stats": stats["replicas"],
-        "fault_injection": fault_record["events"],
+        "fault_injection": events,
         "consistency_problems": problems,
     }
     if strict and problems:

@@ -21,7 +21,8 @@ stack tapped on the read path, and replays:
   issued sequence stays deterministic);
 * a **fault controller** fires the scenario's :class:`~repro.replay
   .scenario.FaultSpec` schedule at its run fractions (absolute
-  scheduling, like the shard harness).
+  scheduling, the rule of the threaded harnesses' load driver in
+  :mod:`repro.serve.loadgen`).
 
 The strict contract follows the house rule — consistency is judged,
 timing never: zero shadow-audit divergences, a non-trivial audit count,
@@ -47,7 +48,7 @@ from repro.exceptions import (
 )
 from repro.replay.plan import ReplayPlan
 from repro.replay.scenario import ReplayScenario, get_scenario
-from repro.serve.loadgen import _check_answer, _percentile
+from repro.serve.loadgen import _check_answer, _latency_ms
 from repro.serve.service import ServeConfig, SPCService
 from repro.shard.shardcluster import ShardConfig, ShardedCluster
 
@@ -190,7 +191,7 @@ def _reader_loop(fleet, schedule, plan, start, record):
                 continue
             latencies.append(time.perf_counter() - began)
             answered += 1
-            _check_answer(answered, s, t, answer, problems)
+            _check_answer(s, t, answer, problems)
     except Exception as exc:  # noqa: BLE001 — a dead reader fails the run
         problems.append(f"reader thread crashed: {exc!r}")
     record["issued"] = len(schedule)
@@ -431,10 +432,7 @@ def run_replay_scenario(scenario, seed=0, duration=None, corpus_kwargs=None,
         "queries_answered": answered,
         "refusals": refusals,
         "read_qps": round(answered / elapsed) if elapsed else 0,
-        "read_latency_ms": {
-            "p50": round(_percentile(latencies, 50) * 1e3, 4),
-            "p99": round(_percentile(latencies, 99) * 1e3, 4),
-        },
+        "read_latency_ms": _latency_ms(latencies),
         "sampler": sampler_stats,
         "auditor": auditor_stats,
         "divergences": report.total,

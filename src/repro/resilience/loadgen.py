@@ -39,10 +39,8 @@ Wired into the benchmark CLI as ``repro-bench chaos``.
 """
 
 import os
-import random
 import shutil
 import tempfile
-import threading
 import time
 
 from repro.audit.comparator import DivergenceReport
@@ -65,7 +63,13 @@ from repro.resilience.chaos import (
     torn_write,
 )
 from repro.resilience.supervisor import Supervisor
-from repro.serve.loadgen import _percentile, make_workload
+from repro.serve.loadgen import (
+    _close_quietly,
+    _latency_ms,
+    _Reader,
+    _run_load,
+    make_workload,
+)
 from repro.serve.persist import load_checkpoint
 from repro.serve.service import (
     JOURNAL_FILENAME,
@@ -104,74 +108,19 @@ def _await(predicate, timeout, interval=0.01):
     return bool(predicate())
 
 
-def _reader_loop(fleet_obj, pairs, stop, deadline, seed, record):
-    """Routed point + batch reads until the run ends.
+class _ChaosReader(_Reader):
+    """Routed point and batch reads; refusals are the designed response
+    to a degraded fleet, and a ``+degraded`` tag marks a bounded-stale
+    answer served in opt-in degraded mode."""
 
-    Refusals (:class:`ClusterError` / :class:`ShardError`) are the
-    *designed* response to a degraded fleet — counted and retried, never
-    a reader failure.  Anything else crashing the reader fails the run.
-    """
-    rng = random.Random(seed)
-    latencies = []
-    problems = []
-    reads = 0
-    refusals = 0
-    degraded_reads = 0
-    try:
-        while not stop.is_set() and time.time() < deadline:
-            s, t = pairs[rng.randrange(len(pairs))]
-            start = time.perf_counter()
-            try:
-                # cluster routers tag (answer, seq, target); shard routers
-                # tag (answer, seq) — the merged answer has no one target.
-                tagged = fleet_obj.query_tagged(s, t)
-                target = tagged[2] if len(tagged) > 2 else ""
-            except _REFUSALS:
-                refusals += 1
-                time.sleep(0.002)  # don't hot-spin against a down fleet
-                continue
-            latencies.append(time.perf_counter() - start)
-            reads += 1
-            if isinstance(target, str) and target.endswith("+degraded"):
-                degraded_reads += 1
-            if reads % 64 == 0:
-                batch = [pairs[rng.randrange(len(pairs))] for _ in range(8)]
-                try:
-                    fleet_obj.query_many(batch)
-                    reads += len(batch)
-                except _REFUSALS:
-                    refusals += 1
-    except Exception as exc:  # noqa: BLE001 — a dead reader fails the run
-        problems.append(f"reader thread crashed: {exc!r}")
-    record["reads"] = reads
-    record["refusals"] = refusals
-    record["degraded_reads"] = degraded_reads
-    record["latencies"] = latencies
-    record["problems"] = problems
+    def __init__(self, fleet_obj):
+        super().__init__(fleet_obj.query_tagged, fleet_obj.query_many)
+        self.degraded_reads = 0
 
-
-def _submitter_loop(fleet_obj, cycle, stop, deadline, batch_size, pause,
-                    record):
-    """Cyclic update stream — also the torn-write phase's glue trigger:
-    the weld only becomes a complete (and corrupt) line once the writer
-    appends the *next* record after the fragment."""
-    submitted = 0
-    i = 0
-    record["problems"] = problems = []
-    try:
-        while cycle and not stop.is_set() and time.time() < deadline:
-            chunk = cycle[i:i + batch_size]
-            if not chunk:
-                i = 0
-                continue
-            fleet_obj.submit_many(chunk)
-            submitted += len(chunk)
-            i = (i + len(chunk)) % len(cycle)
-            if pause:
-                time.sleep(pause)
-    except Exception as exc:  # noqa: BLE001 — surfaced as a run failure
-        problems.append(f"submitter thread crashed: {exc!r}")
-    record["submitted"] = submitted
+    def judge(self, s, t, out):
+        _answer, _seq, target = out
+        if target.endswith("+degraded"):
+            self.degraded_reads += 1
 
 
 class _Fleet:
@@ -311,38 +260,11 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
             seed=seed + 11,
         )
     except BaseException:
-        for closer in (supervisor, auditor, fleet_obj):
-            if closer is not None:
-                try:
-                    closer.close()
-                except (ReproError, OSError):
-                    pass
-        if own_dir:
-            shutil.rmtree(state_dir, ignore_errors=True)
+        _close_quietly([supervisor, auditor, fleet_obj],
+                       state_dir if own_dir else None)
         raise
 
     shim = _Fleet(fleet_obj, fleet, state_dir)
-    run_started = time.time()
-    hard_deadline = run_started + duration
-    stop = threading.Event()
-    reader_records = [{} for _ in range(readers)]
-    submit_record = {}
-    threads = [
-        threading.Thread(
-            target=_reader_loop,
-            args=(fleet_obj, pairs, stop, hard_deadline, seed + 30 + i,
-                  reader_records[i]),
-            name=f"chaos-reader-{i}",
-        )
-        for i in range(readers)
-    ]
-    threads.append(threading.Thread(
-        target=_submitter_loop,
-        args=(fleet_obj, cycle, stop, hard_deadline, batch_size, pause,
-              submit_record),
-        name="chaos-submitter",
-    ))
-
     phases = []
     problems = []
     failed_members = set()
@@ -401,9 +323,7 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
             and shim.serves(probe)
         )
 
-    try:
-        for t in threads:
-            t.start()
+    def schedule(_deadline):
         victims = shim.victims()
         members_by_key = shim.members()
 
@@ -576,10 +496,13 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
                         "the budget-exhausted member"
                     )
 
-        stop.set()
-        for t in threads:
-            t.join()
-        run_ended = time.time()
+    chaos_readers = [_ChaosReader(fleet_obj) for _ in range(readers)]
+    try:
+        run = _run_load(
+            "chaos", chaos_readers, pairs, seed + 30, fleet_obj.submit_many,
+            cycle, batch_size, pause, duration, refusal=_REFUSALS,
+            main=schedule,
+        )
 
         # Final settlement: whatever the last phase left lagging must
         # converge, and the auditor must verify its whole backlog.
@@ -598,7 +521,7 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
                 f"auditor failed to drain within {drain_timeout} s "
                 f"(pending {auditor.stats()['pending']})"
             )
-        elapsed = run_ended - run_started
+        elapsed = run["ended"] - run["started"]
         sampler_stats = sampler.stats()
         auditor_stats = auditor.stats()
         router_stats = fleet_obj.router.stats()
@@ -611,18 +534,8 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
             problems.append(f"auditor died: {exc}")
         supervisor.close()
     except BaseException:
-        stop.set()
-        for closer in (supervisor, auditor):
-            try:
-                closer.close()
-            except (ReproError, OSError):
-                pass
-        try:
-            fleet_obj.close()
-        except (ReproError, OSError):
-            pass
-        if own_dir:
-            shutil.rmtree(state_dir, ignore_errors=True)
+        _close_quietly([supervisor, auditor, fleet_obj],
+                       state_dir if own_dir else None)
         raise
     try:
         fleet_obj.close()
@@ -634,9 +547,7 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
     if own_dir:
         shutil.rmtree(state_dir, ignore_errors=True)
 
-    for rec in reader_records:
-        problems.extend(rec.get("problems", []))
-    problems.extend(submit_record.get("problems", []))
+    problems.extend(run["problems"])
 
     report = auditor.report
     healed_mttrs = [p["mttr_s"] for p in phases if p["mttr_s"] is not None]
@@ -652,11 +563,7 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
                 f"chaos: {report.divergences[0].describe()}"
             )
 
-    latencies = sorted(
-        lat for rec in reader_records for lat in rec.get("latencies", [])
-    )
-    reads = sum(rec.get("reads", 0) for rec in reader_records)
-    refusals = sum(rec.get("refusals", 0) for rec in reader_records)
+    reads = run["reads"]
     result = {
         "backend": backend,
         "fleet": fleet,
@@ -666,15 +573,10 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
         "graph": {"n": n, "m": m},
         "reads": reads,
         "read_qps": round(reads / elapsed) if elapsed else 0,
-        "read_latency_ms": {
-            "p50": round(_percentile(latencies, 50) * 1e3, 4),
-            "p99": round(_percentile(latencies, 99) * 1e3, 4),
-        },
-        "updates_submitted": submit_record.get("submitted", 0),
-        "refusals": refusals,
-        "degraded_reads": sum(
-            rec.get("degraded_reads", 0) for rec in reader_records
-        ),
+        "read_latency_ms": _latency_ms(run["latencies"]),
+        "updates_submitted": run["submitted"],
+        "refusals": run["refusals"],
+        "degraded_reads": sum(r.degraded_reads for r in chaos_readers),
         "degraded_mode": degraded,
         "phases": phases,
         "phases_detected": sum(1 for p in phases if p["detected"]),

@@ -25,14 +25,20 @@ through as a plausible-looking wrong answer.
 Wired into the benchmark CLI as ``repro-bench serve`` (results land in
 ``bench_results/serve.json``); importable directly via
 :func:`run_loadgen` for ad-hoc profiling.
+
+This module also holds the one load driver that every threaded harness
+(serve, cluster, audit, shard, chaos) runs on: :func:`_run_load` with its
+reader, submitter and absolute fault-schedule loops.  DESIGN.md §10
+states its contract.
 """
 
 import random
+import shutil
 import threading
 import time
 
 from repro.engine import EngineConfig, SPCEngine
-from repro.exceptions import ServeError
+from repro.exceptions import ReproError, ServeError
 from repro.graph.generators import erdos_renyi, random_directed, random_weighted
 from repro.serve.service import ServeConfig, SPCService
 from repro.workloads.updates import random_insertions
@@ -111,94 +117,119 @@ def _next_pair(pairs, rng, picker):
     return pairs[rng.randrange(len(pairs))]
 
 
-def _check_answer(seq, s, t, answer, problems):
+def _check_answer(s, t, answer, problems, seq=None):
     """Flag a structurally impossible (distance, count) answer.
 
-    Shared with the cluster harness (:mod:`repro.cluster.loadgen`); the
-    actual shape rule lives in :func:`repro.audit.comparator
+    The shape rule lives in :func:`repro.audit.comparator
     .check_answer_shape` — the audit stack's single definition of
     "malformed" — imported lazily because :mod:`repro.audit.loadgen`
-    imports this module for its workload builder.
+    imports this module.  ``seq`` names the snapshot that served the
+    answer, when the caller has one.
     """
     from repro.audit.comparator import check_answer_shape
 
     reason = check_answer_shape(answer)
     if reason is not None:
-        problems.append(
-            f"malformed answer for ({s},{t}) at seq {seq}: {reason}"
-        )
+        where = f" at seq {seq}" if seq is not None else ""
+        problems.append(f"malformed answer for ({s},{t}){where}: {reason}")
 
 
-def _reader_loop(service, pairs, deadline, seed, record, picker=None):
+def _latency_ms(latencies):
+    """p50/p99 of a sorted list of seconds, in milliseconds."""
+    return {
+        "p50": round(_percentile(latencies, 50) * 1e3, 4),
+        "p99": round(_percentile(latencies, 99) * 1e3, 4),
+    }
+
+
+# -- the one load driver ----------------------------------------------------
+
+
+class _Reader:
+    """One reader thread's harness half of :func:`_reader_loop`.
+
+    ``read(s, t)`` is the timed point read and ``read_many(batch)`` the
+    batch of 8 taken every 64 reads.  Subclasses judge what those return
+    (``judge`` / ``judge_many`` append to ``problems``) and keep any
+    per-thread counters their report merges; ``before`` runs untimed just
+    before each call.  The loop fills ``reads``, ``refusals``,
+    ``latencies`` and ``batch_latencies``.
+    """
+
+    def __init__(self, read, read_many):
+        self.read = read
+        self.read_many = read_many
+        self.problems = []
+        self.reads = 0
+        self.refusals = 0
+        self.latencies = []
+        self.batch_latencies = []
+
+    def before(self):
+        pass
+
+    def judge(self, s, t, out):
+        pass
+
+    def judge_many(self, batch, out):
+        pass
+
+
+def _reader_loop(reader, pairs, seed, picker, refusal, stop, deadline):
+    """Read until the deadline or ``stop``.
+
+    An exception of a ``refusal`` type is the fleet's designed degraded
+    mode: counted, never a failure (a refused point read pauses briefly
+    so the loop does not hot-spin against a down fleet).  Anything else
+    is recorded as a crash — a dead reader must fail the run, not
+    silently shrink the sample.
+    """
     rng = random.Random(seed)
-    latencies = []        # point-query timings only
-    batch_latencies = []  # query_many-of-8 timings, reported separately
-    problems = []
-    reads = 0
+    # The point-read path is hot: bind its per-read calls once.
+    read, judge, before = reader.read, reader.judge, reader.before
+    latencies = reader.latencies
     try:
-        reads = _read_until(service, pairs, deadline, rng, latencies,
-                            batch_latencies, problems, picker)
-    except Exception as exc:  # noqa: BLE001 — a dead reader must fail the
-        # run, not silently shrink the sample (the smoke job's contract).
-        problems.append(f"reader thread crashed: {exc!r}")
-    record["reads"] = reads
-    record["latencies"] = latencies
-    record["batch_latencies"] = batch_latencies
-    record["problems"] = problems
-
-
-def _read_until(service, pairs, deadline, rng, latencies, batch_latencies,
-                problems, picker=None):
-    reads = 0
-    last_seq = -1
-    while time.time() < deadline:
-        s, t = _next_pair(pairs, rng, picker)
-        start = time.perf_counter()
-        snap = service.snapshot()
-        answer = snap.query(s, t)
-        latencies.append(time.perf_counter() - start)
-        reads += 1
-        if snap.seq < last_seq:
-            problems.append(
-                f"snapshot regressed: seq {snap.seq} after {last_seq}"
-            )
-        last_seq = snap.seq
-        _check_answer(snap.seq, s, t, answer, problems)
-        if reads % 16 == 0:
-            # Torn-read probe: a pinned snapshot must answer identically
-            # forever, even while the writer publishes newer epochs.
-            again = snap.query(s, t)
-            if again != answer:
-                problems.append(
-                    f"torn read on ({s},{t}) at seq {snap.seq}: "
-                    f"{answer!r} then {again!r}"
-                )
-        if reads % 64 == 0:
-            batch = [_next_pair(pairs, rng, picker) for _ in range(8)]
+        while not stop.is_set() and time.time() < deadline:
+            s, t = _next_pair(pairs, rng, picker)
+            before()
             start = time.perf_counter()
-            answers = snap.query_many(batch)
-            batch_latencies.append(time.perf_counter() - start)
-            reads += len(batch)
-            for (bs, bt), ba in zip(batch, answers):
-                if ba != snap.query(bs, bt):
-                    problems.append(
-                        f"query_many({bs},{bt}) disagreed with query "
-                        f"at seq {snap.seq}"
-                    )
-    return reads
+            try:
+                out = read(s, t)
+            except refusal:
+                reader.refusals += 1
+                time.sleep(0.002)
+                continue
+            latencies.append(time.perf_counter() - start)
+            reader.reads += 1
+            judge(s, t, out)
+            if reader.reads % 64 == 0:
+                batch = [_next_pair(pairs, rng, picker) for _ in range(8)]
+                before()
+                start = time.perf_counter()
+                try:
+                    out = reader.read_many(batch)
+                except refusal:
+                    reader.refusals += 1
+                    continue
+                reader.batch_latencies.append(time.perf_counter() - start)
+                reader.reads += len(batch)
+                reader.judge_many(batch, out)
+    except Exception as exc:  # noqa: BLE001 — surfaced as a run failure
+        reader.problems.append(f"reader thread crashed: {exc!r}")
 
 
-def _submitter_loop(service, cycle, deadline, batch_size, pause, record):
+def _submitter_loop(submit, cycle, batch_size, pause, stop, deadline, record):
+    """Feed the cyclic update stream to ``submit`` until the run ends."""
     submitted = 0
     i = 0
     record["problems"] = problems = []
     try:
-        while cycle and time.time() < deadline:
+        while cycle and not stop.is_set() and time.time() < deadline:
             chunk = cycle[i:i + batch_size]
             if not chunk:
                 i = 0
                 continue
-            service.submit_many(chunk)
+            submit(chunk)
             submitted += len(chunk)
             i = (i + len(chunk)) % len(cycle)
             if pause:
@@ -206,6 +237,165 @@ def _submitter_loop(service, cycle, deadline, batch_size, pause, record):
     except Exception as exc:  # noqa: BLE001 — surfaced as a run failure
         problems.append(f"submitter thread crashed: {exc!r}")
     record["submitted"] = submitted
+
+
+def _fault_loop(schedule, started, duration, stop, problems):
+    """Fire each ``(fraction, step)`` at ``started + fraction·duration``.
+
+    The schedule is absolute, never relative to the previous step: a
+    step that blocks (killing a member joins its thread, which under
+    reader load can take a sizable slice of a short run) delays only the
+    steps whose time it overruns, so no drift accumulates.  A step whose
+    time comes only after the deadline, or after ``stop``, is recorded as
+    a missed window, never skipped silently; a step that raises ends the
+    schedule as a crash.
+    """
+    deadline = started + duration
+    try:
+        for fraction, step in schedule:
+            stop.wait(max(0.0, started + fraction * duration - time.time()))
+            if stop.is_set() or time.time() >= deadline:
+                problems.append(
+                    f"{step.__name__} at {fraction}·T missed its injection "
+                    f"window (raise duration above {duration} s)"
+                )
+                continue
+            step()
+    except Exception as exc:  # noqa: BLE001 — a failed injection is a failure
+        problems.append(f"fault controller crashed: {exc!r}")
+
+
+def _run_load(name, readers, pairs, seed, submit, cycle, batch_size, pause,
+              duration, refusal=(), picker=None, faults=(), main=None):
+    """Run one deadline-driven load and merge what its threads saw.
+
+    Starts one thread per :class:`_Reader` (seeded ``seed + i``, with
+    ``picker(seed + i)`` as its pair picker when given), one submitter
+    looping ``cycle`` through ``submit``, and, when ``faults`` is
+    non-empty, one controller running that absolute schedule.  The
+    calling thread runs ``main(deadline)``, or sleeps out the deadline.
+    When it returns or raises, ``stop`` is set and every thread joined.
+
+    Returns ``started``/``ended`` wall times and the merged ``reads``,
+    ``refusals``, sorted ``latencies`` and ``batch_latencies``,
+    ``submitted`` and ``problems``.
+    """
+    stop = threading.Event()
+    started = time.time()
+    deadline = started + duration
+    submit_record = {}
+    fault_problems = []
+    threads = [
+        threading.Thread(
+            target=_reader_loop,
+            args=(reader, pairs, seed + i,
+                  picker(seed + i) if picker else None, refusal, stop,
+                  deadline),
+            name=f"{name}-reader-{i}",
+        )
+        for i, reader in enumerate(readers)
+    ]
+    threads.append(threading.Thread(
+        target=_submitter_loop,
+        args=(submit, cycle, batch_size, pause, stop, deadline,
+              submit_record),
+        name=f"{name}-submitter",
+    ))
+    if faults:
+        threads.append(threading.Thread(
+            target=_fault_loop,
+            args=(faults, started, duration, stop, fault_problems),
+            name=f"{name}-fault-controller",
+        ))
+    try:
+        for t in threads:
+            t.start()
+        if main is None:
+            time.sleep(max(0.0, deadline - time.time()))
+        else:
+            main(deadline)
+    finally:
+        stop.set()
+        for t in threads:
+            t.join()
+    return {
+        "started": started,
+        "ended": time.time(),
+        "reads": sum(r.reads for r in readers),
+        "refusals": sum(r.refusals for r in readers),
+        "latencies": sorted(lat for r in readers for lat in r.latencies),
+        "batch_latencies": sorted(
+            lat for r in readers for lat in r.batch_latencies
+        ),
+        "submitted": submit_record.get("submitted", 0),
+        "problems": [p for r in readers for p in r.problems]
+        + submit_record.get("problems", []) + fault_problems,
+    }
+
+
+def _close_quietly(closers, state_dir=None):
+    """Close every non-``None`` closer, then remove ``state_dir`` if given.
+
+    The cleanup path of a harness that is already failing: errors from
+    the closes are swallowed so the original failure stays the one
+    reported, but no writer, applier or auditor thread leaks into the
+    caller's process and no state dir the harness created leaks onto
+    disk.
+    """
+    for closer in closers:
+        if closer is not None:
+            try:
+                closer.close()
+            except (ReproError, OSError):
+                pass
+    if state_dir is not None:
+        shutil.rmtree(state_dir, ignore_errors=True)
+
+
+class _ServeReader(_Reader):
+    """Point reads on a freshly pinned snapshot, judged for snapshot
+    regression, malformed answers and torn reads; each batch re-asks the
+    same pinned snapshot and must agree with its point answers."""
+
+    def __init__(self, service):
+        super().__init__(self._pin_and_query, self._query_pinned)
+        self.service = service
+        self.snap = None
+        self.last_seq = -1
+
+    def _pin_and_query(self, s, t):
+        snap = self.service.snapshot()
+        return snap, snap.query(s, t)
+
+    def _query_pinned(self, batch):
+        return self.snap.query_many(batch)
+
+    def judge(self, s, t, out):
+        snap, answer = out
+        self.snap = snap
+        if snap.seq < self.last_seq:
+            self.problems.append(
+                f"snapshot regressed: seq {snap.seq} after {self.last_seq}"
+            )
+        self.last_seq = snap.seq
+        _check_answer(s, t, answer, self.problems, seq=snap.seq)
+        if self.reads % 16 == 0:
+            # Torn-read probe: a pinned snapshot must answer identically
+            # forever, even while the writer publishes newer epochs.
+            again = snap.query(s, t)
+            if again != answer:
+                self.problems.append(
+                    f"torn read on ({s},{t}) at seq {snap.seq}: "
+                    f"{answer!r} then {again!r}"
+                )
+
+    def judge_many(self, batch, answers):
+        for (bs, bt), ba in zip(batch, answers):
+            if ba != self.snap.query(bs, bt):
+                self.problems.append(
+                    f"query_many({bs},{bt}) disagreed with query "
+                    f"at seq {self.snap.seq}"
+                )
 
 
 def run_loadgen(backend="core", readers=4, duration=1.0, n=300, m=900,
@@ -241,38 +431,24 @@ def run_loadgen(backend="core", readers=4, duration=1.0, n=300, m=900,
         service.set_metrics(registry, tracer=tracer)
         engine.set_metrics(registry)
 
-    deadline = time.time() + duration
-    reader_records = [{} for _ in range(readers)]
-    threads = [
-        threading.Thread(
-            target=_reader_loop,
-            args=(service, pairs, deadline, seed + 10 + i, reader_records[i],
-                  make_pair_picker(source_picker, vertices, seed + 10 + i,
-                                   picker_kwargs)),
-            name=f"loadgen-reader-{i}",
-        )
-        for i in range(readers)
-    ]
-    submit_record = {}
-    threads.append(threading.Thread(
-        target=_submitter_loop,
-        args=(service, cycle, deadline, batch_size, pause, submit_record),
-        name="loadgen-submitter",
-    ))
-
-    start = time.time()
     lag_samples, staleness_samples = [], []
-    try:
-        for t in threads:
-            t.start()
+
+    def sample_lag(deadline):
         while time.time() < deadline:
             lag_samples.append(service.lag())
             staleness_samples.append(service.staleness())
             time.sleep(0.01)
-        for t in threads:
-            t.join()
+
+    try:
+        run = _run_load(
+            "loadgen", [_ServeReader(service) for _ in range(readers)],
+            pairs, seed + 10, service.submit_many, cycle, batch_size, pause,
+            duration, main=sample_lag,
+            picker=lambda sd: make_pair_picker(source_picker, vertices, sd,
+                                               picker_kwargs),
+        )
         service.flush()
-        elapsed = time.time() - start
+        elapsed = time.time() - run["started"]
         stats = service.stats()
         if registry is not None:
             from repro.obs.export import write_files
@@ -282,26 +458,14 @@ def run_loadgen(backend="core", readers=4, duration=1.0, n=300, m=900,
                 stem=f"serve-{backend}",
             )
     except BaseException:
-        # Even when flush (or a sampler call) raises, the writer thread
-        # and any WAL handle must not leak into the caller's process —
-        # but the original failure stays the one reported.
-        try:
-            service.close()
-        except ServeError:
-            pass
+        _close_quietly([service])
         raise
     service.close()
     engine.check_invariants()
 
-    problems = [p for rec in reader_records for p in rec.get("problems", [])]
-    problems.extend(submit_record.get("problems", []))
-    latencies = sorted(
-        lat for rec in reader_records for lat in rec.get("latencies", [])
-    )
-    batch_latencies = sorted(
-        lat for rec in reader_records for lat in rec.get("batch_latencies", [])
-    )
-    reads = sum(rec.get("reads", 0) for rec in reader_records)
+    problems = run["problems"]
+    latencies = run["latencies"]
+    reads = run["reads"]
     report = {
         "backend": backend,
         "readers": readers,
@@ -309,22 +473,18 @@ def run_loadgen(backend="core", readers=4, duration=1.0, n=300, m=900,
         "graph": {"n": n, "m": m},
         "reads": reads,
         "read_qps": round(reads / elapsed) if elapsed else 0,
-        "read_latency_ms": {
-            "p50": round(_percentile(latencies, 50) * 1e3, 4),
-            "p99": round(_percentile(latencies, 99) * 1e3, 4),
-            "max": round((latencies[-1] if latencies else 0.0) * 1e3, 4),
-            "mean": round(
+        "read_latency_ms": dict(
+            _latency_ms(latencies),
+            max=round((latencies[-1] if latencies else 0.0) * 1e3, 4),
+            mean=round(
                 (sum(latencies) / len(latencies) if latencies else 0.0) * 1e3,
                 4,
             ),
-        },
+        ),
         # query_many-of-8 timings, kept out of the point-read percentiles
         # so p99 tracks single-read latency, not the batch mix.
-        "batch_latency_ms": {
-            "p50": round(_percentile(batch_latencies, 50) * 1e3, 4),
-            "p99": round(_percentile(batch_latencies, 99) * 1e3, 4),
-        },
-        "updates_submitted": submit_record.get("submitted", 0),
+        "batch_latency_ms": _latency_ms(run["batch_latencies"]),
+        "updates_submitted": run["submitted"],
         "updates_applied": stats["applied_updates"],
         "updates_cancelled": stats["cancelled_updates"],
         "applied_batches": stats["applied_batches"],

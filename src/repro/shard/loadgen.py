@@ -23,18 +23,21 @@ unsharded primary's label entries (strict mode fails the run otherwise).
 Wired into the benchmark CLI as ``repro-bench shard``.
 """
 
-import random
 import shutil
 import tempfile
-import threading
-import time
 
 from repro.audit.comparator import DivergenceReport
 from repro.audit.sampler import AuditSampler
 from repro.audit.shadow import ShadowAuditor
 from repro.engine import EngineConfig, SPCEngine
 from repro.exceptions import AuditDivergenceError, ShardError, ServeError
-from repro.serve.loadgen import _percentile, make_workload
+from repro.serve.loadgen import (
+    _close_quietly,
+    _latency_ms,
+    _Reader,
+    _run_load,
+    make_workload,
+)
 from repro.serve.service import ServeConfig
 from repro.shard.shardcluster import ShardConfig, ShardedCluster
 
@@ -55,102 +58,19 @@ def _primary_entries(engine):
     return total
 
 
-def _reader_loop(cluster, pairs, deadline, seed, record):
-    """Scatter-gather point + batch reads until the deadline.
+class _ShardReader(_Reader):
+    """Scatter-gather point and batch reads; a :class:`ShardError` is the
+    designed degraded mode (a shard is down, or no consistent cut was
+    reachable in time) and counts as a refusal, never a failure."""
 
-    A :class:`ShardError` is the *designed* degraded mode (a shard is
-    down, or no consistent cut was reachable in time) — counted as a
-    refusal and retried, never a reader failure.
-    """
-    rng = random.Random(seed)
-    latencies = []
-    problems = []
-    reads = 0
-    refusals = 0
-    post_restart_reads = 0
-    try:
-        while time.time() < deadline:
-            s, t = pairs[rng.randrange(len(pairs))]
-            start = time.perf_counter()
-            try:
-                cluster.query_tagged(s, t)
-            except ShardError:
-                refusals += 1
-                time.sleep(0.002)  # don't hot-spin against a down fleet
-                continue
-            latencies.append(time.perf_counter() - start)
-            reads += 1
-            if record.get("restarted_at") is not None:
-                post_restart_reads += 1
-            if reads % 64 == 0:
-                batch = [pairs[rng.randrange(len(pairs))] for _ in range(8)]
-                try:
-                    cluster.query_many(batch)
-                    reads += len(batch)
-                except ShardError:
-                    refusals += 1
-    except Exception as exc:  # noqa: BLE001 — a dead reader fails the run
-        problems.append(f"reader thread crashed: {exc!r}")
-    record["reads"] = reads
-    record["refusals"] = refusals
-    record["post_restart_reads"] = post_restart_reads
-    record["latencies"] = latencies
-    record["problems"] = problems
+    def __init__(self, cluster, events):
+        super().__init__(cluster.query_tagged, cluster.query_many)
+        self.events = events
+        self.post_restart_reads = 0
 
-
-def _submitter_loop(cluster, cycle, deadline, batch_size, pause, record):
-    submitted = 0
-    i = 0
-    record["problems"] = problems = []
-    try:
-        while cycle and time.time() < deadline:
-            chunk = cycle[i:i + batch_size]
-            if not chunk:
-                i = 0
-                continue
-            cluster.submit_many(chunk)
-            submitted += len(chunk)
-            i = (i + len(chunk)) % len(cycle)
-            if pause:
-                time.sleep(pause)
-    except Exception as exc:  # noqa: BLE001 — surfaced as a run failure
-        problems.append(f"submitter thread crashed: {exc!r}")
-    record["submitted"] = submitted
-
-
-def _fault_controller(cluster, deadline, duration, restart, shared, record):
-    """Kill shard-0 at 0.35·T; optionally restart it at 0.65·T.
-
-    Absolute scheduling against the run's start (killing a shard joins
-    its applier thread, so relative sleeps would drift the restart past
-    the deadline on short runs).
-    """
-    problems = []
-    events = {}
-    start = deadline - duration
-    try:
-        time.sleep(max(0.0, start + duration * 0.35 - time.time()))
-        if time.time() < deadline:
-            cluster.kill_shard(0)
-            events["killed"] = "shard-0"
-            events["killed_at_seq"] = cluster.primary.applied_seq
-        if restart:
-            time.sleep(max(0.0, start + duration * 0.65 - time.time()))
-            if "killed" in events and time.time() < deadline:
-                cluster.restart_shard(0)
-                events["restarted"] = "shard-0"
-                events["restarted_at_seq"] = cluster.primary.applied_seq
-                for rec in shared:
-                    rec["restarted_at"] = time.time()
-            elif "killed" in events:
-                problems.append(
-                    f"restart missed its injection window (raise duration "
-                    f"above {duration} s)"
-                )
-    except Exception as exc:  # noqa: BLE001 — a failed injection is a failure
-        problems.append(f"fault controller crashed: {exc!r}")
-    record["events"] = events
-    record["problems"] = problems
+    def judge(self, s, t, out):
+        if "restarted" in self.events:
+            self.post_restart_reads += 1
 
 
 def run_shard_loadgen(backend="core", shards=4, partitioner="balanced",
@@ -203,55 +123,35 @@ def run_shard_loadgen(backend="core", shards=4, partitioner="balanced",
             sampler.set_metrics(registry)
             auditor.set_metrics(registry)
     except BaseException:
-        if auditor is not None:
-            try:
-                auditor.close()
-            except ServeError:
-                pass
-        if cluster is not None:
-            try:
-                cluster.close()
-            except ShardError:
-                pass
-        if own_dir:
-            shutil.rmtree(state_dir, ignore_errors=True)
+        _close_quietly([auditor, cluster], state_dir if own_dir else None)
         raise
 
-    run_started = time.time()
-    deadline = run_started + duration
-    reader_records = [{"restarted_at": None} for _ in range(readers)]
-    threads = [
-        threading.Thread(
-            target=_reader_loop,
-            args=(cluster, pairs, deadline, seed + 30 + i, reader_records[i]),
-            name=f"shard-reader-{i}",
-        )
-        for i in range(readers)
-    ]
-    submit_record = {}
-    threads.append(threading.Thread(
-        target=_submitter_loop,
-        args=(cluster, cycle, deadline, batch_size, pause, submit_record),
-        name="shard-submitter",
-    ))
-    fault_record = {"events": {}, "problems": []}
-    if kill:
-        threads.append(threading.Thread(
-            target=_fault_controller,
-            args=(cluster, deadline, duration, restart, reader_records,
-                  fault_record),
-            name="shard-fault-controller",
-        ))
+    events = {}
 
+    def kill_shard():
+        cluster.kill_shard(0)
+        events["killed"] = "shard-0"
+        events["killed_at_seq"] = cluster.primary.applied_seq
+
+    def restart_shard():
+        cluster.restart_shard(0)
+        events["restarted"] = "shard-0"
+        events["restarted_at_seq"] = cluster.primary.applied_seq
+
+    # Kill shard-0 at 0.35·T; optionally restart it at 0.65·T.
+    faults = [(0.35, kill_shard)] if kill else []
+    if kill and restart:
+        faults.append((0.65, restart_shard))
+    shard_readers = [_ShardReader(cluster, events) for _ in range(readers)]
     problems = []
     try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        run_ended = time.time()
+        run = _run_load(
+            "shard", shard_readers, pairs, seed + 30, cluster.submit_many,
+            cycle, batch_size, pause, duration, refusal=ShardError,
+            faults=faults,
+        )
         recovered = True
-        if kill and restart and "restarted" in fault_record["events"]:
+        if "restarted" in events:
             # Prove recovery explicitly: a synced fleet must answer again.
             try:
                 cluster.sync(timeout=30.0)
@@ -266,7 +166,7 @@ def run_shard_loadgen(backend="core", shards=4, partitioner="balanced",
                 f"auditor failed to drain within {drain_timeout} s "
                 f"(pending {auditor.stats()['pending']})"
             )
-        elapsed = run_ended - run_started
+        elapsed = run["ended"] - run["started"]
         entries_at_end = _primary_entries(engine)
         sampler_stats = sampler.stats()
         auditor_stats = auditor.stats()
@@ -284,16 +184,7 @@ def run_shard_loadgen(backend="core", shards=4, partitioner="balanced",
         except ServeError as exc:
             problems.append(f"auditor died: {exc}")
     except BaseException:
-        try:
-            auditor.close()
-        except ServeError:
-            pass
-        try:
-            cluster.close()
-        except ShardError:
-            pass
-        if own_dir:
-            shutil.rmtree(state_dir, ignore_errors=True)
+        _close_quietly([auditor, cluster], state_dir if own_dir else None)
         raise
     try:
         cluster.close()
@@ -302,10 +193,7 @@ def run_shard_loadgen(backend="core", shards=4, partitioner="balanced",
     if own_dir:
         shutil.rmtree(state_dir, ignore_errors=True)
 
-    for rec in reader_records:
-        problems.extend(rec.get("problems", []))
-    problems.extend(submit_record.get("problems", []))
-    problems.extend(fault_record.get("problems", []))
+    problems.extend(run["problems"])
 
     # -- memory criterion ------------------------------------------------
     # The primary's entry count moves with the churn; take the larger of
@@ -329,7 +217,7 @@ def run_shard_loadgen(backend="core", shards=4, partitioner="balanced",
         "within_bound": all(r <= bound for r in ratios.values()),
     }
 
-    refusals = sum(rec.get("refusals", 0) for rec in reader_records)
+    refusals = run["refusals"]
     report = auditor.report
     if strict:
         if auditor_stats["audited"] == 0:
@@ -342,13 +230,12 @@ def run_shard_loadgen(backend="core", shards=4, partitioner="balanced",
                 f"cross-shard merge diverged {report.total} time(s): "
                 f"{report.divergences[0].describe()}"
             )
-        if kill and "killed" in fault_record["events"] and not refusals:
+        if "killed" in events and not refusals:
             problems.append(
                 "shard-0 was killed but no reader observed a refusal — "
                 "the router kept serving without a hub slice"
             )
-        if kill and restart and "restarted" in fault_record["events"] \
-                and not recovered:
+        if "restarted" in events and not recovered:
             problems.append("fleet did not serve again after the restart")
         if not memory["within_bound"]:
             problems.append(
@@ -357,10 +244,7 @@ def run_shard_loadgen(backend="core", shards=4, partitioner="balanced",
                 f"= {bound:.3f}"
             )
 
-    latencies = sorted(
-        lat for rec in reader_records for lat in rec.get("latencies", [])
-    )
-    reads = sum(rec.get("reads", 0) for rec in reader_records)
+    reads = run["reads"]
     result = {
         "backend": backend,
         "shards": shards,
@@ -370,11 +254,8 @@ def run_shard_loadgen(backend="core", shards=4, partitioner="balanced",
         "graph": {"n": n, "m": m},
         "reads": reads,
         "read_qps": round(reads / elapsed) if elapsed else 0,
-        "read_latency_ms": {
-            "p50": round(_percentile(latencies, 50) * 1e3, 4),
-            "p99": round(_percentile(latencies, 99) * 1e3, 4),
-        },
-        "updates_submitted": submit_record.get("submitted", 0),
+        "read_latency_ms": _latency_ms(run["latencies"]),
+        "updates_submitted": run["submitted"],
         "refusals": refusals,
         "sample_rate": sample_rate,
         "sampler": sampler_stats,
@@ -388,9 +269,9 @@ def run_shard_loadgen(backend="core", shards=4, partitioner="balanced",
         "memory": memory,
         "telemetry": list(telemetry_paths) if registry is not None else None,
         "fault_injection": dict(
-            fault_record["events"],
+            events,
             post_restart_reads=sum(
-                rec.get("post_restart_reads", 0) for rec in reader_records
+                reader.post_restart_reads for reader in shard_readers
             ),
         ),
         "shard_problems": problems,

@@ -179,6 +179,28 @@ class TestFaultInjectionStress:
                 n=50, m=120, churn=8, inject_fault=False,
             )
 
+    def test_submitter_crash_fails_the_run(self, monkeypatch):
+        def boom(self, updates):
+            raise OSError("disk gone")
+
+        monkeypatch.setattr(SPCCluster, "submit_many", boom)
+        with pytest.raises(ClusterError, match="submitter thread crashed"):
+            run_cluster_loadgen(
+                backend="core", replicas=1, readers=1, duration=0.2,
+                n=50, m=120, churn=8, inject_fault=False,
+            )
+
+    def test_fault_step_crash_fails_the_run(self, monkeypatch):
+        def boom(self, name):
+            raise OSError("kill failed")
+
+        monkeypatch.setattr(SPCCluster, "kill_replica", boom)
+        with pytest.raises(ClusterError, match="fault controller crashed"):
+            run_cluster_loadgen(
+                backend="core", replicas=1, readers=1, duration=0.3,
+                n=50, m=120, churn=8,
+            )
+
     def test_non_strict_returns_problems(self, monkeypatch):
         from repro.cluster import loadgen as cl
 

@@ -73,3 +73,29 @@ class TestRunReplayScenario:
         with pytest.raises(Exception, match="defragment|problem"):
             run_replay_scenario(scenario, seed=0, duration=0.8,
                                 corpus_kwargs=TRIM)
+
+
+class _MalformedFleet:
+    """Answers every pair with a finite distance and zero paths."""
+
+    def query(self, s, t):
+        return (1, 0)
+
+
+class _NowPlan:
+    def wall_offset(self, virtual_ts):
+        return 0.0
+
+
+def test_malformed_answer_is_reported_without_a_seq():
+    # The replay reader has no WAL seq for an answer; the problem must
+    # not pass its answered count off as one.
+    from repro.replay.loadgen import _reader_loop
+
+    record = {}
+    _reader_loop(_MalformedFleet(), [(0.0, 2, 5)], _NowPlan(), 0.0, record)
+    assert record["answered"] == 1
+    assert len(record["problems"]) == 1
+    problem = record["problems"][0]
+    assert problem.startswith("malformed answer for (2,5): ")
+    assert "seq" not in problem
