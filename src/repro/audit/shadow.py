@@ -1,45 +1,35 @@
 """ShadowAuditor: the trusted-baseline thread behind differential audits.
 
 The auditor owns a :class:`~repro.audit.replay.GraphReplayer` bootstrapped
-from the audited service's checkpoint and kept current by tailing its WAL
-— exactly like a :class:`~repro.cluster.Replica`, except it maintains no
-label index at all: every audited answer is recomputed by direct traversal
+from the audited service's checkpoint and kept current by the shared
+:class:`~repro.serve.follower.StreamFollower` loop over its WAL — like a
+:class:`~repro.cluster.Replica`, except it maintains no label index at
+all: every audited answer is recomputed by direct traversal
 (:func:`repro.engine.baseline_answer`), so the baseline cannot share a
 maintenance bug with the index under test.
 
-The loop: poll the WAL tail and advance the replayer; :meth:`~repro.audit.
-AuditSampler.take` the reservoir; replay each sampled ``(query, answer,
-seq)`` triple at exactly its claimed sequence number (the rewind window
-makes recent seqs reachable even after the stream moved on); classify any
-disagreement through the shared comparator and file it in the
-:class:`~repro.audit.DivergenceReport`.  Samples ahead of the stream wait
-in a heap until the WAL catches up; samples older than the rewind window
-are counted ``skipped_stale`` — an audit coverage gap, never a divergence.
-
-A replication-stream gap (the primary compacted its WAL) re-bootstraps
-from the fresh checkpoint, like a replica; pending samples that fell
-below the new base are skipped.  A checkpoint that cannot be read at that
-moment (``ServeError``, including ``WalCorruptionError``) counts as one
-stalled re-bootstrap: the loop retries it after ``poll_interval`` and dies
-only when ``stall_budget`` runs out.  The bootstrap in the constructor
-still fails loudly.
+Each tick, after the stream is polled, the auditor drains the sampler's
+reservoir (:meth:`~repro.audit.AuditSampler.take`), replays each sampled
+``(query, answer, seq)`` triple at exactly its claimed sequence number
+(the rewind window makes recent seqs reachable even after the stream
+moved on), classifies any disagreement through the shared comparator and
+files it in the :class:`~repro.audit.DivergenceReport`.  Samples ahead of
+the stream wait in a heap until the WAL catches up; samples older than
+the rewind window — or below a re-bootstrap's new base — are counted
+``skipped_stale``: an audit coverage gap, never a divergence.
 """
 
 import heapq
-import os
-import threading
 import time
 
 from repro.audit.comparator import Divergence, DivergenceReport, classify_divergence
 from repro.audit.replay import GraphReplayer
 from repro.engine import baseline_answer, get_backend
-from repro.exceptions import ServeError
-from repro.serve.persist import graph_from_payload, load_checkpoint
-from repro.serve.service import SNAPSHOT_FILENAME, WAL_FILENAME
-from repro.serve.wal import WalTailer
+from repro.serve.follower import StreamFollower
+from repro.serve.persist import graph_from_payload
 
 
-class ShadowAuditor:
+class ShadowAuditor(StreamFollower):
     """Differentially verify sampled answers against a traversal baseline.
 
     Parameters
@@ -71,57 +61,35 @@ class ShadowAuditor:
         rewrites the log, then verifies the healed fleet's answers.
     """
 
-    #: consecutive no-progress re-bootstraps before the auditor gives up
-    #: (same contract as Replica.MAX_STALLED_BOOTSTRAPS).
-    MAX_STALLED_BOOTSTRAPS = 3
-
     def __init__(self, sampler, state_dir, report=None, poll_interval=0.005,
                  history=256, controller=None, stall_budget=None):
         self.sampler = sampler
-        self._stall_budget = (
-            self.MAX_STALLED_BOOTSTRAPS if stall_budget is None else stall_budget
-        )
         self.controller = controller
         self.report = report if report is not None else DivergenceReport()
-        self._dir = state_dir
-        self._poll_interval = poll_interval
         self._history = history
         self._pending = []   # heap of (seq, tiebreak, sample)
         self._tiebreak = 0
-        self._fatal = None
-        self._alive = True
         self._idle_ticks = 0
         self.audited = 0
         self.skipped_stale = 0
-        self.batches_applied = 0
-        self.bootstraps = 0
-        self._stop = threading.Event()
-        self._snapshot_path = os.path.join(state_dir, SNAPSHOT_FILENAME)
-        # Fails loudly on a bad checkpoint.
-        self._bootstrap(load_checkpoint(self._snapshot_path))
-        self._thread = threading.Thread(
-            target=self._audit_loop, name="spc-shadow-auditor", daemon=True
+        super().__init__(
+            state_dir, "shadow auditor", "spc-shadow-auditor",
+            poll_interval, stall_budget,
         )
-        self._thread.start()
 
     # ------------------------------------------------------------------
-    # Lifecycle / introspection
+    # Introspection
     # ------------------------------------------------------------------
-
-    @property
-    def healthy(self):
-        """True while the audit thread runs without a fatal error."""
-        return self._alive and self._fatal is None
-
-    @property
-    def fatal(self):
-        """The exception that killed the audit thread, or ``None``."""
-        return self._fatal
 
     @property
     def seq(self):
         """The WAL sequence number the shadow graph currently reflects."""
         return self._replayer.seq
+
+    @property
+    def batches_applied(self):
+        """WAL records replayed into the shadow graph so far."""
+        return self._records_applied
 
     def stats(self):
         """JSON-safe counters plus the divergence summary."""
@@ -131,8 +99,8 @@ class ShadowAuditor:
             "audited": self.audited,
             "skipped_stale": self.skipped_stale,
             "pending": len(self._pending),
-            "batches_applied": self.batches_applied,
-            "bootstraps": self.bootstraps,
+            "batches_applied": self._records_applied,
+            "bootstraps": self._bootstraps,
             "healthy": self.healthy,
             "divergences": self.report.summary(),
         }
@@ -169,28 +137,6 @@ class ShadowAuditor:
             time.sleep(self._poll_interval)
         return False
 
-    def close(self):
-        """Stop the audit thread; re-raises a fatal error if it died."""
-        self._stop.set()
-        self._thread.join(timeout=10.0)
-        self._alive = False
-        if self._fatal is not None:
-            self._raise_fatal()
-
-    def _raise_fatal(self):
-        if isinstance(self._fatal, ServeError):
-            raise self._fatal
-        raise ServeError(
-            f"shadow auditor died: {self._fatal!r}"
-        ) from self._fatal
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close()
-        return False
-
     def __repr__(self):
         return (
             f"ShadowAuditor(backend={self._backend_name!r}, "
@@ -199,10 +145,10 @@ class ShadowAuditor:
         )
 
     # ------------------------------------------------------------------
-    # Audit thread
+    # StreamFollower hooks
     # ------------------------------------------------------------------
 
-    def _bootstrap(self, payload):
+    def _load(self, payload):
         """(Re)build the shadow graph from the primary's checkpoint payload."""
         backend_cls = get_backend(payload["backend"])
         self._backend_name = backend_cls.name
@@ -212,82 +158,31 @@ class ShadowAuditor:
         graph = graph_from_payload(payload["graph"], backend_cls.graph_type)
         base_seq = payload.get("applied_seq", 0)
         self._replayer = GraphReplayer(graph, base_seq, history=self._history)
-        self._tailer = WalTailer(
-            os.path.join(self._dir, WAL_FILENAME),
-            after_seq=base_seq,
-            expect_backend=payload["backend"],
-        )
-        self.bootstraps += 1
         # Pending samples below the fresh base are no longer reachable.
         kept = [p for p in self._pending if p[0] >= base_seq]
         self.skipped_stale += len(self._pending) - len(kept)
         heapq.heapify(kept)
         self._pending = kept
+        return base_seq
 
-    def _audit_loop(self):
-        stalled = 0
-        unreadable = None  # why the last re-bootstrap could not load
-        try:
-            while not self._stop.is_set():
-                progressed = False
-                # A failed re-bootstrap is retried before the stale tailer
-                # is polled again.
-                records, gap = (
-                    ([], True) if unreadable is not None
-                    else self._tailer.poll()
-                )
-                for seq, updates in records:
-                    self._replayer.apply_batch(seq, updates)
-                    self.batches_applied += 1
-                    progressed = True
-                if gap:
-                    before = self._replayer.seq
-                    try:
-                        payload = load_checkpoint(self._snapshot_path)
-                    except ServeError as exc:
-                        # The checkpoint is missing, torn or corrupted
-                        # right now (a chaos window, a rewrite in flight):
-                        # one stalled re-bootstrap, retried below.
-                        unreadable = exc
-                    else:
-                        unreadable = None
-                        self._bootstrap(payload)
-                    if unreadable is None and (
-                        records or self._replayer.seq > before
-                    ):
-                        stalled = 0
-                    else:
-                        stalled += 1
-                        if stalled >= self._stall_budget:
-                            raise ServeError(
-                                f"shadow auditor cannot advance past a "
-                                f"stream gap at seq {self._replayer.seq}: "
-                                f"{stalled} consecutive re-bootstraps made "
-                                f"no progress"
-                                + (f" (last: {unreadable})"
-                                   if unreadable is not None else "")
-                            ) from unreadable
-                        self._stop.wait(self._poll_interval)
-                        continue
-                else:
-                    stalled = 0
-                for sample in self.sampler.take():
-                    self._enqueue(sample)
-                    progressed = True
-                progressed |= self._process_pending()
-                if self.controller is not None:
-                    self.controller.observe(
-                        len(self._pending) + self.sampler.pending()
-                    )
-                if progressed:
-                    self._idle_ticks = 0
-                else:
-                    self._idle_ticks += 1
-                    self._stop.wait(self._poll_interval)
-        except BaseException as exc:  # noqa: BLE001 — surfaced via healthy/fatal
-            self._fatal = exc
-        finally:
-            self._alive = False
+    def _apply(self, records):
+        for seq, updates in records:
+            self._replayer.apply_batch(seq, updates)
+
+    def _tick(self, progressed):
+        for sample in self.sampler.take():
+            self._enqueue(sample)
+            progressed = True
+        progressed |= self._process_pending()
+        if self.controller is not None:
+            self.controller.observe(
+                len(self._pending) + self.sampler.pending()
+            )
+        if progressed:
+            self._idle_ticks = 0
+        else:
+            self._idle_ticks += 1
+        return progressed
 
     def _enqueue(self, sample):
         self._tiebreak += 1

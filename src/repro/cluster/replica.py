@@ -1,52 +1,37 @@
 """Replica: one follower service kept in sync by tailing the primary's WAL.
 
 A :class:`Replica` owns a full :class:`~repro.engine.SPCEngine` of its own
-— bootstrapped from the primary's durable checkpoint — and an applier
-thread that tails the primary's write-ahead log as a replication stream:
-every WAL record is applied in sequence order through the engine's logged
-apply path (one ``begin/end_update_batch`` bracket per polled tail, so
-e.g. an SD replica rebuilds once per tail, not once per record) and a
-fresh immutable :class:`~repro.serve.SnapshotView` is published, tagged
-with the replica's applied sequence number.  Readers query the replica
-exactly like they query the primary service: lock-free, against the
-current snapshot.
+— bootstrapped from the primary's durable checkpoint — and follows the
+primary's write-ahead log as a replication stream through the shared
+:class:`~repro.serve.follower.StreamFollower` loop: every polled tail is
+applied through the engine's logged apply path (one
+``begin/end_update_batch`` bracket per tail, so e.g. an SD replica
+rebuilds once per tail, not once per record) and a fresh immutable
+:class:`~repro.serve.SnapshotView` is published, tagged with the
+replica's applied sequence number.  Readers query the replica exactly
+like they query the primary service: lock-free, against the current
+snapshot.
 
-Bootstrap and catch-up form a small state machine:
-
-* **bootstrap** — load the checkpoint; if the replica runs the same
-  backend family as the primary the index is rehydrated warm (no
-  rebuild); a different family of the *same graph type* (core ⇄ sd) cold
-  starts by rebuilding its own index from the checkpointed graph; a
-  different graph family raises
-  :class:`~repro.exceptions.CheckpointMismatchError`.
-* **tail** — poll the WAL for contiguous new records and apply them.
-* **re-bootstrap** — when the tailer reports a gap (the primary
-  compacted the WAL under an auto-checkpoint policy, or truncation raced
-  regrowth), discard the engine and bootstrap again from the *new*
-  checkpoint; the replica's applied seq jumps forward to the checkpoint's.
+Bootstrap is warm or cold: if the replica runs the same backend family
+as the primary the index is rehydrated (no rebuild); a different family
+of the *same graph type* (core ⇄ sd) cold starts by rebuilding its own
+index from the checkpointed graph; a different graph family raises
+:class:`~repro.exceptions.CheckpointMismatchError`.
 
 A replica never writes: it keeps no WAL and no checkpoint of its own, and
 its engine is reached only through published snapshots.
 """
 
-import os
-import threading
 import time
-import warnings
 
 from repro.engine import EngineConfig, SPCEngine, get_backend
 from repro.exceptions import CheckpointMismatchError, ClusterError
-from repro.serve.persist import (
-    engine_from_payload,
-    graph_from_payload,
-    load_checkpoint,
-)
-from repro.serve.service import SNAPSHOT_FILENAME, WAL_FILENAME
+from repro.serve.follower import StreamFollower
+from repro.serve.persist import engine_from_payload, graph_from_payload
 from repro.serve.snapshot import SnapshotView
-from repro.serve.wal import WalTailer
 
 
-class Replica:
+class Replica(StreamFollower):
     """A read-only follower of one primary's durability directory.
 
     Parameters
@@ -70,33 +55,20 @@ class Replica:
         the supervisor's repair kicks in — within the fault window.
     """
 
+    error_type = ClusterError
+
     def __init__(self, primary_dir, name="replica", backend=None,
                  poll_interval=0.002, stall_budget=None):
         self.name = name
-        self._dir = primary_dir
         self.backend_override = backend
-        self._poll_interval = poll_interval
-        self._stall_budget = (
-            self.MAX_STALLED_BOOTSTRAPS if stall_budget is None else stall_budget
-        )
         self._snapshot = None
         self._honest_snapshot = None
         self._snapshot_wrapper = None
-        self._publish_listener = None
         self._engine = None
-        self._tailer = None
-        self._corruptions_base = 0
-        self._applied_seq = 0
-        self._fatal = None
-        self._alive = True
-        self._bootstraps = 0
-        self._batches_applied = 0
-        self._stop = threading.Event()
-        self._bootstrap()  # constructor fails loudly on a bad checkpoint
-        self._thread = threading.Thread(
-            target=self._apply_loop, name=f"spc-replica-{name}", daemon=True
+        super().__init__(
+            primary_dir, f"replica {name!r}", f"spc-replica-{name}",
+            poll_interval, stall_budget,
         )
-        self._thread.start()
 
     # ------------------------------------------------------------------
     # Read path (any thread, lock-free — same contract as SPCService)
@@ -130,15 +102,6 @@ class Replica:
         honest = self._honest_snapshot
         self._snapshot = wrapper(honest) if wrapper is not None else honest
 
-    def set_publish_listener(self, listener):
-        """Install (or clear, with ``None``) a publication hook.
-
-        ``listener()`` runs on the applier thread after every published
-        snapshot — the router's condition-variable wakeup seam.  Must be
-        cheap and must never raise (a raising listener kills the applier).
-        """
-        self._publish_listener = listener
-
     def query(self, s, t):
         """Answer (sd, spc) from the freshest replicated snapshot."""
         return self._snapshot.query(s, t)
@@ -148,62 +111,13 @@ class Replica:
         return self._snapshot.query_many(pairs)
 
     # ------------------------------------------------------------------
-    # Introspection / lifecycle
+    # Introspection
     # ------------------------------------------------------------------
-
-    @property
-    def applied_seq(self):
-        """Sequence number of the last replicated batch this replica holds."""
-        return self._applied_seq
-
-    @property
-    def healthy(self):
-        """True while the applier thread is running without a fatal error."""
-        return self._alive and self._fatal is None
-
-    @property
-    def fatal(self):
-        """The exception that killed the applier, or ``None``."""
-        return self._fatal
-
-    @property
-    def bootstraps(self):
-        """How many times this replica (re-)bootstrapped from a checkpoint."""
-        return self._bootstraps
-
-    @property
-    def stream_corruptions(self):
-        """Typed corruption events the replication stream raised so far
-        (accumulated across re-bootstraps — each fresh tailer re-reads the
-        log from the head, so a poisoned interior record keeps counting
-        until the supervisor's repair rewrites the stream)."""
-        tailer = self._tailer
-        return self._corruptions_base + (
-            tailer.corruptions if tailer is not None else 0
-        )
 
     @property
     def backend_name(self):
         """The registry name of this replica's backend."""
         return self._engine.backend_name
-
-    def catch_up(self, target_seq, timeout=10.0):
-        """Block until ``applied_seq >= target_seq``; True on success.
-
-        Returns False on timeout; raises :class:`ClusterError` if the
-        applier died while waiting (it can never catch up).
-        """
-        deadline = time.monotonic() + timeout
-        while self._applied_seq < target_seq:
-            if not self.healthy:
-                raise ClusterError(
-                    f"replica {self.name!r} died at seq {self._applied_seq} "
-                    f"while catching up to {target_seq}: {self._fatal!r}"
-                )
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(min(self._poll_interval, 0.005))
-        return True
 
     def check_invariants(self):
         """Validate the replica engine's structural label invariants."""
@@ -218,50 +132,11 @@ class Replica:
             "backend": self._engine.backend_name,
             "applied_seq": self._applied_seq,
             "snapshot_seq": snap.seq if snap is not None else None,
-            "batches_applied": self._batches_applied,
+            "batches_applied": self._records_applied,
             "bootstraps": self._bootstraps,
             "stream_corruptions": self.stream_corruptions,
             "healthy": self.healthy,
         }
-
-    def kill(self):
-        """Hard-stop the applier mid-stream (fault injection).
-
-        The last published snapshot stays readable, but the replica stops
-        following the primary and reports unhealthy so routers skip it.
-        Idempotent; does not raise on an already-dead replica.  A join
-        that times out (the applier is wedged inside a poll or apply) is
-        *detected*: the replica is marked fatal and a warning is issued —
-        a silently leaked live thread would keep mutating the engine
-        under whatever replaces this member.
-        """
-        self._stop.set()
-        self._thread.join(timeout=10.0)
-        if self._thread.is_alive():
-            stuck = ClusterError(
-                f"replica {self.name!r} applier thread failed to stop "
-                f"within 10.0 s; the thread has leaked and the member "
-                f"must not be reused"
-            )
-            if self._fatal is None:
-                self._fatal = stuck
-            warnings.warn(str(stuck), RuntimeWarning, stacklevel=2)
-        self._alive = False
-
-    def close(self):
-        """Stop the applier; raises if it had died of an unexpected error."""
-        self.kill()
-        if self._fatal is not None:
-            raise ClusterError(
-                f"replica {self.name!r} applier died: {self._fatal!r}"
-            ) from self._fatal
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close()
-        return False
 
     def __repr__(self):
         return (
@@ -270,32 +145,20 @@ class Replica:
         )
 
     # ------------------------------------------------------------------
-    # Applier thread
+    # StreamFollower hooks
     # ------------------------------------------------------------------
 
-    def _bootstrap(self):
-        """(Re)build the engine from the primary's current checkpoint."""
-        payload = load_checkpoint(os.path.join(self._dir, SNAPSHOT_FILENAME))
+    def _load(self, payload):
+        """(Re)build the engine from a checkpoint, warm or cold."""
         ckpt_backend = payload.get("backend")
         want = self.backend_override or ckpt_backend
         if want == ckpt_backend:
-            engine = engine_from_payload(payload)
+            self._engine = engine_from_payload(payload)
         else:
-            engine = self._cold_bootstrap(payload, want)
-        self._engine = engine
-        self._applied_seq = payload.get("applied_seq", 0)
-        # The replication stream must match the *primary's* family (the
-        # WAL is stamped by the writer), not this replica's — a core WAL
-        # drives an sd replica just fine.
-        if self._tailer is not None:
-            self._corruptions_base += self._tailer.corruptions
-        self._tailer = WalTailer(
-            os.path.join(self._dir, WAL_FILENAME),
-            after_seq=self._applied_seq,
-            expect_backend=ckpt_backend,
-        )
-        self._bootstraps += 1
-        self._publish()
+            self._engine = self._cold_bootstrap(payload, want)
+        seq = payload.get("applied_seq", 0)
+        self._publish(seq)
+        return seq
 
     def _cold_bootstrap(self, payload, want):
         """Build a fresh index of a different family over the checkpointed
@@ -315,78 +178,20 @@ class Replica:
         engine.seed_epoch(payload.get("epoch", 0))
         return engine
 
-    def _publish(self):
+    def _apply(self, records):
+        self._publish(self._engine.apply_logged_batches(records))
+
+    def _publish(self, seq):
         backend = self._engine.backend
         snapshot = SnapshotView(
             backend.snapshot_index(),
             backend.name,
             self._engine.epoch,
-            self._applied_seq,
+            seq,
             time.time(),
         )
         self._honest_snapshot = snapshot
         if self._snapshot_wrapper is not None:
             snapshot = self._snapshot_wrapper(snapshot)
         self._snapshot = snapshot
-        listener = self._publish_listener
-        if listener is not None:
-            listener()
-
-    #: consecutive no-progress re-bootstraps before the applier gives up —
-    #: a gap that a fresh checkpoint cannot advance past (corruption in
-    #: the middle of the log) would otherwise hot-loop forever while the
-    #: replica still reported healthy.
-    MAX_STALLED_BOOTSTRAPS = 3
-
-    def _apply_loop(self):
-        stalled = 0
-        # Progress is measured against the furthest seq ever reached, not
-        # against "did this poll return records": after a corruption-forced
-        # re-bootstrap the fresh tailer re-reads the log head and re-applies
-        # the same prefix every round — ground re-covered is not progress,
-        # and counting it as such would hot-loop a poisoned stream forever
-        # while the replica still reported healthy.
-        high_water = self._applied_seq
-        try:
-            while not self._stop.is_set():
-                records, gap = self._tailer.poll()
-                if records:
-                    self._applied_seq = self._engine.apply_logged_batches(
-                        records
-                    )
-                    self._batches_applied += len(records)
-                    self._publish()
-                    if self._applied_seq > high_water:
-                        high_water = self._applied_seq
-                        stalled = 0
-                if gap:
-                    # The primary compacted the WAL beneath us: the missing
-                    # records live only in the new checkpoint now.
-                    self._bootstrap()
-                    if self._applied_seq > high_water:
-                        high_water = self._applied_seq
-                        stalled = 0
-                        continue
-                    # Neither the tail nor the fresh checkpoint moved us
-                    # past where we have already been: the stream is stuck
-                    # (corrupt record, incompatible rewrite), not
-                    # compacting.  Back off, and after a few fruitless
-                    # rounds die visibly instead of spinning while routers
-                    # keep trusting an ever-staler replica.
-                    stalled += 1
-                    if stalled >= self._stall_budget:
-                        raise ClusterError(
-                            f"replica {self.name!r} cannot advance past a "
-                            f"replication-stream gap at seq "
-                            f"{self._applied_seq}: {stalled} consecutive "
-                            f"re-bootstraps made no progress (corrupt or "
-                            f"incompatible WAL at {self._tailer.path})"
-                        )
-                    self._stop.wait(self._poll_interval)
-                    continue
-                if not records:
-                    self._stop.wait(self._poll_interval)
-        except BaseException as exc:  # noqa: BLE001 — surfaced via healthy/fatal
-            self._fatal = exc
-        finally:
-            self._alive = False
+        self._notify_published()

@@ -6,10 +6,9 @@ the whole index — a slice would under-prune and corrupt counts; see
 DESIGN.md §13).  Its state is a :class:`ShardStore` mapping every vertex
 to the label entries whose hub falls in this shard's slice, bootstrapped
 by filtering the primary's checkpoint
-(:func:`repro.serve.persist.checkpoint_label_slice`) and advanced by one
-applier thread tailing the primary's label-delta journal — the same
-bootstrap / tail / re-bootstrap-on-gap state machine as a
-:class:`~repro.cluster.Replica`, down to the stalled-bootstrap suicide.
+(:func:`repro.serve.persist.checkpoint_label_slice`) and advanced by
+the shared :class:`~repro.serve.follower.StreamFollower` loop tailing
+the primary's label-delta journal.
 
 For reads the applier *publishes* an immutable view (a shallow copy of
 the store — entry lists are shared structurally, so a view costs O(V)
@@ -20,21 +19,14 @@ one seq and read each shard's view *at exactly that seq* — a consistent
 cut — instead of coordinating the appliers.
 """
 
-import os
 import threading
-import time
-import warnings
 from collections import OrderedDict
 
 from repro.engine import get_backend
 from repro.exceptions import ShardError, VertexNotFound
-from repro.serve.persist import (
-    checkpoint_label_slice,
-    filter_label_payload,
-    load_checkpoint,
-)
-from repro.serve.service import JOURNAL_FILENAME, SNAPSHOT_FILENAME
-from repro.serve.wal import WalTailer
+from repro.serve.follower import StreamFollower
+from repro.serve.persist import checkpoint_label_slice, filter_label_payload
+from repro.serve.service import JOURNAL_FILENAME
 from repro.shard.journal import OP_LABEL, OP_NOP, OP_RESET, decode_label_op
 
 INF = float("inf")
@@ -148,7 +140,7 @@ class ShardStore:
         )
 
 
-class Shard:
+class Shard(StreamFollower):
     """One hub slice of the primary's index, following its label journal.
 
     Parameters
@@ -169,38 +161,22 @@ class Shard:
         shortens it so a corrupted journal is declared dead quickly.
     """
 
-    #: consecutive no-progress re-bootstraps before the applier gives up
-    #: (same contract as Replica.MAX_STALLED_BOOTSTRAPS).
-    MAX_STALLED_BOOTSTRAPS = 3
+    error_type = ShardError
 
     def __init__(self, primary_dir, shard_id, partitioner, name=None,
                  poll_interval=0.002, ring_size=64, stall_budget=None):
         self.shard_id = shard_id
         self.name = name or f"shard-{shard_id}"
-        self._dir = primary_dir
         self._keep = partitioner.keep(shard_id)
-        self._poll_interval = poll_interval
-        self._stall_budget = (
-            self.MAX_STALLED_BOOTSTRAPS if stall_budget is None else stall_budget
-        )
         self._ring_size = max(2, ring_size)
         self._views = OrderedDict()   # seq -> published view, oldest first
         self._lock = threading.Lock()
-        self._publish_listener = None
         self._store = None
-        self._tailer = None
-        self._corruptions_base = 0
-        self._applied_seq = 0
-        self._fatal = None
-        self._alive = True
-        self._bootstraps = 0
-        self._records_applied = 0
-        self._stop = threading.Event()
-        self._bootstrap()  # constructor fails loudly on a bad checkpoint
-        self._thread = threading.Thread(
-            target=self._apply_loop, name=f"spc-{self.name}", daemon=True
+        super().__init__(
+            primary_dir, f"shard {self.name!r}", f"spc-{self.name}",
+            poll_interval, stall_budget,
+            stream=JOURNAL_FILENAME, decode=decode_label_op,
         )
-        self._thread.start()
 
     # ------------------------------------------------------------------
     # Read path (router threads, lock only for ring lookups)
@@ -246,61 +222,8 @@ class Shard:
         return partial_answer(s_entries, t_entries, counts=self.counts)
 
     # ------------------------------------------------------------------
-    # Introspection / lifecycle
+    # Introspection
     # ------------------------------------------------------------------
-
-    @property
-    def applied_seq(self):
-        """Seq of the last journal record folded into the store."""
-        return self._applied_seq
-
-    @property
-    def healthy(self):
-        """True while the applier thread runs without a fatal error."""
-        return self._alive and self._fatal is None
-
-    @property
-    def fatal(self):
-        """The exception that killed the applier, or ``None``."""
-        return self._fatal
-
-    @property
-    def bootstraps(self):
-        """How many times this shard (re-)bootstrapped from a checkpoint."""
-        return self._bootstraps
-
-    @property
-    def stream_corruptions(self):
-        """Typed corruption events the journal stream raised so far
-        (accumulated across re-bootstraps, same contract as
-        :attr:`repro.cluster.Replica.stream_corruptions`)."""
-        tailer = self._tailer
-        return self._corruptions_base + (
-            tailer.corruptions if tailer is not None else 0
-        )
-
-    def set_publish_listener(self, listener):
-        """Install (or clear, with ``None``) a publication hook.
-
-        ``listener()`` runs on the applier thread after every published
-        view — the router's condition-variable wakeup seam.  Must be
-        cheap and must never raise (a raising listener kills the applier).
-        """
-        self._publish_listener = listener
-
-    def catch_up(self, target_seq, timeout=10.0):
-        """Block until ``applied_seq >= target_seq``; True on success."""
-        deadline = time.monotonic() + timeout
-        while self._applied_seq < target_seq:
-            if not self.healthy:
-                raise ShardError(
-                    f"shard {self.name!r} died at seq {self._applied_seq} "
-                    f"while catching up to {target_seq}: {self._fatal!r}"
-                )
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(min(self._poll_interval, 0.005))
-        return True
 
     def stats(self):
         """JSON-safe counters (monitoring, bench results)."""
@@ -322,44 +245,6 @@ class Shard:
             "healthy": self.healthy,
         }
 
-    def kill(self):
-        """Hard-stop the applier mid-stream (fault injection).
-
-        Published views stay readable, but the shard stops following the
-        journal and reports unhealthy — which makes the router *refuse*
-        queries, since a missing hub slice cannot be merged around.
-        Idempotent.  A join that times out (the applier is wedged) marks
-        the shard fatal and issues a warning instead of silently leaking
-        a live thread under whatever replaces this member.
-        """
-        self._stop.set()
-        self._thread.join(timeout=10.0)
-        if self._thread.is_alive():
-            stuck = ShardError(
-                f"shard {self.name!r} applier thread failed to stop "
-                f"within 10.0 s; the thread has leaked and the member "
-                f"must not be reused"
-            )
-            if self._fatal is None:
-                self._fatal = stuck
-            warnings.warn(str(stuck), RuntimeWarning, stacklevel=2)
-        self._alive = False
-
-    def close(self):
-        """Stop the applier; raises if it had died of an unexpected error."""
-        self.kill()
-        if self._fatal is not None:
-            raise ShardError(
-                f"shard {self.name!r} applier died: {self._fatal!r}"
-            ) from self._fatal
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close()
-        return False
-
     def __repr__(self):
         return (
             f"Shard(name={self.name!r}, backend={self.backend_name!r}, "
@@ -368,12 +253,11 @@ class Shard:
         )
 
     # ------------------------------------------------------------------
-    # Applier thread
+    # StreamFollower hooks
     # ------------------------------------------------------------------
 
-    def _bootstrap(self):
-        """(Re)build the slice from the primary's current checkpoint."""
-        payload = load_checkpoint(os.path.join(self._dir, SNAPSHOT_FILENAME))
+    def _load(self, payload):
+        """(Re)build the slice from a checkpoint payload."""
         backend_cls = get_backend(payload["backend"])
         self.backend_name = backend_cls.name
         self.directed = backend_cls.directed
@@ -386,19 +270,18 @@ class Shard:
                 store.peak_entries, self._store.peak_entries
             )
         self._store = store
-        self._applied_seq = payload.get("applied_seq", 0)
-        if self._tailer is not None:
-            self._corruptions_base += self._tailer.corruptions
-        self._tailer = WalTailer(
-            os.path.join(self._dir, JOURNAL_FILENAME),
-            after_seq=self._applied_seq,
-            expect_backend=payload["backend"],
-            decode=decode_label_op,
-        )
-        self._bootstraps += 1
+        seq = payload.get("applied_seq", 0)
         with self._lock:
             self._views.clear()
-        self._publish(self._applied_seq)
+        self._publish(seq)
+        return seq
+
+    def _apply(self, records):
+        for seq, ops in records:
+            self._apply_ops(ops)
+            # One view per seq: the aligned rings are what give the
+            # router its consistent cross-shard cuts.
+            self._publish(seq)
 
     def _publish(self, seq):
         view = self._store.view()
@@ -406,9 +289,7 @@ class Shard:
             self._views[seq] = view
             while len(self._views) > self._ring_size:
                 self._views.popitem(last=False)
-        listener = self._publish_listener
-        if listener is not None:
-            listener()
+        self._notify_published()
 
     def _apply_ops(self, ops):
         store = self._store
@@ -427,50 +308,3 @@ class Shard:
                 )
             elif kind != OP_NOP:  # decode_label_op already screened these
                 raise ShardError(f"unknown label-journal op kind {kind!r}")
-
-    def _apply_loop(self):
-        stalled = 0
-        # Progress means advancing past the furthest seq ever reached —
-        # a corruption-forced re-bootstrap re-reads the journal head and
-        # re-applies the same prefix every round, and counting that as
-        # progress would hot-loop a poisoned stream forever (see the
-        # replica applier for the full rationale).
-        high_water = self._applied_seq
-        try:
-            while not self._stop.is_set():
-                records, gap = self._tailer.poll()
-                for seq, ops in records:
-                    self._apply_ops(ops)
-                    self._applied_seq = seq
-                    self._records_applied += 1
-                    # One view per seq: the aligned rings are what give
-                    # the router its consistent cross-shard cuts.
-                    self._publish(seq)
-                if records and self._applied_seq > high_water:
-                    high_water = self._applied_seq
-                    stalled = 0
-                if gap:
-                    # The primary compacted the journal beneath us: the
-                    # missing deltas live only in the new checkpoint now.
-                    self._bootstrap()
-                    if self._applied_seq > high_water:
-                        high_water = self._applied_seq
-                        stalled = 0
-                        continue
-                    stalled += 1
-                    if stalled >= self._stall_budget:
-                        raise ShardError(
-                            f"shard {self.name!r} cannot advance past a "
-                            f"label-journal gap at seq {self._applied_seq}: "
-                            f"{stalled} consecutive re-bootstraps made no "
-                            f"progress (corrupt or incompatible journal at "
-                            f"{self._tailer.path})"
-                        )
-                    self._stop.wait(self._poll_interval)
-                    continue
-                if not records:
-                    self._stop.wait(self._poll_interval)
-        except BaseException as exc:  # noqa: BLE001 — surfaced via healthy/fatal
-            self._fatal = exc
-        finally:
-            self._alive = False

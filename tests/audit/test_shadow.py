@@ -242,7 +242,7 @@ def test_unreadable_checkpoint_on_a_gap_is_retried(tmp_path):
             reads.append(path)
             return load_checkpoint(path)
 
-        with mock.patch("repro.audit.shadow.load_checkpoint", counted_load):
+        with mock.patch("repro.serve.follower.load_checkpoint", counted_load):
             good = _force_gap_over_a_corrupt_checkpoint(auditor, tmp_path)
             # Several failed re-bootstraps go by without killing the thread.
             _wait_until(lambda: len(reads) >= 5)

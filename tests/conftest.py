@@ -4,7 +4,14 @@
 SPC-Index printed in Table 2 (every (h, 1, 1) entry pins an edge; the
 remaining entries cross-check distances and counts).  ``PAPER_INDEX`` is
 Table 2 verbatim, in vertex-id space.
+
+``no_leaked_spc_threads`` (autouse) fails any test that leaves a thread
+it started — one whose name begins ``spc-``: a service writer, replica,
+shard or auditor — still running after a 1 s grace.
 """
+
+import threading
+import time
 
 import pytest
 
@@ -37,6 +44,24 @@ PAPER_INDEX = {
     10: [(0, 3, 1), (1, 2, 1), (3, 4, 1), (4, 2, 1), (6, 1, 1), (9, 1, 1), (10, 0, 1)],
     11: [(0, 1, 1), (11, 0, 1)],
 }
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_spc_threads():
+    """Fail the test if a ``spc-`` thread it started outlives it."""
+    before = set(threading.enumerate())
+    yield
+    deadline = time.monotonic() + 1.0
+    while True:
+        leaked = [
+            t.name for t in threading.enumerate()
+            if t not in before and t.name.startswith("spc-")
+        ]
+        if not leaked or time.monotonic() >= deadline:
+            break
+        time.sleep(0.01)
+    if leaked:
+        pytest.fail(f"test leaked running threads: {sorted(leaked)}")
 
 
 @pytest.fixture
