@@ -97,11 +97,19 @@ def _metric_values(entry):
     return out
 
 
+def _group_order(key):
+    experiment, profile = key
+    return experiment, profile is not None, profile or ""
+
+
 def drift_report(entries, window=5, tolerance=0.5, experiments=None):
     """Compare each experiment's latest run against its rolling baseline.
 
-    For every experiment in ``entries`` (optionally filtered), the most
-    recent entry is measured against the per-metric *mean* of the up-to-
+    Runs are grouped by (experiment, profile): a quick-profile run is only
+    ever judged against quick-profile runs, and entries with no
+    ``profile`` key form a group of their own.  For every group in
+    ``entries`` (optionally filtered by experiment name), the most recent
+    entry is measured against the per-metric *mean* of the up-to-
     ``window`` runs before it, direction-aware (a higher-is-better metric
     regresses by falling).  Returns ``(regressions, lines, skipped)``:
     ``regressions`` lists one dict per metric whose change exceeds
@@ -117,14 +125,17 @@ def drift_report(entries, window=5, tolerance=0.5, experiments=None):
     """
     by_experiment = {}
     for entry in entries:
-        by_experiment.setdefault(entry["experiment"], []).append(entry)
+        key = (entry["experiment"], entry.get("profile"))
+        by_experiment.setdefault(key, []).append(entry)
     regressions = []
     lines = []
     skipped = []
-    for name in sorted(by_experiment):
-        if experiments and name not in experiments:
+    for key in sorted(by_experiment, key=_group_order):
+        experiment, profile = key
+        if experiments and experiment not in experiments:
             continue
-        runs = by_experiment[name]
+        name = experiment if profile is None else f"{experiment}[{profile}]"
+        runs = by_experiment[key]
         latest = runs[-1]
         baseline_runs = runs[max(0, len(runs) - 1 - window):-1]
         lines.append(
@@ -137,7 +148,7 @@ def drift_report(entries, window=5, tolerance=0.5, experiments=None):
                 f"baseline window yet, record more runs"
             )
             skipped.append({
-                "experiment": name,
+                "experiment": experiment,
                 "metric": None,
                 "reason": "only one recorded run — no baseline window",
             })
@@ -153,7 +164,7 @@ def drift_report(entries, window=5, tolerance=0.5, experiments=None):
                     f"no history"
                 )
                 skipped.append({
-                    "experiment": name,
+                    "experiment": experiment,
                     "metric": metric,
                     "reason": "new metric — no baseline history",
                 })
@@ -165,7 +176,7 @@ def drift_report(entries, window=5, tolerance=0.5, experiments=None):
                     f"is 0"
                 )
                 skipped.append({
-                    "experiment": name,
+                    "experiment": experiment,
                     "metric": metric,
                     "reason": "baseline mean is 0",
                 })
@@ -178,7 +189,7 @@ def drift_report(entries, window=5, tolerance=0.5, experiments=None):
             if change > tolerance:
                 verdict = "REGRESSION"
                 regressions.append({
-                    "experiment": name,
+                    "experiment": experiment,
                     "metric": metric,
                     "baseline": base_value,
                     "current": cur_value,

@@ -23,7 +23,12 @@ The map is what turns "remove hub h from everyone who holds it" — the
 from O(n) scans into O(affected) lookups (DESIGN.md §9).
 """
 
-from repro.core.labels import ENTRY_BYTES, LabelSet, counting_probe
+from repro.core.labels import (
+    ENTRY_BYTES,
+    LabelSet,
+    counting_probe,
+    frozen_labels,
+)
 from repro.exceptions import VertexNotFound
 from repro.order import VertexOrder
 
@@ -164,8 +169,9 @@ class SPCIndex:
         """Install (or clear, with ``None``) a dirty-vertex sink.
 
         ``sink`` is a set; every subsequent label mutation adds the owning
-        vertex to it.  The serving layer drains it per applied batch to
-        journal label deltas for hub-partitioned shards; ``copy`` /
+        vertex to it.  The backend arms it and drains it for the
+        copy-on-write publish and the label journal (see
+        ``SPCBackend.snapshot_index``); ``copy`` / ``frozen`` /
         ``from_dict`` clones never inherit the sink.
         """
         self._dirty = sink
@@ -281,6 +287,25 @@ class SPCIndex:
             dup.bind(clone._holders, v)
             clone._labels[v] = dup
         return clone
+
+    def frozen(self, prev, dirty):
+        """Return a read-only view of the current labels for publishing.
+
+        The view answers every query like a :meth:`copy` but carries no
+        reverse hub map, so ``holders`` fails on it.  With ``prev`` None it
+        copies every label set.  Otherwise ``prev`` is an earlier view of
+        this same index: the view shares ``prev``'s label set for every
+        vertex outside ``dirty`` and copies only the dirty ones, so the
+        caller must pass every vertex dirtied since ``prev`` was taken (see
+        :func:`repro.core.labels.frozen_labels`).
+        """
+        view = SPCIndex.__new__(SPCIndex)
+        view._order = self._order.copy()
+        view._labels = frozen_labels(prev and prev._labels, self._labels,
+                                     dirty, LabelSet.copy)
+        view._holders = None
+        view._dirty = None
+        return view
 
     def __repr__(self):
         return (

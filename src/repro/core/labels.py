@@ -29,9 +29,11 @@ label set (see DESIGN.md §9).
 
 The same reporting seam optionally feeds a *dirty-vertex sink*: a set the
 owning index installs (``set_dirty_sink``) that collects the owner vertex
-of every mutated label set.  The serving layer drains it after each
-applied batch to journal per-vertex label deltas for hub-partitioned
-shards (DESIGN.md §13) without the maintenance algorithms knowing.
+of every mutated label set.  The backend drains it for two consumers
+without the maintenance algorithms knowing: the copy-on-write publish,
+which re-copies only the dirty label sets (:func:`frozen_labels`,
+DESIGN.md §10), and the label journal of hub-partitioned shards
+(DESIGN.md §13).
 """
 
 from bisect import bisect_left, bisect_right
@@ -223,6 +225,30 @@ class LabelSet:
     def __repr__(self):
         entries = ", ".join(f"({h},{d},{c})" for h, d, c in self)
         return f"LabelSet[{entries}]"
+
+
+def frozen_labels(prev, live, dirty, copy):
+    """Return a vertex -> labels dict for a published, read-only view.
+
+    ``live`` is the index's own vertex -> labels map and ``copy`` the
+    function that duplicates one vertex's labels.  With ``prev`` None every
+    entry is copied.  Otherwise ``prev`` is the map of an earlier view of
+    the same live index and ``dirty`` holds every vertex whose labels
+    changed since that view was taken: the result shares ``prev``'s entry
+    for every other vertex, copies each dirty vertex still in ``live`` and
+    drops the dirty ones that are gone.  Nothing in the result is reachable
+    from ``live``, so later mutations never show through.
+    """
+    if prev is None:
+        return {v: copy(x) for v, x in live.items()}
+    out = dict(prev)
+    for v in dirty:
+        x = live.get(v)
+        if x is None:
+            out.pop(v, None)
+        else:
+            out[v] = copy(x)
+    return out
 
 
 def counting_probe(source_labels, target_label_of, hub_filter=None):

@@ -6,7 +6,12 @@ paths v → h.  A query SPC(s, t) merges L_out(s) against L_in(t): a common
 hub h contributes paths s → h → t.
 """
 
-from repro.core.labels import ENTRY_BYTES, LabelSet, counting_probe
+from repro.core.labels import (
+    ENTRY_BYTES,
+    LabelSet,
+    counting_probe,
+    frozen_labels,
+)
 from repro.exceptions import VertexNotFound
 from repro.order import VertexOrder
 
@@ -241,6 +246,22 @@ class DirectedSPCIndex:
             dup.bind(clone._out_holders, v)
             clone._lout[v] = dup
         return clone
+
+    def frozen(self, prev, dirty):
+        """Return a read-only, copy-on-write view for publishing.
+
+        Like :meth:`repro.core.index.SPCIndex.frozen`, over L_in and L_out
+        together: one dirty vertex re-copies both of its label sets.
+        """
+        view = DirectedSPCIndex.__new__(DirectedSPCIndex)
+        view._order = self._order.copy()
+        view._lin = frozen_labels(prev and prev._lin, self._lin, dirty,
+                                  LabelSet.copy)
+        view._lout = frozen_labels(prev and prev._lout, self._lout, dirty,
+                                   LabelSet.copy)
+        view._in_holders = view._out_holders = None
+        view._dirty = None
+        return view
 
     def __repr__(self):
         return f"DirectedSPCIndex(n={len(self._lin)}, entries={self.num_entries})"

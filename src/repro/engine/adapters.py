@@ -257,6 +257,14 @@ class SDBackend(SPCBackend):
         # remove_vertex take them all out and rebuild once.
         return []
 
+    def add_vertex(self, v):
+        if self._rebuild_pending:
+            # The deferred rebuild indexes the graph as it stands, v
+            # included; the stale index may still hold a dropped v.
+            self.graph.add_vertex(v)
+        else:
+            super().add_vertex(v)
+
     def remove_vertex(self, v):
         for u in list(self.graph.neighbors(v)):
             self.graph.remove_edge(v, u)

@@ -71,14 +71,72 @@ class SPCBackend(abc.ABC):
     # Snapshot / serialization hooks (the repro.serve seam)
     # ------------------------------------------------------------------
 
+    # Copy-on-write publish state (DESIGN.md §10).  The dirty-vertex sink
+    # is armed lazily by the first drain below, so a backend that never
+    # publishes or journals pays nothing in its maintenance loops.
+    _sink = None          # vertices dirtied since the last drain
+    _sink_index = None    # the index object the sink is armed on
+    _unpublished = ()     # vertices dirtied since the last publish
+    _frozen = None        # the last honest view snapshot_index returned
+    _journal_synced = False
+
+    def _drain_sink(self):
+        """Fold the sink into the unpublished set; return its vertices in
+        sink order.
+
+        Arms the sink on the live index first if it is not armed there —
+        on the first drain, and after every index replacement (engine
+        rebuild, rebuild policy, SD rebuild-on-delete).  Arming drops the
+        frozen chain and the journal's sync, so the next publish copies
+        every vertex and the next journal drain reports a replacement.
+        """
+        index = self.index
+        if self._sink_index is not index:
+            self._sink = set()
+            index.set_dirty_sink(self._sink)
+            self._sink_index = index
+            self._unpublished = set()
+            self._frozen = None
+            self._journal_synced = False
+            return []
+        sink = self._sink
+        drained = list(sink)
+        self._unpublished.update(sink)
+        sink.clear()
+        return drained
+
     def snapshot_index(self):
-        """Return an independent copy of the index, safe to read from other
+        """Return a frozen view of the live index, safe to read from other
         threads while this backend keeps mutating its live index.
 
-        The default relies on the index's own ``copy`` (which rebinds the
-        reverse hub maps); backends whose index lacks one must override.
+        Copy-on-write: the view shares every label object of the previous
+        view this hook returned, and holds fresh copies only of the
+        vertices dirtied since.  The first call, and the first after the
+        live index object changed, copies every vertex.  The chain always
+        grows from the backend's own last view, never from what a wrapper
+        of this hook returned.
         """
-        return self.index.copy()
+        self._drain_sink()
+        view = self.index.frozen(self._frozen, self._unpublished)
+        self._frozen = view
+        self._unpublished = set()
+        return view
+
+    def label_changes(self):
+        """Vertices whose labels changed since the previous call, in the
+        order the dirty-vertex sink holds them.
+
+        The label journal's drain.  Returns ``None`` on the first call and
+        whenever the live index object was replaced since the previous one:
+        hub ranks may have been reshuffled, so the caller must dump every
+        vertex instead.  Publishing never loses a vertex to this drain:
+        both drains fold into the set :meth:`snapshot_index` copies.
+        """
+        drained = self._drain_sink()
+        if not self._journal_synced:
+            self._journal_synced = True
+            return None
+        return drained
 
     def index_to_dict(self):
         """JSON-serializable payload of the live index (checkpointing)."""
@@ -87,17 +145,6 @@ class SPCBackend(abc.ABC):
     # ------------------------------------------------------------------
     # Label-delta hooks (the repro.shard seam)
     # ------------------------------------------------------------------
-
-    def install_label_sink(self, sink):
-        """Arm dirty-vertex tracking on the *current* index.
-
-        ``sink`` is a set collecting every vertex whose labels mutate; the
-        serving layer drains it per applied batch to journal label deltas
-        for hub-partitioned shards.  Must be re-installed after any index
-        replacement (rebuild, SD rebuild-on-delete) — the service detects
-        replacement by identity and emits a full-dump reset record.
-        """
-        self.index.set_dirty_sink(sink)
 
     def label_payload(self, v):
         """JSON-safe label state of one vertex, or ``None`` if it is gone.

@@ -106,6 +106,13 @@ class VertexOrder:
         self._order[r] = self.TOMBSTONE
         return r
 
+    def copy(self):
+        """Return an independent copy: same rank slots, same tombstones."""
+        clone = VertexOrder.__new__(VertexOrder)
+        clone._order = list(self._order)
+        clone._rank = dict(self._rank)
+        return clone
+
     def as_list(self):
         """Return the live vertices as a list (rank 0 first)."""
         return [v for v in self._order if v is not self.TOMBSTONE]

@@ -18,6 +18,7 @@ d_L < D), which is what drops the non-canonical labels.
 from bisect import bisect_left
 from collections import deque
 
+from repro.core.labels import frozen_labels
 from repro.exceptions import VertexNotFound
 from repro.order import VertexOrder, make_order
 
@@ -198,8 +199,27 @@ class SDIndex:
         }
         return clone
 
+    def frozen(self, prev, dirty):
+        """Return a read-only, copy-on-write view for publishing.
+
+        Like :meth:`repro.core.index.SPCIndex.frozen`: a dirty vertex gets
+        fresh copies of its (hubs, dists) lists, every other vertex shares
+        ``prev``'s pair.
+        """
+        view = SDIndex.__new__(SDIndex)
+        view._order = self._order.copy()
+        view._labels = frozen_labels(prev and prev._labels, self._labels,
+                                     dirty, _copy_arrays)
+        view._dirty = None
+        return view
+
     def __repr__(self):
         return f"SDIndex(n={len(self._labels)}, entries={self.num_entries})"
+
+
+def _copy_arrays(arrays):
+    hubs, dists = arrays
+    return list(hubs), list(dists)
 
 
 def build_sd_index(graph, order=None, strategy="degree"):

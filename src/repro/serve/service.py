@@ -335,8 +335,6 @@ class SPCService:
 
         self._wal = None
         self._journal = None
-        self._label_sink = set()
-        self._journaled_index = None
         if config.durability_dir is not None:
             os.makedirs(config.durability_dir, exist_ok=True)
             snap_path = self._durable_snapshot_path()
@@ -367,16 +365,17 @@ class SPCService:
                 )
                 if config.label_journal:
                     self._journal = self._open_journal()
+            if self._journal is not None:
+                # Sync the backend's journal drain: the first record then
+                # holds only the first batch's vertices.
+                self._engine.backend.label_changes()
+                if self._seq:
                     # The WAL tail replayed during restore ran without a
                     # dirty sink (and a crash can lose the journal record
                     # of the last WAL batch), so the journal may be behind
                     # the engine.  A reset record at the resume seq
                     # re-anchors every shard on the restored state.
-                    if self._seq:
-                        self._journal_reset()
-            if self._journal is not None:
-                self._engine.backend.install_label_sink(self._label_sink)
-                self._journaled_index = self._engine.backend.index
+                    self._journal_reset()
 
         self._snapshot = self._make_snapshot()
         self._published += 1
@@ -962,38 +961,33 @@ class SPCService:
         """Journal the label deltas of the batch just applied (same seq).
 
         Rebuilds (engine rebuild policy, SD rebuild-on-delete) replace the
-        index object — and may reshuffle hub ranks — so identity change
-        forces a full-dump reset record and re-arms the sink on the new
-        index.  Otherwise one ``lb`` op per dirty vertex carries its
-        post-batch label state (``None`` = vertex dropped); replacement
-        semantics make records idempotent and order-independent within a
-        batch.  A batch whose updates moved no labels still journals a
-        ``nop`` op: seq contiguity is what tailing shards key on, and an
-        *empty* ops list is reserved for the compaction marker.
+        index object — and may reshuffle hub ranks — so a replacement
+        (``label_changes`` returns None) forces a full-dump reset record.
+        Otherwise one ``lb`` op per dirty vertex carries its post-batch
+        label state (``None`` = vertex dropped); replacement semantics make
+        records idempotent and order-independent within a batch.  A batch
+        whose updates moved no labels still journals a ``nop`` op: seq
+        contiguity is what tailing shards key on, and an *empty* ops list
+        is reserved for the compaction marker.
         """
         backend = self._engine.backend
-        if backend.index is not self._journaled_index:
-            self._label_sink.clear()
+        changed = backend.label_changes()
+        if changed is None:
             self._journal_reset()
             return
-        sink = self._label_sink
-        ops = [["lb", v, backend.label_payload(v)] for v in sink]
-        sink.clear()
+        ops = [["lb", v, backend.label_payload(v)] for v in changed]
         if not ops:
             ops = [["nop"]]
         self._journal.append(self._seq, ops)
 
     def _journal_reset(self):
-        """Append a full-dump reset record at the current seq and re-arm
-        dirty tracking on the (possibly replaced) live index."""
+        """Append a full-dump reset record at the current seq."""
         backend = self._engine.backend
         dump = [
             [v, lp]
             for v, lp in backend.iter_label_payloads(backend.index_to_dict())
         ]
         self._journal.append(self._seq, [["reset", dump]])
-        backend.install_label_sink(self._label_sink)
-        self._journaled_index = backend.index
 
     def _truncate_wal_with_marker(self):
         """Truncate the WAL, then stamp its head with the truncation point.

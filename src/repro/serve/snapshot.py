@@ -2,11 +2,18 @@
 
 A :class:`SnapshotView` is what concurrent readers hold: one published
 state of the index, pinned forever.  The writer thread never mutates a
-published snapshot (publication copies the index via the backend's
-``snapshot_index`` hook), so readers answer ``query`` / ``query_many``
-with no locks at all — the only synchronization in the whole read path is
-the single atomic attribute read that fetches the current snapshot from
-the service.
+published snapshot, so readers answer ``query`` / ``query_many`` with no
+locks at all — the only synchronization in the whole read path is the
+single atomic attribute read that fetches the current snapshot from the
+service.
+
+Publication is copy-on-write (the backend's ``snapshot_index`` hook,
+DESIGN.md §10): a snapshot's index is a frozen vertex -> labels map that
+shares every label object unchanged since the previous snapshot and holds
+fresh copies only of the vertices the writer dirtied since.  No label
+object of a snapshot is ever reachable from the live index, but one
+object may belong to many snapshots, so mutating a snapshot's labels
+corrupts every snapshot that shares them.
 
 Snapshots carry three coordinates:
 
@@ -71,7 +78,11 @@ class SnapshotView:
 
     @property
     def index(self):
-        """The pinned index copy (read-only by contract)."""
+        """The pinned frozen index view (read-only by contract).
+
+        Its label objects are shared with earlier and later snapshots, and
+        it has no reverse hub map (``holders`` fails on it).
+        """
         return self._index
 
     # ------------------------------------------------------------------

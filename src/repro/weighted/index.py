@@ -8,7 +8,12 @@ float or int distances — so this class mirrors
 including the incrementally-maintained reverse hub map (DESIGN.md §9).
 """
 
-from repro.core.labels import ENTRY_BYTES, LabelSet, counting_probe
+from repro.core.labels import (
+    ENTRY_BYTES,
+    LabelSet,
+    counting_probe,
+    frozen_labels,
+)
 from repro.exceptions import VertexNotFound
 from repro.order import VertexOrder
 
@@ -170,6 +175,17 @@ class WeightedSPCIndex:
             dup.bind(clone._holders, v)
             clone._labels[v] = dup
         return clone
+
+    def frozen(self, prev, dirty):
+        """Return a read-only, copy-on-write view for publishing (see
+        :meth:`repro.core.index.SPCIndex.frozen`)."""
+        view = WeightedSPCIndex.__new__(WeightedSPCIndex)
+        view._order = self._order.copy()
+        view._labels = frozen_labels(prev and prev._labels, self._labels,
+                                     dirty, LabelSet.copy)
+        view._holders = None
+        view._dirty = None
+        return view
 
     def __repr__(self):
         return f"WeightedSPCIndex(n={len(self._labels)}, entries={self.num_entries})"

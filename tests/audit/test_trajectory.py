@@ -196,3 +196,36 @@ class TestDriftReport:
         regressions, _, skipped = drift_report(entries, tolerance=0.5)
         assert regressions == []
         assert skipped == []
+
+    def test_profiles_are_judged_only_against_their_own_kind(self, tmp_path):
+        # Quick runs are ~10x faster than full ones; mixing them would
+        # flag the full run as a regression and hide a quick one.
+        path = tmp_path / "hist.jsonl"
+        record_micro(path, 10.0, profile="full")
+        record_micro(path, 1.0, profile="quick")
+        record_micro(path, 10.5, profile="full")
+        record_micro(path, 3.0, profile="quick")  # a real quick regression
+        record_micro(path, 2.0)  # no profile: a group of its own
+        entries, _ = load_history(path)
+        regressions, lines, skipped = drift_report(entries, tolerance=0.5)
+        assert [(r["experiment"], r["baseline"], r["current"])
+                for r in regressions] == [("micro", 1.0, 3.0)]
+        assert any(line.startswith(f"[drift] micro[full].{METRIC}: 10 -> 10.5")
+                   for line in lines)
+        assert skipped == [{
+            "experiment": "micro",
+            "metric": None,
+            "reason": "only one recorded run — no baseline window",
+        }]
+
+    def test_missing_profile_key_is_its_own_group(self):
+        def entry(value, **profile):
+            return {"experiment": "x", **profile,
+                    "metrics": {"m": {"value": value, "direction": "lower"}}}
+
+        entries = [entry(1.0), entry(1.0, profile="quick"),
+                   entry(9.0, profile="quick"), entry(1.1)]
+        regressions, _, _ = drift_report(entries, tolerance=0.5)
+        assert [(r["baseline"], r["current"]) for r in regressions] == [
+            (1.0, 9.0)
+        ]

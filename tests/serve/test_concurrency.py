@@ -15,6 +15,7 @@ concurrency (the per-backend equivalence tests live in test_service.py).
 
 import os
 import random
+import sys
 import threading
 import time
 
@@ -74,17 +75,25 @@ def test_readers_only_observe_published_epochs(tmp_path, backend):
         )
         for i in range(READERS)
     ]
-    for t in threads:
-        t.start()
-    # Writer: feed the stream in small chunks while the readers hammer.
-    for start in range(0, len(stream), 3):
-        service.submit_many(stream[start:start + 3])
-        time.sleep(0.001)
-    service.flush()
-    stop.set()
-    for t in threads:
-        t.join()
-    service.close()
+    # A short switch interval interleaves readers with the writer's
+    # copy-on-write publish far more often than the default 5 ms.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        # Writer: feed the stream in small chunks while the readers hammer.
+        for start in range(0, len(stream), 3):
+            service.submit_many(stream[start:start + 3])
+            time.sleep(0.001)
+        service.flush()
+    finally:
+        stop.set()
+        for t in threads:
+            t.join(timeout=30)
+        sys.setswitchinterval(interval)
+        service.close()
+    assert not any(t.is_alive() for t in threads)
 
     # Progressive replay: reference state at seq k = checkpoint + WAL[1..k].
     by_seq = {}
