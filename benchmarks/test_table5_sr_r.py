@@ -34,8 +34,7 @@ def test_benchmark_srr_search(benchmark):
     lab = set(la.hubs) & set(lb.hubs)
 
     def search():
-        return srr_search(graph.neighbors, index.label_set, u, lb, lab,
-                          index.order.rank_map())
+        return srr_search(graph.neighbors, u, v, lab, index.order.rank_map())
 
     sr, r = benchmark(search)
     # u itself always meets Condition B: sd(u, v) = 1 over the one path.

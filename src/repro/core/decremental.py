@@ -12,8 +12,10 @@ overestimates.  DecSPC works in two phases:
     sd(v,a) + 1 = sd(v,b); it is a hub (SR) iff it is a common hub of a and
     b (Condition A: some v̂-shortest path crosses the edge) or
     spc(v,a) = spc(v,b) (Condition B: *all* shortest v-b paths cross it).
-    Everything is computed on G_i, before the edge is removed, with a
-    pruned BFS per side that stops at unaffected vertices.
+    Everything is computed on G_i, before the edge is removed.  Per side, a
+    counting BFS from the near endpoint stops at unaffected vertices, and a
+    counting BFS from the far endpoint, run in lockstep a level ahead,
+    gives sd and spc to the far end; no label set is read.
 
 2.  **DecUPDATE** (Algorithm 6) repairs, for each affected hub h (in
     descending order of rank, so PreQUERY's upper bound d̄ — computed from
@@ -65,8 +67,8 @@ def dec_spc(graph, index, a, b, stats=None, use_isolated_fast_path=True):
     lab = set(la.hubs) & set(lb.hubs)  # common hubs of a and b (rank numbers)
 
     t0 = perf_counter()
-    sr_a, r_a = srr_search(step, label_of, a, lb, lab, rank)
-    sr_b, r_b = srr_search(step, label_of, b, la, lab, rank)
+    sr_a, r_a = srr_search(step, a, b, lab, rank)
+    sr_b, r_b = srr_search(step, b, a, lab, rank)
     stats.srr_s += perf_counter() - t0
     stats.sr_a, stats.sr_b = len(sr_a), len(sr_b)
     stats.r_a, stats.r_b = len(r_a), len(r_b)
@@ -134,47 +136,53 @@ def try_isolated_fast_path(graph, index, a, b, stats):
     return True
 
 
-def srr_search(step, labels_of, start, fixed, lab, rank):
+def srr_search(step, start, far, lab, rank):
     """Algorithm 5: compute (SR, R) for the side of the edge at ``start``.
 
-    Runs on G_i (edge still present).  The BFS follows ``step`` from
-    ``start`` and answers SpcQUERY(v, far end) by pairing ``labels_of(v)``
-    with ``fixed``, the far endpoint's label set.  ``lab`` holds the common
-    hubs of the edge endpoints as rank numbers.  The directed SrrSEARCH
-    runs this kernel once per side, with in- or out-labels; here both sides
-    are L.
+    Runs on G_i (edge still present).  Two counting BFSs follow ``step`` in
+    lockstep: the near one from ``start`` gives sd/spc(v, start) and is
+    pruned at unaffected vertices, as the paper's; the far one from ``far``
+    gives sd/spc(v, far end).  Before a vertex at near level dv is judged,
+    the far BFS has expanded every level up to dv, so its distances up to
+    dv + 1 and their counts are final.  The far BFS therefore stops at level
+    max dv + 1.  ``lab`` holds the common hubs of the edge endpoints as rank
+    numbers (Condition A).  The directed SrrSEARCH runs this kernel once per
+    side, with predecessors or successors as ``step``.
     """
-    # Far-endpoint label array: sd/spc(v, far end) probes cost O(|L(v)|).
-    fixed_entry = {h: (d, c) for h, d, c in fixed}
-
     sr, r = set(), set()
     dist = {start: 0}
     count = {start: 1}
     queue = deque([start])
+    fdist = {far: 0}
+    fcount = {far: 1}
+    frontier = [far]
+    expanded = -1  # deepest far level whose neighbours are all counted
     while queue:
         v = queue.popleft()
         dv = dist[v]
-        # (d, c) = SpcQUERY(v, far end) via the array.
-        d_q, c_q = INF, 0
-        ls = labels_of(v)
-        hubs, dists, counts = ls.hubs, ls.dists, ls.counts
-        for i in range(len(hubs)):
-            e = fixed_entry.get(hubs[i])
-            if e is not None:
-                cand = dists[i] + e[0]
-                if cand < d_q:
-                    d_q = cand
-                    c_q = counts[i] * e[1]
-                elif cand == d_q:
-                    c_q += counts[i] * e[1]
-        if dv + 1 != d_q:
+        while expanded < dv and frontier:
+            expanded += 1
+            fnext = expanded + 1
+            nxt = []
+            for u in frontier:
+                cu = fcount[u]
+                for w in step(u):
+                    dw = fdist.get(w)
+                    if dw is None:
+                        fdist[w] = fnext
+                        fcount[w] = cu
+                        nxt.append(w)
+                    elif dw == fnext:
+                        fcount[w] += cu
+            frontier = nxt
+        dnext = dv + 1
+        if fdist.get(v) != dnext:
             continue  # unaffected: no shortest path to the far end crosses the edge
-        if rank[v] in lab or count[v] == c_q:
+        cv = count[v]
+        if rank[v] in lab or cv == fcount[v]:
             sr.add(v)
         else:
             r.add(v)
-        cv = count[v]
-        dnext = dv + 1
         for w in step(v):
             dw = dist.get(w)
             if dw is None:
@@ -184,8 +192,6 @@ def srr_search(step, labels_of, start, fixed, lab, rank):
             elif dw == dnext:
                 count[w] += cv
     return sr, r
-
-
 
 
 def regions_below(targets, rank):

@@ -259,8 +259,9 @@ def counting_probe(source_labels, target_label_of, hub_filter=None):
     triples — the query source's label set) is materialized into one
     hub -> (dist, count) dict, and each ``probe(t)`` answers by a single
     scan over ``target_label_of(t)``'s label arrays — the same array-probe
-    trick SrrSEARCH uses.  Equivalent to the two-pointer merge query for
-    every t; profitable whenever several queries share a source.
+    trick the builder's pruning test uses.  Equivalent to the two-pointer
+    merge query for every t; profitable whenever several queries share a
+    source.
 
     ``hub_filter`` (a ``rank -> bool`` predicate) restricts the merge to a
     hub subset, yielding a *partial* answer: the (dist, count) contribution

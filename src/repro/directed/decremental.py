@@ -4,11 +4,12 @@ Deleting arc (a, b) partitions the affected vertices by side of the arc:
 
 * **source side** — SRa ∪ Ra: vertices v with sd(v, a) + 1 = sd(v, b); their
   paths v → ... → a → b lose the arc.  Found with a *backward* pruned BFS
-  from a (following in-arcs computes sd(·, a) and spc(·, a)).  A vertex is a
+  from a (following in-arcs computes sd(·, a) and spc(·, a)), beside a
+  backward BFS from b that gives sd(·, b) and spc(·, b).  A vertex is a
   hub (SRa) if it is a common hub of L_in(a) and L_in(b) (Condition A) or
   spc(v, a) = spc(v, b) (Condition B);
 * **target side** — SRb ∪ Rb: vertices v with sd(b, v) + 1 = sd(a, v), found
-  with a *forward* BFS from b, Condition A over L_out(a) ∩ L_out(b).
+  with *forward* BFSs from b and a, Condition A over L_out(a) ∩ L_out(b).
 
 Repair runs per affected hub in descending rank order: hubs from SRa run a
 forward boundary-seeded BFS fixing (h, ·, ·) entries in L_in(u) for u on
@@ -42,10 +43,10 @@ def dec_spc_directed(graph, index, a, b, stats=None):
     lab_out = set(lout(a).hubs) & set(lout(b).hubs)
 
     t0 = perf_counter()
-    # Source side, paths v -> a: walk in-arcs from a; probe sd/spc(v -> b).
-    sr_a, r_a = srr_search(graph.predecessors, lout, a, lin(b), lab_in, rank)
-    # Target side, paths b -> v: walk out-arcs from b; probe sd/spc(a -> v).
-    sr_b, r_b = srr_search(graph.successors, lin, b, lout(a), lab_out, rank)
+    # Source side, paths v -> a: walk in-arcs from a and from b.
+    sr_a, r_a = srr_search(graph.predecessors, a, b, lab_in, rank)
+    # Target side, paths b -> v: walk out-arcs from b and from a.
+    sr_b, r_b = srr_search(graph.successors, b, a, lab_out, rank)
     stats.srr_s += perf_counter() - t0
     stats.sr_a, stats.sr_b = len(sr_a), len(sr_b)
     stats.r_a, stats.r_b = len(r_a), len(r_b)
