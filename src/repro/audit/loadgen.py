@@ -109,7 +109,7 @@ def run_audit_loadgen(backend="core", replicas=2, readers=3, duration=1.2,
         sampler = AuditSampler(
             rate=sample_rate, capacity=reservoir, seed=seed + 5
         )
-        cluster.router.set_answer_tap(sampler)
+        cluster.set_answer_tap(sampler)
 
         def on_divergence(divergence):
             # Record *when* the tripwire fired, relative to the run —

@@ -14,22 +14,22 @@ Fault injection is a first-class operation, not a test hack:
 :meth:`SPCCluster.restart_replica` brings a fresh one up under the same
 name from the *current* checkpoint + WAL tail — exactly the crash/recover
 path an operator would take — while the router routes around the outage.
+The orchestration is the shared :class:`~repro.serve.fleet.Fleet` base.
 """
 
-import dataclasses
 from dataclasses import dataclass
 
-from repro.engine import SPCEngine
 from repro.exceptions import ClusterError
-from repro.serve.service import ServeConfig, SPCService
+from repro.serve.fleet import Fleet, FleetConfig
 from repro.cluster.replica import Replica
 from repro.cluster.router import ClusterRouter
 from repro.cluster.session import ClusterSession
 
 
 @dataclass(frozen=True)
-class ClusterConfig:
-    """All tunables of an :class:`SPCCluster`.
+class ClusterConfig(FleetConfig):
+    """All tunables of an :class:`SPCCluster`: these plus every
+    :class:`~repro.serve.fleet.FleetConfig` field.
 
     Parameters
     ----------
@@ -40,47 +40,17 @@ class ClusterConfig:
     staleness_delta:
         The Δ of ``bounded_staleness``: never serve an answer whose seq
         lags the primary's applied seq by more than this many batches.
-    poll_interval:
-        Seconds a replica sleeps between empty WAL polls.
     replica_backends:
         Optional per-replica backend family overrides (a tuple indexed by
         replica slot; ``None`` entries — and a ``None`` tuple — follow
         the primary's family).  Overrides must share the primary's graph
         type (core ⇄ sd).
-    wait_timeout:
-        How long a routed read may wait for a fresh-enough target before
-        raising :class:`~repro.exceptions.ClusterError`.
-    parallel_threshold:
-        ``query_many`` batches at least this long are split across the
-        healthy replicas (each sub-batch under its own lease) instead of
-        running on a single snapshot.
-    degraded:
-        Router behavior at the read deadline: ``"refuse"`` (default —
-        raise :class:`~repro.exceptions.ClusterError`) or ``"stale"``
-        (serve the freshest available snapshot, tagged degraded, when it
-        is within ``degraded_max_lag`` of the primary).
-    degraded_max_lag:
-        Staleness bound (in batches) a degraded-mode answer must meet.
-    breaker_threshold / breaker_cooldown:
-        Per-replica circuit breaker: consecutive lease failures that trip
-        it open, and seconds before a half-open recovery probe.
-    stall_budget:
-        Re-bootstraps without progress a replica tolerates before dying
-        (``None`` = the replica's own default).
     """
 
     replicas: int = 2
     policy: str = "round_robin"
     staleness_delta: int = 8
-    poll_interval: float = 0.002
     replica_backends: tuple = None
-    wait_timeout: float = 5.0
-    parallel_threshold: int = 64
-    degraded: str = "refuse"
-    degraded_max_lag: int = 64
-    breaker_threshold: int = 3
-    breaker_cooldown: float = 0.25
-    stall_budget: int = None
 
     def __post_init__(self):
         if self.replicas < 1:
@@ -95,12 +65,8 @@ class ClusterConfig:
                 f"families for {self.replicas} replicas"
             )
 
-    def replace(self, **changes):
-        """Return a copy of this config with ``changes`` applied."""
-        return dataclasses.replace(self, **changes)
 
-
-class SPCCluster:
+class SPCCluster(Fleet):
     """A replicated serving fleet over one engine's WAL.
 
     Example
@@ -116,179 +82,53 @@ class SPCCluster:
     (1, 1)
     """
 
-    def __init__(self, engine, state_dir, config=None, serve_config=None,
-                 overwrite=False, **overrides):
-        if config is None:
-            config = ClusterConfig(**overrides)
-        elif overrides:
-            config = config.replace(**overrides)
-        self._config = config
-        if serve_config is None:
-            serve_config = ServeConfig()
-        serve_config = serve_config.replace(durability_dir=state_dir)
-        self._state_dir = state_dir
-        self._closed = False
-        self.primary = SPCService(
-            engine, config=serve_config, overwrite=overwrite
+    kind = "cluster"
+    error_type = ClusterError
+    config_type = ClusterConfig
+    _member_noun = "replica {!r}"
+    _unknown_noun = "no replica named {!r}"
+    _fleet_noun = "cluster"
+
+    replicas = Fleet.members
+    kill_replica = Fleet.kill
+    restart_replica = Fleet.restart
+
+    def _boot(self):
+        config = self._config
+        backends = config.replica_backends or (None,) * config.replicas
+        self._backends = {
+            f"replica-{slot}": backend for slot, backend in enumerate(backends)
+        }
+        for name in self._backends:
+            self._members[name] = self._spawn(name)
+        router = ClusterRouter(
+            self.primary,
+            list(self._members.values()),
+            policy=config.policy,
+            staleness_delta=config.staleness_delta,
+            **self._router_options(),
         )
-        self._replicas = {}
-        try:
-            for slot in range(config.replicas):
-                name = f"replica-{slot}"
-                backend = None
-                if config.replica_backends is not None:
-                    backend = config.replica_backends[slot]
-                self._replicas[name] = Replica(
-                    state_dir,
-                    name=name,
-                    backend=backend,
-                    poll_interval=config.poll_interval,
-                    stall_budget=config.stall_budget,
-                )
-            self.router = ClusterRouter(
-                self.primary,
-                list(self._replicas.values()),
-                policy=config.policy,
-                staleness_delta=config.staleness_delta,
-                wait_timeout=config.wait_timeout,
-                parallel_threshold=config.parallel_threshold,
-                degraded=config.degraded,
-                degraded_max_lag=config.degraded_max_lag,
-                breaker_threshold=config.breaker_threshold,
-                breaker_cooldown=config.breaker_cooldown,
-            )
-            # Publish events wake blocked routed reads instead of letting
-            # them sleep out their wait slice.
-            self.primary.set_publish_listener(self.router.notify_event)
-            for replica in self._replicas.values():
-                replica.set_publish_listener(self.router.notify_event)
-        except BaseException:
-            # A replica that failed to bootstrap must not leak the ones
-            # that did, nor the primary's writer thread.
-            self._teardown()
-            raise
+        self.primary.set_publish_listener(router.notify_event)
+        return router
 
-    # ------------------------------------------------------------------
-    # Write path (primary only)
-    # ------------------------------------------------------------------
-
-    def submit(self, update):
-        """Enqueue one update on the primary."""
-        self.primary.submit(update)
-
-    def submit_many(self, updates):
-        """Enqueue a batch (kept whole) on the primary."""
-        self.primary.submit_many(updates)
-
-    def flush(self, timeout=30.0):
-        """Apply + publish everything submitted on the primary so far."""
-        return self.primary.flush(timeout=timeout)
-
-    def checkpoint(self, truncate_wal=False, timeout=30.0):
-        """Durable checkpoint on the primary (replicas re-bootstrap if the
-        WAL is truncated beneath their tail)."""
-        return self.primary.checkpoint(
-            truncate_wal=truncate_wal, timeout=timeout
+    def _spawn(self, name):
+        return Replica(
+            self._state_dir,
+            name=name,
+            backend=self._backends[name],
+            poll_interval=self._config.poll_interval,
+            stall_budget=self._config.stall_budget,
         )
-
-    # ------------------------------------------------------------------
-    # Read path (routed)
-    # ------------------------------------------------------------------
-
-    def query(self, s, t):
-        """Answer (sd, spc) from whichever target the policy picks."""
-        return self.router.query(s, t)
-
-    def query_tagged(self, s, t):
-        """Routed answer plus its consistency tag: (answer, seq, target)."""
-        return self.router.query_tagged(s, t)
-
-    def query_many(self, pairs):
-        """Answer a batch of pairs against one routed snapshot."""
-        return self.router.query_many(pairs)
 
     def session(self):
         """A sticky :class:`ClusterSession` (read-your-writes)."""
         return ClusterSession(self)
 
-    def set_metrics(self, registry, tracer=None):
-        """Install (or clear, with ``None``) telemetry across the fleet:
-        the primary's serve instruments + writer spans, and the router's
-        lease/breaker accounting (see :meth:`ClusterRouter.set_metrics`)."""
-        self.primary.set_metrics(registry, tracer=tracer)
-        self.router.set_metrics(registry, tracer=tracer)
-
-    # ------------------------------------------------------------------
-    # Fleet operations
-    # ------------------------------------------------------------------
-
-    @property
-    def replicas(self):
-        """Mapping name -> :class:`Replica` (live view, do not mutate)."""
-        return self._replicas
-
-    @property
-    def config(self):
-        """The cluster's :class:`ClusterConfig` (frozen)."""
-        return self._config
-
-    @property
-    def state_dir(self):
-        """The primary's durability directory (= the replication stream)."""
-        return self._state_dir
-
-    def sync(self, timeout=30.0):
-        """Flush the primary, then block until every healthy replica has
-        replayed up to the primary's applied seq.  Returns that seq.
-
-        Raises :class:`ClusterError` when a replica cannot catch up in
-        time (or died trying) — a lagging fleet is an operational fact
-        the caller must see, not average away.
-        """
-        self.primary.flush(timeout=timeout)
-        target = self.primary.applied_seq
-        for name, replica in self._replicas.items():
-            if not replica.healthy:
-                continue
-            if not replica.catch_up(target, timeout=timeout):
-                raise ClusterError(
-                    f"replica {name!r} is stuck at seq "
-                    f"{replica.applied_seq}, primary at {target}"
-                )
-        return target
-
-    def kill_replica(self, name):
-        """Hard-stop one follower mid-stream (fault injection).
-
-        The dead replica stays registered (and unhealthy, so the router
-        skips it) until :meth:`restart_replica` replaces it.
-        """
-        self._replica(name).kill()
-
-    def restart_replica(self, name):
-        """Crash-recover a follower: bootstrap a fresh replica under the
-        same name from the *current* checkpoint + WAL tail and swap it
-        into the router.  Returns the new :class:`Replica`.
-        """
-        old = self._replica(name)
-        old.kill()
-        replica = Replica(
-            self._state_dir,
-            name=name,
-            backend=old.backend_override,
-            poll_interval=self._config.poll_interval,
-            stall_budget=self._config.stall_budget,
-        )
-        replica.set_publish_listener(self.router.notify_event)
-        self._replicas[name] = replica
-        self.router.set_replica(name, replica)
-        return replica
-
     def check_invariants(self):
         """Validate label invariants on the primary engine and every
         healthy replica engine."""
         self.primary.engine.check_invariants()
-        for replica in self._replicas.values():
+        for replica in self._members.values():
             if replica.healthy:
                 replica.check_invariants()
         return True
@@ -298,59 +138,14 @@ class SPCCluster:
         return {
             "primary": self.primary.stats(),
             "replicas": {
-                name: r.stats() for name, r in self._replicas.items()
+                name: r.stats() for name, r in self._members.items()
             },
             "router": self.router.stats(),
         }
 
-    def close(self, timeout=30.0):
-        """Stop every replica and the primary.  Idempotent.
-
-        Replica applier failures surface as :class:`ClusterError` after
-        everything has been torn down — a dead replica must not leave the
-        primary's writer thread running.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        failures = self._teardown(timeout=timeout)
-        if failures:
-            raise ClusterError(
-                f"cluster shutdown found {len(failures)} failed component(s): "
-                + "; ".join(failures)
-            )
-
-    def _teardown(self, timeout=30.0):
-        failures = []
-        for name, replica in self._replicas.items():
-            try:
-                replica.close()
-            except ClusterError as exc:
-                failures.append(str(exc))
-        try:
-            self.primary.close(timeout=timeout)
-        except Exception as exc:  # noqa: BLE001 — reported, not masked
-            failures.append(f"primary: {exc!r}")
-        return failures
-
-    def _replica(self, name):
-        try:
-            return self._replicas[name]
-        except KeyError:
-            raise ClusterError(
-                f"no replica named {name!r}; have {sorted(self._replicas)}"
-            ) from None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close()
-        return False
-
     def __repr__(self):
         return (
-            f"SPCCluster(replicas={sorted(self._replicas)}, "
+            f"SPCCluster(replicas={sorted(self._members)}, "
             f"policy={self._config.policy!r}, "
             f"primary_seq={self.primary.applied_seq})"
         )
@@ -366,11 +161,8 @@ def cluster(graph_or_engine, state_dir, config=None, serve_config=None,
     in ``state_dir``, and boots the replica fleet; keyword overrides patch
     individual :class:`ClusterConfig` fields.
     """
-    if isinstance(graph_or_engine, SPCEngine):
-        engine = graph_or_engine
-    else:
-        engine = SPCEngine(graph_or_engine, config=engine_config)
-    return SPCCluster(
-        engine, state_dir, config=config, serve_config=serve_config,
-        overwrite=overwrite, **overrides
+    return SPCCluster._open(
+        graph_or_engine, state_dir, engine_config=engine_config,
+        config=config, serve_config=serve_config, overwrite=overwrite,
+        **overrides
     )

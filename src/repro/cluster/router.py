@@ -244,7 +244,7 @@ class ClusterRouter:
             self._replicas.append(_Target(replica.name, replica, breaker))
         self.notify_event()
 
-    def set_replica(self, name, replica):
+    def set_member(self, name, replica):
         """Swap the handle behind ``name`` (a restarted replica).
 
         The target's circuit breaker is reset — the new member deserves

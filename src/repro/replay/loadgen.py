@@ -38,88 +38,64 @@ import time
 from repro.audit.comparator import DivergenceReport
 from repro.audit.sampler import AuditSampler
 from repro.audit.shadow import ShadowAuditor
-from repro.cluster.cluster import ClusterConfig, SPCCluster
+from repro.cluster.cluster import SPCCluster
 from repro.engine import EngineConfig, SPCEngine
-from repro.exceptions import (
-    AuditDivergenceError,
-    ClusterError,
-    ServeError,
-    ShardError,
-)
+from repro.exceptions import AuditDivergenceError, ClusterError, ServeError
 from repro.replay.plan import ReplayPlan
 from repro.replay.scenario import ReplayScenario, get_scenario
 from repro.serve.loadgen import _check_answer, _latency_ms
 from repro.serve.service import ServeConfig, SPCService
-from repro.shard.shardcluster import ShardConfig, ShardedCluster
+from repro.shard.shardcluster import ShardedCluster
 
 
 class _Fleet:
-    """Uniform facade over the three serving topologies.
+    """The seams the replay threads need, over a bare service or a fleet.
 
-    Normalizes the seams the replay threads need — submit, read, tap,
-    fault actions, quiesce, close — so the engine is topology-blind.
+    A :class:`~repro.serve.fleet.Fleet` already offers submit, read, tap
+    and telemetry like a service does; what differs is only whether there
+    are followers to converge (``quiesce``) and members to fault.
     """
 
     def __init__(self, scenario, engine, state_dir):
         self.kind = scenario.fleet
+        serve_config = ServeConfig(queue_capacity=4096)
         if self.kind == "service":
-            self.impl = SPCService(
+            self.impl = self.primary = SPCService(
                 engine,
-                config=ServeConfig(
-                    durability_dir=state_dir, queue_capacity=4096
-                ),
+                config=serve_config.replace(durability_dir=state_dir),
                 overwrite=True,
             )
-            self.primary = self.impl
-        elif self.kind == "cluster":
-            self.impl = SPCCluster(
-                engine, state_dir,
-                config=ClusterConfig(replicas=scenario.replicas),
-                serve_config=ServeConfig(queue_capacity=4096),
-                overwrite=True,
-            )
-            self.primary = self.impl.primary
-        else:  # shard
-            self.impl = ShardedCluster(
-                engine, state_dir,
-                config=ShardConfig(shards=scenario.shards),
-                serve_config=ServeConfig(queue_capacity=4096),
-                overwrite=True,
-            )
-            self.primary = self.impl.primary
-
-    def set_answer_tap(self, tap):
-        if self.kind == "cluster":
-            self.impl.router.set_answer_tap(tap)
         else:
-            self.impl.set_answer_tap(tap)
-
-    def set_metrics(self, registry, tracer=None):
-        """Install (or clear) telemetry on whichever topology runs."""
-        self.impl.set_metrics(registry, tracer=tracer)
-
-    def submit_many(self, updates):
-        self.impl.submit_many(updates)
-
-    def query(self, s, t):
-        return self.impl.query(s, t)
+            if self.kind == "cluster":
+                fleet_type, size = SPCCluster, {"replicas": scenario.replicas}
+            else:
+                fleet_type, size = ShardedCluster, {"shards": scenario.shards}
+            self.impl = fleet_type(
+                engine, state_dir, serve_config=serve_config, overwrite=True,
+                **size,
+            )
+            self.primary = self.impl.primary
+        self.submit_many = self.impl.submit_many
+        self.query = self.impl.query
+        self.set_answer_tap = self.impl.set_answer_tap
+        self.set_metrics = self.impl.set_metrics
 
     def apply_fault(self, fault):
-        if fault.action == "kill_shard":
-            self.impl.kill_shard(fault.target)
-        elif fault.action == "restart_shard":
-            self.impl.restart_shard(fault.target)
-        else:
+        if self.kind == "service" or fault.action not in (
+            "kill_shard", "restart_shard"
+        ):
             raise ServeError(
                 f"fleet {self.kind!r} cannot apply fault {fault.action!r}"
             )
+        if fault.action == "kill_shard":
+            self.impl.kill(fault.target)
+        else:
+            self.impl.restart(fault.target)
 
     def quiesce(self, timeout=30.0):
         """Apply everything submitted (and converge followers)."""
         if self.kind == "service":
             self.impl.flush(timeout=timeout)
-        elif self.kind == "cluster":
-            self.impl.sync(timeout=timeout)
         else:
             self.impl.sync(timeout=timeout)
 

@@ -46,14 +46,13 @@ import time
 from repro.audit.comparator import DivergenceReport
 from repro.audit.sampler import AuditSampler
 from repro.audit.shadow import ShadowAuditor
-from repro.cluster.cluster import ClusterConfig, SPCCluster
+from repro.cluster.cluster import SPCCluster
 from repro.engine import EngineConfig, SPCEngine
 from repro.exceptions import (
     AuditDivergenceError,
     ClusterError,
     ReproError,
     ServeError,
-    ShardError,
     WalCorruptionError,
 )
 from repro.resilience.chaos import (
@@ -78,10 +77,11 @@ from repro.serve.service import (
     ServeConfig,
 )
 from repro.serve.wal import WalTailer
-from repro.shard.shardcluster import ShardConfig, ShardedCluster
+from repro.shard.shardcluster import ShardedCluster
 
-#: refusal types the read path may raise by design (counted, not failed).
-_REFUSALS = (ClusterError, ShardError)
+#: the refusal the read path may raise by design (counted, not failed);
+#: :class:`~repro.exceptions.ShardError` subclasses it.
+_REFUSALS = ClusterError
 
 
 def _scan_stream(path):
@@ -123,53 +123,23 @@ class _ChaosReader(_Reader):
             self.degraded_reads += 1
 
 
-class _Fleet:
-    """Duck-typing shim the phase schedule drives (cluster or shard)."""
+def _caught_up(fleet, target_seq=0, exclude=()):
+    """Is every member not named in ``exclude`` healthy at or past
+    ``target_seq``?"""
+    return all(
+        m.healthy and m.applied_seq >= target_seq
+        for m in list(fleet.members.values())
+        if m.name not in exclude
+    )
 
-    def __init__(self, fleet_obj, kind, state_dir):
-        self.obj = fleet_obj
-        self.kind = kind
-        self.stream_path = os.path.join(
-            state_dir,
-            WAL_FILENAME if kind == "cluster" else JOURNAL_FILENAME,
-        )
-        self.snapshot_path = os.path.join(state_dir, SNAPSHOT_FILENAME)
 
-    def members(self):
-        if self.kind == "cluster":
-            return dict(self.obj.replicas)
-        return dict(self.obj.shards)
-
-    def kill(self, key):
-        if self.kind == "cluster":
-            self.obj.kill_replica(key)
-        else:
-            self.obj.kill_shard(key)
-
-    def victims(self):
-        """Member keys in kill order (rotated across phases)."""
-        return sorted(self.members())
-
-    def healthy(self, exclude=()):
-        return all(
-            m.healthy
-            for m in self.members().values()
-            if m.name not in exclude
-        )
-
-    def caught_up(self, target_seq, exclude=()):
-        return all(
-            m.healthy and m.applied_seq >= target_seq
-            for m in self.members().values()
-            if m.name not in exclude
-        )
-
-    def serves(self, pair):
-        try:
-            self.obj.query_tagged(*pair)
-            return True
-        except _REFUSALS:
-            return False
+def _serves(fleet, pair):
+    """Does a routed read of ``pair`` answer rather than refuse?"""
+    try:
+        fleet.query_tagged(*pair)
+        return True
+    except _REFUSALS:
+        return False
 
 
 def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
@@ -212,34 +182,21 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
     supervisor = None
     try:
         if fleet == "cluster":
-            fleet_obj = SPCCluster(
-                engine, state_dir,
-                config=ClusterConfig(
-                    replicas=replicas,
-                    wait_timeout=wait_timeout,
-                    degraded=degraded,
-                    degraded_max_lag=degraded_max_lag,
-                    stall_budget=stall_budget,
-                ),
-                serve_config=serve_config, overwrite=True,
-            )
+            size = dict(replicas=replicas)
+            fleet_type = SPCCluster
         else:
-            fleet_obj = ShardedCluster(
-                engine, state_dir,
-                config=ShardConfig(
-                    shards=shards,
-                    wait_timeout=wait_timeout,
-                    degraded=degraded,
-                    degraded_max_lag=degraded_max_lag,
-                    ring_size=ring_size,
-                    stall_budget=stall_budget,
-                ),
-                serve_config=serve_config, overwrite=True,
-            )
+            size = dict(shards=shards, ring_size=ring_size)
+            fleet_type = ShardedCluster
+        fleet_obj = fleet_type(
+            engine, state_dir, serve_config=serve_config, overwrite=True,
+            wait_timeout=wait_timeout, degraded=degraded,
+            degraded_max_lag=degraded_max_lag, stall_budget=stall_budget,
+            **size,
+        )
         sampler = AuditSampler(
             rate=sample_rate, capacity=reservoir, seed=seed + 5
         )
-        fleet_obj.router.set_answer_tap(sampler)
+        fleet_obj.set_answer_tap(sampler)
         # The auditor outlives the poisoned-stream window on a raised
         # stall budget: it keeps re-bootstrapping until the supervisor's
         # repair rewrites the stream, then catches up and verifies the
@@ -264,7 +221,10 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
                        state_dir if own_dir else None)
         raise
 
-    shim = _Fleet(fleet_obj, fleet, state_dir)
+    stream_path = os.path.join(
+        state_dir, WAL_FILENAME if fleet == "cluster" else JOURNAL_FILENAME
+    )
+    snapshot_path = os.path.join(state_dir, SNAPSHOT_FILENAME)
     phases = []
     problems = []
     failed_members = set()
@@ -319,22 +279,23 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
     def catch_up_pred():
         target = fleet_obj.primary.applied_seq
         return lambda: (
-            shim.caught_up(target, exclude=failed_members)
-            and shim.serves(probe)
+            _caught_up(fleet_obj, target, exclude=failed_members)
+            and _serves(fleet_obj, probe)
         )
 
     def schedule(_deadline):
-        victims = shim.victims()
-        members_by_key = shim.members()
+        # Member keys in kill order (rotated across phases).
+        victims = sorted(fleet_obj.members)
+        members_by_key = dict(fleet_obj.members)
 
         # Warm up: the stream needs interior records to corrupt.
         fleet_obj.sync(timeout=30.0)
-        _await(lambda: os.path.getsize(shim.stream_path) > 0, 5.0)
+        _await(lambda: os.path.getsize(stream_path) > 0, 5.0)
 
         # -- phase 1: crash ------------------------------------------------
         def inject_kill():
             key = victims[0]
-            shim.kill(key)
+            fleet_obj.kill(key)
             return {"member": members_by_key[key].name}
 
         run_phase(
@@ -345,14 +306,14 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
 
         # -- phase 2: acknowledged-then-corrupted record -------------------
         def inject_flip():
-            info = flip_bit_in_record(shim.stream_path, seed=seed + 17)
+            info = flip_bit_in_record(stream_path, seed=seed + 17)
             # Scan *before* killing anyone: once the supervisor's repair
             # rewrites the stream, the evidence is gone.
-            info["corruption"] = _scan_stream(shim.stream_path)
+            info["corruption"] = _scan_stream(stream_path)
             # The live members are already past the poisoned offset; kill
             # one so its replacement must re-read the damaged region.
             key = victims[1 % len(victims)]
-            shim.kill(key)
+            fleet_obj.kill(key)
             info["member"] = members_by_key[key].name
             return info
 
@@ -366,14 +327,14 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
 
         # -- phase 3: corrupted checkpoint ---------------------------------
         def inject_ckpt():
-            info = corrupt_checkpoint(shim.snapshot_path, seed=seed + 23)
+            info = corrupt_checkpoint(snapshot_path, seed=seed + 23)
             try:
-                load_checkpoint(shim.snapshot_path)
+                load_checkpoint(snapshot_path)
                 info["refusal"] = None
             except (WalCorruptionError, ServeError) as exc:
                 info["refusal"] = exc
             key = victims[0]
-            shim.kill(key)
+            fleet_obj.kill(key)
             info["member"] = members_by_key[key].name
             return info
 
@@ -389,7 +350,7 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
 
         # -- phase 4: torn write glued by a live writer --------------------
         def inject_torn():
-            return torn_write(shim.stream_path)
+            return torn_write(stream_path)
 
         def detect_torn(_inj):
             # The fragment alone is a benign torn tail; the submitter's
@@ -401,7 +362,7 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
             holder = {}
 
             def welded():
-                holder["c"] = _scan_stream(shim.stream_path)
+                holder["c"] = _scan_stream(stream_path)
                 if holder["c"] is not None:
                     return True
                 return supervisor.stats()["repairs"] > repairs_before
@@ -447,7 +408,7 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
             except ServeError:
                 return False
             fleet_obj.primary.set_disk_fault(None)
-            return shim.serves(probe)
+            return _serves(fleet_obj, probe)
 
         run_phase("enospc", inject_enospc, enospc_healed, detect_enospc)
 
@@ -471,12 +432,12 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
                 if state == "failed":
                     failed_members.add(victim_name)
                     return (
-                        shim.healthy(exclude=failed_members)
-                        and shim.serves(probe)
+                        _caught_up(fleet_obj, exclude=failed_members)
+                        and _serves(fleet_obj, probe)
                     )
-                member = shim.members().get(victim_key)
+                member = fleet_obj.members.get(victim_key)
                 if member is not None and member.healthy:
-                    shim.kill(victim_key)
+                    fleet_obj.kill(victim_key)
                     kills["n"] += 1
                 return False
 
@@ -509,7 +470,9 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
         fleet_obj.primary.flush(timeout=30.0)
         settle_target = fleet_obj.primary.applied_seq
         if not _await(
-            lambda: shim.caught_up(settle_target, exclude=failed_members),
+            lambda: _caught_up(
+                fleet_obj, settle_target, exclude=failed_members
+            ),
             heal_timeout,
         ):
             problems.append(

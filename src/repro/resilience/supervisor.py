@@ -4,8 +4,8 @@ The serving fleets already *detect* every failure the ROADMAP's failure
 model names — a dead applier surfaces as ``healthy == False`` with a
 ``fatal`` error, tail lag is ``primary.applied_seq - member.applied_seq``,
 and checksum-failed stream records show up in ``stream_corruptions`` —
-but until this module recovery was a manual ``restart_replica`` /
-``restart_shard`` call.  The :class:`Supervisor` closes that loop:
+but until this module recovery was a manual ``restart`` call on the
+fleet.  The :class:`Supervisor` closes that loop:
 
 * every ``poll_interval`` it folds each member's health, lag and
   corruption count into a shared :class:`~repro.resilience.HealthMonitor`
@@ -39,12 +39,12 @@ than refusing.
 import dataclasses
 import random
 import threading
-import time
 from collections import deque
 from dataclasses import dataclass, field
 
 from repro.exceptions import ReproError, WalCorruptionError
 from repro.resilience.health import HealthMonitor
+from repro.serve.fleet import Fleet
 
 
 @dataclass(frozen=True)
@@ -153,14 +153,14 @@ class _Control:
 
 
 class Supervisor:
-    """Self-healing watchdog over an :class:`~repro.cluster.SPCCluster`
-    or a :class:`~repro.shard.ShardedCluster`.
+    """Self-healing watchdog over a :class:`~repro.serve.fleet.Fleet` —
+    an :class:`~repro.cluster.SPCCluster` or a
+    :class:`~repro.shard.ShardedCluster`.
 
-    The fleet is duck-typed: anything with ``primary``, a member mapping
-    (``replicas`` or ``shards``), the matching ``restart_replica`` /
-    ``restart_shard`` method and ``checkpoint(truncate_wal=...)`` works.
-    Pass a shared :class:`HealthMonitor` to fold several fleets into one
-    event log, or let the supervisor build its own.
+    It reads the fleet's ``members`` map, calls ``restart(key)`` on a
+    dead member and ``checkpoint(truncate_wal=True)`` to repair a
+    corrupt stream.  Pass a shared :class:`HealthMonitor` to fold several
+    fleets into one event log, or let the supervisor build its own.
 
     Example
     -------
@@ -176,20 +176,12 @@ class Supervisor:
         elif overrides:
             config = config.replace(**overrides)
         self.config = config
-        self._fleet = fleet
-        if hasattr(fleet, "restart_replica"):
-            self._kind = "cluster"
-            self._member_map = lambda: fleet.replicas
-            self._restart_member = fleet.restart_replica
-        elif hasattr(fleet, "restart_shard"):
-            self._kind = "shard"
-            self._member_map = lambda: fleet.shards
-            self._restart_member = fleet.restart_shard
-        else:
+        if not isinstance(fleet, Fleet):
             raise ReproError(
-                f"cannot supervise {type(fleet).__name__}: it has neither "
-                f"restart_replica nor restart_shard"
+                f"cannot supervise {type(fleet).__name__}: it is neither "
+                f"an SPCCluster nor a ShardedCluster"
             )
+        self._fleet = fleet
         if monitor is None:
             monitor = HealthMonitor(lag_threshold=config.lag_threshold)
         self.monitor = monitor
@@ -205,10 +197,8 @@ class Supervisor:
         # Health transitions double as router wakeups: the moment a
         # member is swapped back in, blocked acquires re-examine the
         # fleet instead of sleeping out their wait slice.
-        router = getattr(fleet, "router", None)
-        if router is not None and hasattr(router, "notify_event"):
-            monitor.add_listener(router.notify_event)
-        for key, member in self._member_map().items():
+        monitor.add_listener(fleet.router.notify_event)
+        for member in fleet.members.values():
             monitor.register(member.name, "up" if member.healthy else "down")
         self._stop = threading.Event()
         self._thread = threading.Thread(
@@ -234,7 +224,7 @@ class Supervisor:
         self._ticks += 1
         now = self._clock()
         primary_seq = self._fleet.primary.applied_seq
-        for key, member in list(self._member_map().items()):
+        for key, member in list(self._fleet.members.items()):
             name = member.name
             self.monitor.register(name)
             ctl = self._ctl.get(name)
@@ -311,7 +301,7 @@ class Supervisor:
         if corrupt and self.config.repair_corruption:
             self._repair(ctl)
         try:
-            self._restart_member(key)
+            self._fleet.restart(key)
         except Exception as exc:  # noqa: BLE001 — classified below
             # A restart that dies bootstrapping from a corrupt checkpoint
             # is itself a corruption signal: repair, then retry on the
@@ -381,7 +371,7 @@ class Supervisor:
     @property
     def kind(self):
         """``"cluster"`` or ``"shard"`` — which fleet shape is watched."""
-        return self._kind
+        return self._fleet.kind
 
     @property
     def incidents(self):
@@ -407,7 +397,7 @@ class Supervisor:
             repair_failures = self._repair_failures
         recovered = [i.mttr_s for i in incidents if i.mttr_s is not None]
         return {
-            "kind": self._kind,
+            "kind": self._fleet.kind,
             "ticks": self._ticks,
             "restarts": restarts,
             "repairs": repairs,
@@ -457,7 +447,7 @@ class Supervisor:
 
     def __repr__(self):
         return (
-            f"Supervisor(kind={self._kind!r}, "
+            f"Supervisor(kind={self._fleet.kind!r}, "
             f"members={sorted(self.monitor.states())}, "
             f"restarts={self._restarts})"
         )

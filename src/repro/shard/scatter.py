@@ -208,7 +208,7 @@ class ShardRouter:
         """The shard fleet, in partition-slot order (do not mutate)."""
         return list(self._shards)
 
-    def set_shard(self, shard_id, shard):
+    def set_member(self, shard_id, shard):
         """Swap the shard in slot ``shard_id`` (a restarted shard).
 
         Resets the slot's circuit breaker and wakes cut waiters so the

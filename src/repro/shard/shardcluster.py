@@ -8,28 +8,30 @@ that index from the checkpoint + journal; a
 :class:`~repro.shard.ShardRouter` scatter-gathers reads over the fleet.
 
 Fault injection mirrors the cluster layer — :meth:`kill_shard` /
-:meth:`restart_shard` — but the degraded mode differs by design: a
-cluster with a dead replica keeps serving from the survivors, while a
-sharded fleet with a dead shard *refuses* reads until the slice is back
-(a merged answer missing one hub range would be wrong, not stale).
+:meth:`restart_shard`, both from the shared
+:class:`~repro.serve.fleet.Fleet` base — but the degraded mode differs
+by design: a cluster with a dead replica keeps serving from the
+survivors, while a sharded fleet with a dead shard *refuses* reads until
+the slice is back (a merged answer missing one hub range would be wrong,
+not stale).
 """
 
-import dataclasses
 import os
 from dataclasses import dataclass
 
-from repro.engine import SPCEngine
 from repro.exceptions import ShardError
+from repro.serve.fleet import Fleet, FleetConfig
 from repro.serve.persist import load_checkpoint
-from repro.serve.service import SNAPSHOT_FILENAME, ServeConfig, SPCService
+from repro.serve.service import SNAPSHOT_FILENAME
 from repro.shard.partitioner import make_partitioner
 from repro.shard.scatter import ShardRouter
 from repro.shard.shard import Shard
 
 
 @dataclass(frozen=True)
-class ShardConfig:
-    """All tunables of a :class:`ShardedCluster`.
+class ShardConfig(FleetConfig):
+    """All tunables of a :class:`ShardedCluster`: these plus every
+    :class:`~repro.serve.fleet.FleetConfig` field.
 
     Parameters
     ----------
@@ -41,44 +43,18 @@ class ShardConfig:
         — the default, since equal-width ranges collapse under the
         top-heavy hub distribution), ``"range"`` (equal-width) or
         ``"hash"``.
-    poll_interval:
-        Seconds a shard applier sleeps between empty journal polls.
     ring_size:
         Per-shard depth of the published-view ring (bounds how far the
-        router can look back for a consistent cut).
-    wait_timeout:
-        How long a read may wait for a consistent cut before refusing.
-    parallel_threshold:
-        Batch length at which ``query_many`` goes concurrent.
+        router can look back for a consistent cut — a degraded-mode cut
+        must still be covered by every shard's ring).
     seed:
         Seed for the hash partitioner's mixing.
-    degraded:
-        Router behavior at the cut deadline: ``"refuse"`` (default) or
-        ``"stale"`` (serve the newest *historical* consistent cut still
-        covered by every shard's ring, tagged degraded, when it is
-        within ``degraded_max_lag`` of the freshest shard).
-    degraded_max_lag:
-        Staleness bound (in batches) a degraded-mode cut must meet.
-    breaker_threshold / breaker_cooldown:
-        Per-shard circuit breaker: consecutive cut failures that trip it
-        open, and seconds before a half-open recovery probe.
-    stall_budget:
-        Re-bootstraps without progress a shard tolerates before dying
-        (``None`` = the shard's own default).
     """
 
     shards: int = 4
     partitioner: str = "balanced"
-    poll_interval: float = 0.002
     ring_size: int = 64
-    wait_timeout: float = 5.0
-    parallel_threshold: int = 64
     seed: int = 0
-    degraded: str = "refuse"
-    degraded_max_lag: int = 64
-    breaker_threshold: int = 3
-    breaker_cooldown: float = 0.25
-    stall_budget: int = None
 
     def __post_init__(self):
         if self.shards < 1:
@@ -92,12 +68,8 @@ class ShardConfig:
                 f"got {self.ring_size!r}"
             )
 
-    def replace(self, **changes):
-        """Return a copy of this config with ``changes`` applied."""
-        return dataclasses.replace(self, **changes)
 
-
-class ShardedCluster:
+class ShardedCluster(Fleet):
     """A hub-partitioned serving fleet over one engine's label journal.
 
     Example
@@ -113,6 +85,19 @@ class ShardedCluster:
     (1, 1)
     """
 
+    kind = "shard"
+    error_type = ShardError
+    config_type = ShardConfig
+    # The journal is not optional here — it *is* the replication feed.
+    _serve_overrides = {"label_journal": True}
+    _member_noun = "shard {}"
+    _unknown_noun = "no shard with id {!r}"
+    _fleet_noun = "sharded-cluster"
+
+    shards = Fleet.members
+    kill_shard = Fleet.kill
+    restart_shard = Fleet.restart
+
     def __init__(self, engine, state_dir, config=None, serve_config=None,
                  partitioner=None, overwrite=False, **overrides):
         if isinstance(partitioner, str):
@@ -120,175 +105,36 @@ class ShardedCluster:
             # HubPartitioner instance bypasses the config entirely.
             overrides["partitioner"] = partitioner
             partitioner = None
-        if config is None:
-            config = ShardConfig(**overrides)
-        elif overrides:
-            config = config.replace(**overrides)
-        self._config = config
-        if serve_config is None:
-            serve_config = ServeConfig()
-        # The journal is not optional here — it *is* the replication feed.
-        serve_config = serve_config.replace(
-            durability_dir=state_dir, label_journal=True
+        self.partitioner = partitioner
+        super().__init__(
+            engine, state_dir, config=config, serve_config=serve_config,
+            overwrite=overwrite, **overrides
         )
-        self._state_dir = state_dir
-        self._closed = False
-        self.primary = SPCService(
-            engine, config=serve_config, overwrite=overwrite
-        )
-        self._shards = {}
-        try:
+
+    def _boot(self):
+        config = self._config
+        if self.partitioner is None:
             payload = load_checkpoint(
-                os.path.join(state_dir, SNAPSHOT_FILENAME)
+                os.path.join(self._state_dir, SNAPSHOT_FILENAME)
             )
-            if partitioner is None:
-                partitioner = make_partitioner(
-                    config.partitioner, config.shards,
-                    payload=payload, seed=config.seed,
-                )
-            self.partitioner = partitioner
-            for shard_id in range(partitioner.num_shards):
-                self._shards[shard_id] = Shard(
-                    state_dir, shard_id, partitioner,
-                    poll_interval=config.poll_interval,
-                    ring_size=config.ring_size,
-                    stall_budget=config.stall_budget,
-                )
-            self.router = ShardRouter(
-                [self._shards[i] for i in sorted(self._shards)],
-                wait_timeout=config.wait_timeout,
-                parallel_threshold=config.parallel_threshold,
-                degraded=config.degraded,
-                degraded_max_lag=config.degraded_max_lag,
-                breaker_threshold=config.breaker_threshold,
-                breaker_cooldown=config.breaker_cooldown,
+            self.partitioner = make_partitioner(
+                config.partitioner, config.shards,
+                payload=payload, seed=config.seed,
             )
-            # Publish events wake blocked cut acquires instead of letting
-            # them sleep out their wait slice.
-            for shard in self._shards.values():
-                shard.set_publish_listener(self.router.notify_event)
-        except BaseException:
-            # A shard that failed to bootstrap must not leak the ones
-            # that did, nor the primary's writer thread.
-            self._teardown()
-            raise
-
-    # ------------------------------------------------------------------
-    # Write path (primary only)
-    # ------------------------------------------------------------------
-
-    def submit(self, update):
-        """Enqueue one update on the primary."""
-        self.primary.submit(update)
-
-    def submit_many(self, updates):
-        """Enqueue a batch (kept whole) on the primary."""
-        self.primary.submit_many(updates)
-
-    def flush(self, timeout=30.0):
-        """Apply + journal everything submitted on the primary so far."""
-        return self.primary.flush(timeout=timeout)
-
-    def checkpoint(self, truncate_wal=False, timeout=30.0):
-        """Durable checkpoint on the primary (shards re-bootstrap if the
-        journal is compacted beneath their tail)."""
-        return self.primary.checkpoint(
-            truncate_wal=truncate_wal, timeout=timeout
+        for shard_id in range(self.partitioner.num_shards):
+            self._members[shard_id] = self._spawn(shard_id)
+        return ShardRouter(
+            [self._members[i] for i in sorted(self._members)],
+            **self._router_options(),
         )
 
-    # ------------------------------------------------------------------
-    # Read path (scatter-gather)
-    # ------------------------------------------------------------------
-
-    def query(self, s, t):
-        """Merged (dist, count) assembled from every shard's hub slice."""
-        return self.router.query(s, t)
-
-    def query_tagged(self, s, t):
-        """Merged answer plus its provenance: (answer, seq, target)."""
-        return self.router.query_tagged(s, t)
-
-    def query_many(self, pairs):
-        """Answer a batch of pairs against one consistent cut."""
-        return self.router.query_many(pairs)
-
-    def set_answer_tap(self, tap):
-        """Tap merged answers (shadow audit of the cross-shard merge)."""
-        self.router.set_answer_tap(tap)
-
-    def set_metrics(self, registry, tracer=None):
-        """Install (or clear, with ``None``) telemetry across the fleet:
-        the primary's serve instruments + writer spans, and the router's
-        six-stage scatter-gather breakdown (see
-        :meth:`ShardRouter.set_metrics`)."""
-        self.primary.set_metrics(registry, tracer=tracer)
-        self.router.set_metrics(registry, tracer=tracer)
-
-    # ------------------------------------------------------------------
-    # Fleet operations
-    # ------------------------------------------------------------------
-
-    @property
-    def shards(self):
-        """Mapping shard_id -> :class:`Shard` (live view, do not mutate)."""
-        return self._shards
-
-    @property
-    def config(self):
-        """The cluster's :class:`ShardConfig` (frozen)."""
-        return self._config
-
-    @property
-    def state_dir(self):
-        """The primary's durability directory (= the replication feed)."""
-        return self._state_dir
-
-    def sync(self, timeout=30.0):
-        """Flush the primary, then block until every healthy shard has
-        applied up to the primary's seq.  Returns that seq.
-
-        Raises :class:`ShardError` when a shard cannot catch up in time —
-        with sharding a lagging follower blocks fresh cuts, so the caller
-        must see it.
-        """
-        self.primary.flush(timeout=timeout)
-        target = self.primary.applied_seq
-        for shard_id, shard in self._shards.items():
-            if not shard.healthy:
-                continue
-            if not shard.catch_up(target, timeout=timeout):
-                raise ShardError(
-                    f"shard {shard_id} is stuck at seq {shard.applied_seq}, "
-                    f"primary at {target}"
-                )
-        return target
-
-    def kill_shard(self, shard_id):
-        """Hard-stop one shard mid-stream (fault injection).
-
-        Until :meth:`restart_shard` replaces it the router *refuses* all
-        reads — a missing hub slice degrades to refusal, never to wrong
-        answers.
-        """
-        self._shard(shard_id).kill()
-
-    def restart_shard(self, shard_id):
-        """Crash-recover a shard: bootstrap a fresh slice under the same
-        partition slot from the *current* checkpoint + journal tail and
-        swap it into the router.  Returns the new :class:`Shard`.
-        """
-        old = self._shard(shard_id)
-        old.kill()
-        shard = Shard(
+    def _spawn(self, shard_id):
+        return Shard(
             self._state_dir, shard_id, self.partitioner,
             poll_interval=self._config.poll_interval,
             ring_size=self._config.ring_size,
             stall_budget=self._config.stall_budget,
         )
-        shard.set_publish_listener(self.router.notify_event)
-        self._shards[shard_id] = shard
-        self.router.set_shard(shard_id, shard)
-        return shard
 
     def stats(self):
         """One dict tying together primary, shard and router counters."""
@@ -298,53 +144,9 @@ class ShardedCluster:
             "router": self.router.stats(),
         }
 
-    def close(self, timeout=30.0):
-        """Stop every shard and the primary.  Idempotent.
-
-        Shard applier failures surface as :class:`ShardError` after
-        everything has been torn down.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        failures = self._teardown(timeout=timeout)
-        if failures:
-            raise ShardError(
-                f"sharded-cluster shutdown found {len(failures)} failed "
-                f"component(s): " + "; ".join(failures)
-            )
-
-    def _teardown(self, timeout=30.0):
-        failures = []
-        for shard_id, shard in self._shards.items():
-            try:
-                shard.close()
-            except ShardError as exc:
-                failures.append(str(exc))
-        try:
-            self.primary.close(timeout=timeout)
-        except Exception as exc:  # noqa: BLE001 — reported, not masked
-            failures.append(f"primary: {exc!r}")
-        return failures
-
-    def _shard(self, shard_id):
-        try:
-            return self._shards[shard_id]
-        except KeyError:
-            raise ShardError(
-                f"no shard with id {shard_id!r}; have {sorted(self._shards)}"
-            ) from None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.close()
-        return False
-
     def __repr__(self):
         return (
-            f"ShardedCluster(shards={sorted(self._shards)}, "
+            f"ShardedCluster(shards={sorted(self._members)}, "
             f"partitioner={self.partitioner.describe()['kind']!r}, "
             f"primary_seq={self.primary.applied_seq})"
         )
@@ -357,11 +159,8 @@ def shard_cluster(graph_or_engine, state_dir, config=None, serve_config=None,
 
     Convenience entry point mirroring :func:`repro.cluster.cluster`.
     """
-    if isinstance(graph_or_engine, SPCEngine):
-        engine = graph_or_engine
-    else:
-        engine = SPCEngine(graph_or_engine, config=engine_config)
-    return ShardedCluster(
-        engine, state_dir, config=config, serve_config=serve_config,
-        partitioner=partitioner, overwrite=overwrite, **overrides
+    return ShardedCluster._open(
+        graph_or_engine, state_dir, engine_config=engine_config,
+        config=config, serve_config=serve_config, partitioner=partitioner,
+        overwrite=overwrite, **overrides
     )

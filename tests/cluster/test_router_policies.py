@@ -204,7 +204,7 @@ class TestSelection:
         dead = FakeTarget("r0", 5, healthy=False)
         router = _router(primary, [dead], "round_robin")
         assert router.acquire().name == "primary"
-        router.set_replica("r0", FakeTarget("r0", 5))
+        router.set_member("r0", FakeTarget("r0", 5))
         assert router.acquire().name == "r0"
         with pytest.raises(ClusterError, match="knows no replica"):
-            router.set_replica("r9", FakeTarget("r9", 5))
+            router.set_member("r9", FakeTarget("r9", 5))

@@ -167,6 +167,18 @@ class TestConfigAndStats:
         with pytest.raises(ReproError, match="neither"):
             Supervisor(object())
 
+    def test_fleet_lookalike_rejected(self, engine, tmp_path):
+        # Having a fleet's method names does not make an object a fleet.
+        class Lookalike:
+            primary = None
+            replicas = {}
+
+            def restart_replica(self, name):
+                raise AssertionError("never called")
+
+        with pytest.raises(ReproError, match="cannot supervise Lookalike"):
+            Supervisor(Lookalike())
+
     def test_config_validation(self):
         with pytest.raises(ReproError):
             SupervisorConfig(poll_interval=0)
