@@ -147,9 +147,7 @@ def run_audit_loadgen(backend="core", replicas=2, readers=3, duration=1.2,
 
     def corrupt_replica():
         victim = events.get("killed")
-        candidates = [
-            nm for nm in cluster.router.replica_names() if nm != victim
-        ]
+        candidates = [nm for nm in cluster.replicas if nm != victim]
         if not candidates:
             raise ClusterError(
                 "corruption needs a live replica; run with "

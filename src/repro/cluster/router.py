@@ -1,12 +1,12 @@
 """ClusterRouter: policy-driven, failure-aware read routing over replicas.
 
 The router fronts one primary :class:`~repro.serve.SPCService` and K
-:class:`~repro.cluster.replica.Replica` followers.  Every read acquires a
-*lease*: the router picks a target under the configured policy, pins that
-target's current snapshot (eligibility is evaluated on the exact snapshot
-the caller will read — never on a counter that could move between check
-and use), bumps the target's in-flight counter, and hands back a
-:class:`RoutedRead` whose release decrements the counter.
+:class:`~repro.cluster.replica.Replica` followers.  A read's lease pins
+one target's current snapshot — eligibility is evaluated on the exact
+snapshot the caller will read, never on a counter that could move
+between check and use — and holds that target's in-flight slot until
+released.  The acquire loop, breakers, taps and degraded-mode rule are
+the shared :class:`~repro.serve.router.Router` base's.
 
 Policies (``policy=`` name):
 
@@ -23,72 +23,27 @@ Every policy also honours a per-read ``min_seq`` floor — the hook sticky
 sessions use for read-your-writes (see
 :class:`~repro.cluster.session.ClusterSession`).  When no replica
 qualifies the router falls back to the primary's own snapshot if *it*
-qualifies, and otherwise waits for the fleet to catch up before raising
-:class:`~repro.exceptions.ClusterError` — returning a stale answer
-instead would silently break the policy's promise.
+qualifies, and otherwise waits for the fleet to catch up.
 
-Resilience (all per-target, selection-time):
-
-* **Retry-with-failover under a deadline** — an acquire is a loop over
-  selection attempts until ``wait_timeout``; a target that fails the
-  health/snapshot probe is simply skipped this attempt, so the read
-  fails over to whichever sibling qualifies instead of erroring on the
-  first dead replica.
-* **Circuit breakers** — each replica carries a
-  :class:`~repro.resilience.CircuitBreaker`: consecutive lease failures
-  (dead handle, no published snapshot) trip it open and the router stops
-  probing that member until the cooldown admits a half-open probe.  A
-  supervisor restart resets the breaker.  Staleness misses are *not*
-  failures — a lagging replica is healthy, just behind.
-* **Condition-variable waits** — instead of a 1 ms hot spin, waiters
-  block on a condition notified by every publish (the cluster wires
-  ``set_publish_listener`` to :meth:`notify_event`) and every health
-  transition, with a 50 ms poll cap as a safety net.
-* **Opt-in degraded mode** — with ``degraded="stale"``, a read that
-  would time out (and carries no ``min_seq`` floor — read-your-writes
-  never degrades) is served from the freshest snapshot any registered
-  target ever published, dead or alive, provided it is within
-  ``degraded_max_lag`` of the primary's applied seq.  The lease is
-  tagged ``degraded=True`` and the answer tap sees the target as
-  ``"<name>+degraded"``, so the staleness is visible end to end.  A
-  snapshot is immutable and consistent *at its own seq* — degraded
-  answers are bounded-stale, never wrong, which is why the shadow
-  auditor verifies them unchanged.  The default stays ``"refuse"``.
+Breakers are per target and checked at selection: a dead handle or a
+missing snapshot is a failure, so a dead replica is skipped and the read
+fails over to a sibling.  Staleness misses are *not* failures — a
+lagging replica is healthy, just behind.  The degraded fallback is the
+freshest snapshot any target ever published, dead or alive, within
+``degraded_max_lag`` of the primary's applied seq: a snapshot is
+consistent at its own seq, so degraded answers are bounded-stale, never
+wrong.
 """
 
-import threading
-import time
-
 from repro.exceptions import ClusterError
-from repro.resilience.breaker import CircuitBreaker
+from repro.serve.planner import gather_chunks, split_batch
+from repro.serve.router import Lease, Router, RouterObs
 
 #: policy registry — name -> nothing but validation; selection is shared.
 POLICIES = ("round_robin", "least_loaded", "bounded_staleness")
 
-#: degraded-mode vocabulary: refuse (default) or serve bounded-stale.
-DEGRADED_MODES = ("refuse", "stale")
 
-#: cap on each blocking wait slice — the safety net under lost wakeups.
-_WAIT_SLICE = 0.05
-
-
-class _Target:
-    """Router-side bookkeeping for one queryable backend (replica/primary)."""
-
-    __slots__ = ("name", "handle", "inflight", "routed", "breaker")
-
-    def __init__(self, name, handle, breaker=None):
-        self.name = name
-        self.handle = handle
-        self.inflight = 0
-        self.routed = 0
-        self.breaker = breaker
-
-    def healthy(self):
-        return getattr(self.handle, "healthy", True)
-
-
-class RoutedRead:
+class RoutedRead(Lease):
     """A leased (target, pinned snapshot) pair; use as a context manager.
 
     ``snapshot`` is immutable, so the lease may be held for a whole batch
@@ -97,56 +52,54 @@ class RoutedRead:
     served under the router's opt-in degraded mode.
     """
 
-    __slots__ = ("name", "snapshot", "degraded", "_router", "_target",
+    __slots__ = ("name", "snapshot", "degraded", "_router", "_key",
                  "_released")
 
-    def __init__(self, router, target, snapshot, degraded=False):
-        self.name = target.name
+    def __init__(self, router, key, name, snapshot, degraded=False):
+        self.name = name
         self.snapshot = snapshot
         self.degraded = degraded
         self._router = router
-        self._target = target
+        self._key = key
         self._released = False
+
+    @property
+    def seq(self):
+        return self.snapshot.seq
+
+    @property
+    def epoch(self):
+        return self.snapshot.epoch
+
+    def answer(self, s, t, trace=None):
+        return self.snapshot.query(s, t)
+
+    def answer_many(self, pairs):
+        return self.snapshot.query_many(pairs)
 
     def release(self):
         """Return the in-flight slot (idempotent)."""
         if not self._released:
             self._released = True
-            self._router._release(self._target)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        self.release()
-        return False
+            self._router._release(self._key)
 
 
-class _RouterObs:
-    """Pre-created instruments for one router (see ``set_metrics``)."""
-
-    __slots__ = ("tracer", "leases", "wait", "refusals", "transitions")
+class _ClusterObs(RouterObs):
+    """Adds the lease counter and the lease-wait histogram."""
 
     def __init__(self, registry, tracer, layer):
-        self.tracer = tracer
+        super().__init__(registry, tracer, layer)
         self.leases = registry.counter(f"repro_{layer}_leases")
         self.wait = registry.histogram(f"repro_{layer}_lease_wait_seconds")
-        self.refusals = registry.counter(f"repro_{layer}_refusals")
-        self.transitions = {
-            state: registry.counter(
-                f"repro_{layer}_breaker_transitions", to=state
-            )
-            for state in ("closed", "open", "half_open")
-        }
-
-    def on_breaker_transition(self, _old, new):
-        counter = self.transitions.get(new)
-        if counter is not None:
-            counter.inc()
 
 
-class ClusterRouter:
+class ClusterRouter(Router):
     """Route reads across one primary and its replicas under a policy."""
+
+    layer = "cluster"
+    error_type = ClusterError
+    obs_type = _ClusterObs
+    _unknown_member = "router knows no replica named {!r}"
 
     def __init__(self, primary, replicas, policy="round_robin",
                  staleness_delta=8, wait_timeout=5.0, parallel_threshold=64,
@@ -160,297 +113,62 @@ class ClusterRouter:
             raise ClusterError(
                 f"staleness_delta must be >= 0, got {staleness_delta!r}"
             )
-        if parallel_threshold < 2:
-            raise ClusterError(
-                f"parallel_threshold must be >= 2, got {parallel_threshold!r}"
-            )
-        if degraded not in DEGRADED_MODES:
-            raise ClusterError(
-                f"unknown degraded mode {degraded!r}; "
-                f"choose from {DEGRADED_MODES}"
-            )
-        if degraded_max_lag < 0:
-            raise ClusterError(
-                f"degraded_max_lag must be >= 0, got {degraded_max_lag!r}"
-            )
+        super().__init__(
+            {r.name: r for r in replicas}, wait_timeout=wait_timeout,
+            parallel_threshold=parallel_threshold, degraded=degraded,
+            degraded_max_lag=degraded_max_lag,
+            breaker_threshold=breaker_threshold,
+            breaker_cooldown=breaker_cooldown,
+        )
         self.policy = policy
         self.staleness_delta = staleness_delta
-        self.wait_timeout = wait_timeout
-        self.parallel_threshold = parallel_threshold
-        self.degraded = degraded
-        self.degraded_max_lag = degraded_max_lag
-        self._breaker_threshold = breaker_threshold
-        self._breaker_cooldown = breaker_cooldown
-        self._primary = _Target("primary", primary)
-        self._replicas = [
-            _Target(r.name, r, self._new_breaker()) for r in replicas
-        ]
-        self._lock = threading.Lock()
-        self._wakeup = threading.Condition(self._lock)
+        self._primary = primary
+        self._inflight = dict.fromkeys(self._members, 0)
+        self._routed = dict.fromkeys(self._members, 0)
+        self._primary_reads = 0
         self._rr = 0
         self._fallbacks = 0
-        self._waits = 0
         self._breaker_skips = 0
-        self._degraded_serves = 0
-        self._answer_tap = None
-        self._obs = None
-
-    def _new_breaker(self):
-        return CircuitBreaker(
-            failure_threshold=self._breaker_threshold,
-            cooldown=self._breaker_cooldown,
-        )
-
-    # ------------------------------------------------------------------
-    # Fleet management
-    # ------------------------------------------------------------------
-
-    def set_metrics(self, registry, tracer=None):
-        """Install (or clear, with ``None``) the telemetry seam.
-
-        Promotes ``stats()`` into ``registry`` as callback gauges, arms
-        lease counters and a lease-wait histogram on the acquire path,
-        counts every circuit-breaker state transition (via
-        :meth:`~repro.resilience.CircuitBreaker.set_listener`), and —
-        with a :class:`~repro.obs.Tracer` — retains span trees for
-        sampled routed reads.
-        """
-        if registry is None:
-            with self._lock:
-                targets = list(self._replicas)
-            for target in targets:
-                if target.breaker is not None:
-                    target.breaker.set_listener(None)
-            self._obs = None
-            return
-        from repro.obs.bind import bind_cluster_router
-
-        bind_cluster_router(registry, self)
-        obs = _RouterObs(registry, tracer, "cluster")
-        with self._lock:
-            targets = list(self._replicas)
-        for target in targets:
-            if target.breaker is not None:
-                target.breaker.set_listener(obs.on_breaker_transition)
-        self._obs = obs
-
-    def add_replica(self, replica):
-        """Register a new follower with the router."""
-        breaker = self._new_breaker()
-        obs = self._obs
-        if obs is not None:
-            breaker.set_listener(obs.on_breaker_transition)
-        with self._lock:
-            self._replicas.append(_Target(replica.name, replica, breaker))
-        self.notify_event()
-
-    def set_member(self, name, replica):
-        """Swap the handle behind ``name`` (a restarted replica).
-
-        The target's circuit breaker is reset — the new member deserves
-        a clean slate — and lease waiters are woken to re-examine it.
-        """
-        with self._lock:
-            for t in self._replicas:
-                if t.name == name:
-                    t.handle = replica
-                    if t.breaker is not None:
-                        t.breaker.reset()
-                    break
-            else:
-                raise ClusterError(f"router knows no replica named {name!r}")
-        self.notify_event()
-
-    def replica_names(self):
-        """The registered replica names, in registration order."""
-        with self._lock:
-            return [t.name for t in self._replicas]
-
-    def notify_event(self, *_args, **_kwargs):
-        """Wake blocked lease waiters (publish / health-change seam).
-
-        Wired to every member's ``set_publish_listener`` and to the
-        supervisor's :class:`~repro.resilience.HealthMonitor` listener —
-        extra positional arguments (the monitor passes its event) are
-        accepted and ignored so one callable fits both seams.
-        """
-        with self._wakeup:
-            self._wakeup.notify_all()
 
     # ------------------------------------------------------------------
     # Read path
     # ------------------------------------------------------------------
 
-    def acquire(self, min_seq=0):
-        """Lease a target under the policy; returns a :class:`RoutedRead`.
-
-        Guarantees: the leased snapshot is from a healthy target,
-        ``snapshot.seq >= min_seq``, and — under ``bounded_staleness`` —
-        ``snapshot.seq >= primary_applied_seq - staleness_delta`` as of
-        selection.  When nothing qualifies within ``wait_timeout``
-        seconds: raises :class:`ClusterError` (the default), or — under
-        ``degraded="stale"`` and only for floorless reads — serves the
-        freshest bounded-stale snapshot any target published, tagged
-        ``degraded=True``.
-        """
-        obs = self._obs
-        t0 = time.perf_counter() if obs is not None else 0.0
-        deadline = time.monotonic() + self.wait_timeout
-        while True:
-            lease = self._try_acquire(min_seq)
-            if lease is not None:
-                if obs is not None:
-                    obs.leases.inc()
-                    obs.wait.observe(time.perf_counter() - t0)
-                return lease
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            with self._wakeup:
-                self._waits += 1
-                self._wakeup.wait(min(_WAIT_SLICE, remaining))
-        if self.degraded == "stale" and min_seq == 0:
-            lease = self._degraded_acquire()
-            if lease is not None:
-                if obs is not None:
-                    obs.leases.inc()
-                    obs.wait.observe(time.perf_counter() - t0)
-                return lease
-        if obs is not None:
-            obs.refusals.inc()
-        raise ClusterError(
-            f"no routing target reached seq >= {min_seq} within "
-            f"{self.wait_timeout} s (policy {self.policy!r}, "
-            f"delta {self.staleness_delta}, primary at seq "
-            f"{self._primary_seq()}); the fleet is lagging or down"
-        )
-
-    def set_answer_tap(self, tap):
-        """Install (or clear, with ``None``) the answer-tap hook.
-
-        Same contract as :meth:`repro.serve.SPCService.set_answer_tap`:
-        ``tap(answered, seq, target, epoch)`` fires after every routed
-        read — point, tagged and batch paths alike — with the leased
-        snapshot's sequence number and the serving target's name, so an
-        :class:`~repro.audit.AuditSampler` observes answers from every
-        replica the policy touches.  Degraded leases report their target
-        as ``"<name>+degraded"``.
-        """
-        self._answer_tap = tap
-
-    def _tapped(self, lease, answered):
-        tap = self._answer_tap
-        if tap is not None:
-            snap = lease.snapshot
-            name = f"{lease.name}+degraded" if lease.degraded else lease.name
-            tap(answered, snap.seq, name, snap.epoch)
-
-    def query(self, s, t, min_seq=0):
-        """Answer one pair through the policy; returns (sd, spc)."""
-        obs = self._obs
-        tracer = obs.tracer if obs is not None else None
-        trace = tracer.maybe_begin("cluster_query") if tracer else None
-        if trace is None:
-            with self.acquire(min_seq) as lease:
-                answer = lease.snapshot.query(s, t)
-                self._tapped(lease, [((s, t), answer)])
-                return answer
-        t0 = time.perf_counter()
-        with self.acquire(min_seq) as lease:
-            t1 = time.perf_counter()
-            answer = lease.snapshot.query(s, t)
-            t2 = time.perf_counter()
-            self._tapped(lease, [((s, t), answer)])
-            t3 = time.perf_counter()
-            trace.add("queue_wait", t1 - t0, meta={"target": lease.name})
-            trace.add("probe", t2 - t1)
-            trace.add("tap", t3 - t2)
-            trace.finish(t3 - t0)
-            return answer
-
-    def query_tagged(self, s, t, min_seq=0):
-        """Answer one pair; returns ``(answer, seq, target_name)``.
-
-        The seq is the claimed consistency point of the answer — the
-        harness checks every tagged answer against a progressive WAL
-        replay at exactly that sequence number.
-        """
-        with self.acquire(min_seq) as lease:
-            answer = lease.snapshot.query(s, t)
-            self._tapped(lease, [((s, t), answer)])
-            name = f"{lease.name}+degraded" if lease.degraded else lease.name
-            return answer, lease.snapshot.seq, name
-
     def query_many(self, pairs, min_seq=0):
         """Answer a batch of pairs, spreading large batches over the fleet.
 
         Batches shorter than ``parallel_threshold`` — or when fewer than
-        two healthy replicas are up — take the classic path: one lease,
-        one snapshot, one pass.  Larger batches are split into contiguous
-        sub-batches (:func:`repro.shard.planner.split_batch`), each
-        answered under its *own* lease on whatever target the policy
-        picks, and reassembled in submission order.  Each sub-batch fires
-        the answer tap with its own (seq, target), so every answer is
-        still attributed to the exact snapshot that served it — sub-
-        batches may land on different seqs, which is why
+        two healthy replicas are up — take one lease, one snapshot, one
+        pass.  Larger batches are split into contiguous sub-batches
+        (:func:`repro.serve.planner.split_batch`), each answered under
+        its *own* lease on whatever target the policy picks, and
+        reassembled in submission order.  Each sub-batch fires the
+        answer tap with its own (seq, target), so every answer is still
+        attributed to the exact snapshot that served it — sub-batches
+        may land on different seqs, which is why
         :meth:`query_many_tagged` (one claimed seq for the whole batch)
         never splits.
         """
         pairs = list(pairs)
         if len(pairs) >= self.parallel_threshold:
-            # Deferred import: repro.shard's package init reaches back
-            # into repro.cluster through the audit harness, so a top-
-            # level import here would be circular.
-            from repro.shard.planner import gather_chunks, split_batch
+            ways = sum(1 for _key, r in self._member_items() if r.healthy)
+            chunks = split_batch(
+                pairs, ways, min_chunk=self.parallel_threshold // 2
+            )
+            if len(chunks) >= 2:
+                def worker(_offset, chunk):
+                    return self._read(min_seq, chunk, False)[0]
 
-            with self._lock:
-                ways = sum(1 for t in self._replicas if t.healthy())
-            if ways >= 2:
-                chunks = split_batch(
-                    pairs, ways, min_chunk=self.parallel_threshold // 2
-                )
-                if len(chunks) >= 2:
-                    def worker(_offset, chunk):
-                        with self.acquire(min_seq) as lease:
-                            answers = lease.snapshot.query_many(chunk)
-                            self._tapped(lease, list(zip(chunk, answers)))
-                            return answers
+                return gather_chunks(chunks, worker, parallel=True)
+        return super().query_many(pairs, min_seq)
 
-                    return gather_chunks(chunks, worker, parallel=True)
-        obs = self._obs
-        tracer = obs.tracer if obs is not None else None
-        trace = tracer.maybe_begin("cluster_query_many") if tracer else None
-        if trace is None:
-            with self.acquire(min_seq) as lease:
-                answers = lease.snapshot.query_many(pairs)
-                self._tapped(lease, list(zip(pairs, answers)))
-                return answers
-        t0 = time.perf_counter()
-        with self.acquire(min_seq) as lease:
-            t1 = time.perf_counter()
-            answers = lease.snapshot.query_many(pairs)
-            t2 = time.perf_counter()
-            self._tapped(lease, list(zip(pairs, answers)))
-            t3 = time.perf_counter()
+    def _record(self, obs, trace, lease, point, pairs, t0, t1, t2, t3):
+        if trace is not None:
             trace.add("queue_wait", t1 - t0, meta={"target": lease.name})
-            trace.add("probe", t2 - t1, meta={"pairs": len(pairs)})
+            trace.add("probe", t2 - t1,
+                      meta=None if point else {"pairs": pairs})
             trace.add("tap", t3 - t2)
             trace.finish(t3 - t0)
-            return answers
-
-    def query_many_tagged(self, pairs, min_seq=0):
-        """Batch variant of :meth:`query_tagged`: (answers, seq, name).
-
-        Always a single lease: the returned seq is a claim about *every*
-        answer in the batch, so the batch is never split across
-        snapshots (use :meth:`query_many` for replica-spread batches).
-        """
-        pairs = list(pairs)
-        with self.acquire(min_seq) as lease:
-            answers = lease.snapshot.query_many(pairs)
-            self._tapped(lease, list(zip(pairs, answers)))
-            name = f"{lease.name}+degraded" if lease.degraded else lease.name
-            return answers, lease.snapshot.seq, name
 
     # ------------------------------------------------------------------
     # Introspection
@@ -463,22 +181,22 @@ class ClusterRouter:
                 "policy": self.policy,
                 "staleness_delta": self.staleness_delta,
                 "degraded_mode": self.degraded,
-                "routed": {t.name: t.routed for t in self._replicas},
-                "primary_reads": self._primary.routed,
+                "routed": dict(self._routed),
+                "primary_reads": self._primary_reads,
                 "fallbacks": self._fallbacks,
                 "waits": self._waits,
                 "breaker_skips": self._breaker_skips,
                 "degraded_serves": self._degraded_serves,
                 "breakers": {
-                    t.name: t.breaker.stats()
-                    for t in self._replicas if t.breaker is not None
+                    name: breaker.stats()
+                    for name, breaker in self._breakers.items()
                 },
             }
 
     def __repr__(self):
         return (
             f"ClusterRouter(policy={self.policy!r}, "
-            f"replicas={[t.name for t in self._replicas]}, "
+            f"replicas={list(self._members)}, "
             f"delta={self.staleness_delta}, degraded={self.degraded!r})"
         )
 
@@ -487,7 +205,7 @@ class ClusterRouter:
     # ------------------------------------------------------------------
 
     def _primary_seq(self):
-        return self._primary.handle.applied_seq
+        return self._primary.applied_seq
 
     def _try_acquire(self, min_seq):
         """One selection attempt; returns a lease or None (nothing fresh)."""
@@ -495,31 +213,27 @@ class ClusterRouter:
             floor = self._primary_seq() - self.staleness_delta
         else:
             floor = None
-        candidates = []  # (target, pinned snapshot)
+        candidates = []  # (name, pinned snapshot)
         skips = 0
-        with self._lock:
-            replicas = list(self._replicas)
-        for target in replicas:
-            breaker = target.breaker
-            if not target.healthy():
+        for name, replica in self._member_items():
+            breaker = self._breakers[name]
+            if not replica.healthy:
                 # A dead handle is a lease failure the breaker counts —
                 # once open, the router skips the member without even
                 # reading it until a half-open probe is due.
-                if breaker is not None and breaker.allow():
+                if breaker.allow():
                     breaker.record_failure()
                 else:
                     skips += 1
                 continue
-            if breaker is not None and not breaker.allow():
+            if not breaker.allow():
                 skips += 1
                 continue
-            snap = target.handle.snapshot()
+            snap = replica.snapshot()
             if snap is None:
-                if breaker is not None:
-                    breaker.record_failure()
+                breaker.record_failure()
                 continue
-            if breaker is not None:
-                breaker.record_success()
+            breaker.record_success()
             # Staleness misses are not target failures: the member is
             # healthy, merely behind — the supervisor's lag tracking owns
             # that signal, not the breaker.
@@ -527,7 +241,7 @@ class ClusterRouter:
                 continue
             if floor is not None and snap.seq < floor:
                 continue
-            candidates.append((target, snap))
+            candidates.append((name, snap))
         if skips:
             with self._lock:
                 self._breaker_skips += skips
@@ -536,16 +250,24 @@ class ClusterRouter:
         # No replica qualifies: the primary's own snapshot is the fallback,
         # held to the same freshness bar (its snapshot can trail its
         # applied seq by up to publish_every, so it must be checked too).
-        snap = self._primary.handle.snapshot()
+        snap = self._primary.snapshot()
         if snap is not None and snap.seq >= min_seq and (
             floor is None or snap.seq >= floor
         ):
             with self._lock:
                 self._fallbacks += 1
-            return self._lease(self._primary, snap)
+            return self._lease(None, snap)
         return None
 
-    def _degraded_acquire(self):
+    def _deadline_error(self, min_seq):
+        return ClusterError(
+            f"no routing target reached seq >= {min_seq} within "
+            f"{self.wait_timeout} s (policy {self.policy!r}, "
+            f"delta {self.staleness_delta}, primary at seq "
+            f"{self._primary_seq()}); the fleet is lagging or down"
+        )
+
+    def _degraded(self):
         """Serve the freshest bounded-stale snapshot from *any* target.
 
         Health, breakers and the staleness policy are deliberately
@@ -556,41 +278,47 @@ class ClusterRouter:
         refusal stands.
         """
         floor = self._primary_seq() - self.degraded_max_lag
-        with self._lock:
-            targets = [self._primary] + list(self._replicas)
         best = None
-        for target in targets:
+        for name, target in [(None, self._primary)] + self._member_items():
             try:
-                snap = target.handle.snapshot()
+                snap = target.snapshot()
             except Exception:  # noqa: BLE001 — a torn-down handle yields
                 continue       # nothing; degraded mode scavenges, not insists
             if snap is None or snap.seq < floor:
                 continue
             if best is None or snap.seq > best[1].seq:
-                best = (target, snap)
+                best = (name, snap)
         if best is None:
             return None
-        with self._lock:
-            self._degraded_serves += 1
         return self._lease(*best, degraded=True)
 
+    def _on_grant(self, obs, lease, elapsed):
+        obs.leases.inc()
+        obs.wait.observe(elapsed)
+
     def _pick(self, candidates):
-        """Choose among eligible (target, snapshot) pairs under the policy."""
+        """Choose among eligible (name, snapshot) pairs under the policy."""
         with self._lock:
             if self.policy == "least_loaded":
-                lightest = min(c[0].inflight for c in candidates)
+                lightest = min(self._inflight[c[0]] for c in candidates)
                 candidates = [
-                    c for c in candidates if c[0].inflight == lightest
+                    c for c in candidates if self._inflight[c[0]] == lightest
                 ]
             self._rr += 1
             return candidates[self._rr % len(candidates)]
 
-    def _lease(self, target, snapshot, degraded=False):
+    def _lease(self, key, snapshot, degraded=False):
+        """Lease ``snapshot`` from replica ``key`` (``None``: the primary)."""
         with self._lock:
-            target.inflight += 1
-            target.routed += 1
-        return RoutedRead(self, target, snapshot, degraded=degraded)
+            if key is None:
+                self._primary_reads += 1
+            else:
+                self._inflight[key] += 1
+                self._routed[key] += 1
+        name = "primary" if key is None else key
+        return RoutedRead(self, key, name, snapshot, degraded=degraded)
 
-    def _release(self, target):
-        with self._lock:
-            target.inflight -= 1
+    def _release(self, key):
+        if key is not None:
+            with self._lock:
+                self._inflight[key] -= 1

@@ -10,11 +10,9 @@ via :mod:`repro.obs.bind`, and Prometheus-text / JSON exposition via
 
 from repro.obs.bind import (
     bind_auditor,
-    bind_cluster_router,
     bind_engine,
     bind_sampler,
     bind_service,
-    bind_shard_router,
     bind_stats,
     bind_supervisor,
 )
@@ -41,11 +39,9 @@ __all__ = [
     "Span",
     "Tracer",
     "bind_auditor",
-    "bind_cluster_router",
     "bind_engine",
     "bind_sampler",
     "bind_service",
-    "bind_shard_router",
     "bind_stats",
     "bind_supervisor",
     "bucket_index",

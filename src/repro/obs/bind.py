@@ -107,18 +107,6 @@ def bind_engine(registry, engine, **labels):
     return names
 
 
-def bind_cluster_router(registry, router, **labels):
-    """``ClusterRouter.stats()`` -> ``repro_cluster_*`` gauges (routed,
-    fallbacks, waits, breaker trip counts, degraded serves)."""
-    return bind_stats(registry, "repro_cluster", router.stats, **labels)
-
-
-def bind_shard_router(registry, router, **labels):
-    """``ShardRouter.stats()`` -> ``repro_shard_*`` gauges (scattered
-    queries, refusals, cut waits)."""
-    return bind_stats(registry, "repro_shard", router.stats, **labels)
-
-
 def bind_sampler(registry, sampler, **labels):
     """``AuditSampler.stats()`` -> ``repro_audit_sampler_*`` gauges
     (rate, seen, sampled, evicted, buffered)."""

@@ -36,7 +36,7 @@ from repro.shard.partitioner import (
     hub_weights_from_payload,
     make_partitioner,
 )
-from repro.shard.planner import gather_chunks, split_batch
+from repro.serve.planner import gather_chunks, split_batch
 from repro.shard.scatter import ShardRouter
 from repro.shard.shard import Shard, ShardStore, partial_answer
 from repro.shard.shardcluster import ShardConfig, ShardedCluster, shard_cluster

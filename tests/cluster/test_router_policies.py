@@ -191,6 +191,18 @@ class TestSelection:
         with pytest.raises(ClusterError, match="lagging"):
             router.acquire()
 
+    def test_empty_batch_takes_no_lease(self):
+        # A lagging fleet would refuse any lease after wait_timeout; an
+        # empty batch must not ask for one, nor fire the tap.
+        primary = FakeTarget("primary", 20, snap_seq=10)
+        router = _router(primary, [FakeTarget("r0", 9)], "bounded_staleness",
+                         delta=2, wait_timeout=5.0)
+        seen = []
+        router.set_answer_tap(lambda *args: seen.append(args))
+        assert router.query_many([]) == []
+        assert seen == []
+        assert router.stats()["waits"] == 0
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(ClusterError, match="unknown routing policy"):
             _router(FakeTarget("primary", 0), [], "random")

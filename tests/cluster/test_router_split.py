@@ -1,4 +1,5 @@
-"""Replica-aware batch planning in ClusterRouter.query_many."""
+"""Replica-aware batch planning in ClusterRouter.query_many, and the
+parallel_threshold check both routers share."""
 
 import random
 
@@ -6,8 +7,9 @@ import pytest
 
 import repro
 from repro.cluster import SPCCluster
-from repro.exceptions import ClusterError
+from repro.exceptions import ClusterError, ShardError
 from repro.graph.generators import erdos_renyi
+from repro.shard import ShardedCluster
 from repro.workloads import InsertEdge
 
 
@@ -89,3 +91,10 @@ class TestQueryManySplit:
         g = erdos_renyi(8, 12, seed=0)
         with pytest.raises(ClusterError, match="parallel_threshold"):
             SPCCluster(repro.open(g), str(tmp_path), parallel_threshold=1)
+
+    @pytest.mark.parametrize("threshold", [1, 0, -5])
+    def test_shard_threshold_validation(self, tmp_path, threshold):
+        g = erdos_renyi(8, 12, seed=0)
+        with pytest.raises(ShardError, match="parallel_threshold"):
+            ShardedCluster(repro.open(g), str(tmp_path), shards=2,
+                           parallel_threshold=threshold)
