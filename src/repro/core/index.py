@@ -155,15 +155,14 @@ class SPCIndex:
         """Return spc(s, t) (0 when disconnected)."""
         return self.query(s, t)[1]
 
-    def source_probe(self, s, hub_filter=None):
+    def source_probe(self, s):
         """Return ``probe(t) -> (sd, spc)`` sharing one scan of L(s).
 
         See :func:`repro.core.labels.counting_probe` — equivalent to
         :meth:`query` for every t, profitable whenever several queries
-        share a source.  ``hub_filter`` restricts the merge to a hub-rank
-        subset and yields shard-mergeable *partial* answers.
+        share a source.
         """
-        return counting_probe(self.label_set(s), self.label_set, hub_filter)
+        return counting_probe(self.label_set(s), self.label_set)
 
     def set_dirty_sink(self, sink):
         """Install (or clear, with ``None``) a dirty-vertex sink.

@@ -251,33 +251,28 @@ def frozen_labels(prev, live, dirty, copy):
     return out
 
 
-def counting_probe(source_labels, target_label_of, hub_filter=None):
+def counting_probe(source_labels, target_label_of):
     """Return ``probe(t) -> (sd, spc)`` sharing one scan of the source labels.
 
     The PSPC-style batch-serving primitive behind ``source_probe`` on every
-    counting index: ``source_labels`` (an iterable of (hub, dist, count)
-    triples — the query source's label set) is materialized into one
-    hub -> (dist, count) dict, and each ``probe(t)`` answers by a single
-    scan over ``target_label_of(t)``'s label arrays — the same array-probe
-    trick the builder's pruning test uses.  Equivalent to the two-pointer
-    merge query for every t; profitable whenever several queries share a
-    source.
+    counting index: ``source_labels`` (the query source's :class:`LabelSet`)
+    is materialized into one hub -> (dist, count) dict, and each
+    ``probe(t)`` answers by a single scan over ``target_label_of(t)``'s
+    label arrays — the same array-probe trick the builder's pruning test
+    uses.  Equivalent to the two-pointer merge query for every t;
+    profitable whenever several queries share a source.
 
-    ``hub_filter`` (a ``rank -> bool`` predicate) restricts the merge to a
-    hub subset, yielding a *partial* answer: the (dist, count) contribution
-    of just those hubs.  Partials over a partition of the hub space combine
-    back to the full answer with
-    :func:`repro.audit.comparator.merge_partial_answers` — the algebra the
-    scatter-gather shard router is built on (DESIGN.md §13).
+    The scan is rank-bounded like Algorithm 1's merge, which stops when
+    the shorter array runs out: it covers only
+    ``hubs[:bisect_right(hubs, bound)]``, ``bound`` being the largest hub
+    rank of the source (-1 when it holds none).  No hub ranked past it can
+    be in the source dict.  Sortedness alone makes this sound, so it holds
+    for stale labels and for vertices appended after the build alike
+    (DESIGN.md §9).
     """
-    s_entry = {}
-    if hub_filter is None:
-        for h, d, c in source_labels:
-            s_entry[h] = (d, c)
-    else:
-        for h, d, c in source_labels:
-            if hub_filter(h):
-                s_entry[h] = (d, c)
+    hubs_s = source_labels.hubs
+    s_entry = dict(zip(hubs_s, zip(source_labels.dists, source_labels.counts)))
+    bound = hubs_s[-1] if hubs_s else -1
 
     def probe(t):
         lt = target_label_of(t)
@@ -285,7 +280,7 @@ def counting_probe(source_labels, target_label_of, hub_filter=None):
         best = INF
         count = 0
         get = s_entry.get
-        for i in range(len(hubs)):
+        for i in range(bisect_right(hubs, bound)):
             e = get(hubs[i])
             if e is not None:
                 d = e[0] + dists[i]

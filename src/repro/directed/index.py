@@ -135,16 +135,14 @@ class DirectedSPCIndex:
         """Return spc(s→t)."""
         return self.query(s, t)[1]
 
-    def source_probe(self, s, hub_filter=None):
+    def source_probe(self, s):
         """Return ``probe(t) -> (sd(s→t), spc(s→t))`` sharing one L_out(s) scan.
 
         Directed twin of :func:`repro.core.labels.counting_probe`: the
-        source dict comes from L_out(s) and each probe scans L_in(t).
-        ``hub_filter`` restricts the merge to a hub-rank subset, yielding
-        shard-mergeable partial answers.
+        source dict comes from L_out(s) and each probe scans L_in(t), up
+        to the largest hub rank in L_out(s).
         """
-        return counting_probe(self.out_label_set(s), self.in_label_set,
-                              hub_filter)
+        return counting_probe(self.out_label_set(s), self.in_label_set)
 
     def set_dirty_sink(self, sink):
         """Install (or clear) a dirty-vertex sink over both label families."""

@@ -15,7 +15,7 @@ when the existing index matches the tentative distance (d_L <= D, not
 d_L < D), which is what drops the non-canonical labels.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 
 from repro.core.labels import frozen_labels
@@ -88,24 +88,23 @@ class SDIndex:
         """
         return self.distance(s, t), None
 
-    def source_probe(self, s, hub_filter=None):
+    def source_probe(self, s):
         """Return ``probe(t) -> (sd, None)`` sharing one scan of L(s).
 
-        ``hub_filter`` restricts the merge to a hub-rank subset, yielding
-        shard-mergeable partial answers (distance-only).
+        The distance-only twin of :func:`repro.core.labels.counting_probe`,
+        rank-bounded the same way: each probe scans L(t) only up to the
+        largest hub rank in L(s).
         """
         hubs_s, dists_s = self.label_arrays(s)
-        if hub_filter is None:
-            s_entry = dict(zip(hubs_s, dists_s))
-        else:
-            s_entry = {h: d for h, d in zip(hubs_s, dists_s) if hub_filter(h)}
+        s_entry = dict(zip(hubs_s, dists_s))
+        bound = hubs_s[-1] if hubs_s else -1
         label_of = self.label_arrays
 
         def probe(t):
             hubs, dists = label_of(t)
             best = INF
             get = s_entry.get
-            for i in range(len(hubs)):
+            for i in range(bisect_right(hubs, bound)):
                 rd = get(hubs[i])
                 if rd is not None:
                     d = rd + dists[i]

@@ -312,9 +312,14 @@ class Router:
         """Batch variant of :meth:`query_tagged`: (answers, seq, target).
 
         Always a single lease: the returned seq is a claim about *every*
-        answer in the batch.
+        answer in the batch.  An empty batch claims nothing, so it
+        returns ``([], min_seq, None)`` — the caller's own floor — without
+        a lease or a tap call, as :meth:`query_many` does.
         """
-        answers, lease = self._read(min_seq, list(pairs), False)
+        pairs = list(pairs)
+        if not pairs:
+            return [], min_seq, None
+        answers, lease = self._read(min_seq, pairs, False)
         return answers, lease.seq, lease.target
 
     def _read(self, min_seq, pairs, point, obs=None):

@@ -94,14 +94,13 @@ class WeightedSPCIndex:
         """Return spc(s, t)."""
         return self.query(s, t)[1]
 
-    def source_probe(self, s, hub_filter=None):
+    def source_probe(self, s):
         """Return ``probe(t) -> (sd, spc)`` sharing one scan of L(s).
 
         See :func:`repro.core.labels.counting_probe`; identical under
-        weighted distances.  ``hub_filter`` restricts the merge to a
-        hub-rank subset, yielding shard-mergeable partial answers.
+        weighted distances.
         """
-        return counting_probe(self.label_set(s), self.label_set, hub_filter)
+        return counting_probe(self.label_set(s), self.label_set)
 
     def set_dirty_sink(self, sink):
         """Install (or clear) a dirty-vertex sink (see SPCIndex)."""

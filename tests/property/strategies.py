@@ -3,6 +3,7 @@
 from hypothesis import strategies as st
 
 from repro.graph import DiGraph, Graph, WeightedGraph
+from repro.workloads import DeleteEdge, DeleteVertex, InsertEdge, InsertVertex
 
 
 @st.composite
@@ -103,3 +104,25 @@ def _absent_edges(graph):
         for v in vs[i + 1:]
         if not graph.has_edge(u, v)
     ]
+
+
+def next_update(engine, kind, i, directed, weighted):
+    """Materialize one abstract op against the live graph, or None."""
+    g = engine.graph
+    vs = sorted(g.vertices())
+    if kind == "addv":
+        return InsertVertex(vs[-1] + 1 if vs else 0)
+    if kind == "delv":
+        return DeleteVertex(vs[i % len(vs)]) if len(vs) > 2 else None
+    if kind == "ins":
+        pairs = [(u, v) for u in vs for v in vs
+                 if (u != v if directed else u < v) and not g.has_edge(u, v)]
+        if not pairs:
+            return None
+        u, v = pairs[i % len(pairs)]
+        return InsertEdge(u, v, i % 4 + 1 if weighted else None)
+    edges = sorted(g.edges())
+    if not edges:
+        return None
+    u, v = edges[i % len(edges)][:2]
+    return DeleteEdge(u, v)

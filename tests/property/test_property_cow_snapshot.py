@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from repro.engine import EngineConfig, SPCEngine
 from repro.graph.generators import erdos_renyi, random_directed, random_weighted
-from repro.workloads import DeleteEdge, DeleteVertex, InsertEdge, InsertVertex
 from tests.property.strategies import (
+    next_update,
     small_digraphs,
     small_graphs,
     small_weighted_graphs,
@@ -37,28 +37,6 @@ BATCHES = st.lists(
     st.tuples(st.booleans(), st.lists(OPS, max_size=4)),  # (rebuild?, ops)
     min_size=1, max_size=5,
 )
-
-
-def next_update(engine, kind, i, directed, weighted):
-    """Materialize one abstract op against the live graph, or None."""
-    g = engine.graph
-    vs = sorted(g.vertices())
-    if kind == "addv":
-        return InsertVertex(vs[-1] + 1 if vs else 0)
-    if kind == "delv":
-        return DeleteVertex(vs[i % len(vs)]) if len(vs) > 2 else None
-    if kind == "ins":
-        pairs = [(u, v) for u in vs for v in vs
-                 if (u != v if directed else u < v) and not g.has_edge(u, v)]
-        if not pairs:
-            return None
-        u, v = pairs[i % len(pairs)]
-        return InsertEdge(u, v, i % 4 + 1 if weighted else None)
-    edges = sorted(g.edges())
-    if not edges:
-        return None
-    u, v = edges[i % len(edges)][:2]
-    return DeleteEdge(u, v)
 
 
 def label_state(index, name, v):

@@ -3,9 +3,12 @@
 Both routers run over fake members with hand-set sequence numbers, so
 every case is deterministic: per-member breakers and ``set_member``, the
 floorless degraded path and its ``+degraded`` tap tag, the metric and
-trace names ``set_metrics`` installs, and ``set_metrics(None)`` leaving
-no breaker listener behind.
+trace names ``set_metrics`` installs, ``set_metrics(None)`` leaving
+no breaker listener behind, and an empty tagged batch claiming its floor
+without a lease.
 """
+
+import time
 
 import pytest
 
@@ -212,6 +215,31 @@ class TestDegraded:
         assert router.query(0, 1) == (1, 2)
         assert seen == [(4, "shard-router+degraded")] * 2
         assert router.stats()["degraded_serves"] == 2
+
+
+def _lagging_shards(**kw):
+    # Shard 0 holds only seq 5, shard 1 only seq 3: no cut exists.
+    return shard_router([FakeShard(0, seqs=(5,)), FakeShard(1, seqs=(3,))],
+                        **kw)
+
+
+class TestEmptyBatch:
+    @pytest.mark.parametrize("make, error_type", [
+        (_lagging_cluster, ClusterError), (_lagging_shards, ShardError),
+    ], ids=["cluster", "shard"])
+    def test_empty_tagged_batch_claims_the_floor_without_a_lease(
+            self, make, error_type):
+        router = make(wait_timeout=0.2)
+        seen = []
+        router.set_answer_tap(lambda *args: seen.append(args))
+        t0 = time.monotonic()
+        assert router.query_many_tagged([]) == ([], 0, None)
+        assert router.query_many_tagged([], min_seq=7) == ([], 7, None)
+        assert router.query_many([]) == []
+        assert time.monotonic() - t0 < 0.1
+        assert seen == []
+        with pytest.raises(error_type):
+            router.query_many_tagged([(0, 1)])
 
 
 class TestMetrics:
