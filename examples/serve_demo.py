@@ -2,8 +2,9 @@
 
 A service wraps the engine behind an update queue: reader threads answer
 queries lock-free against pinned, immutable snapshots while one writer
-applies updates and publishes fresh snapshots under an every-k /
-max-staleness policy.  Everything applied is write-ahead logged, so the
+applies updates and publishes a fresh snapshot as soon as its queue
+drains (``publish_every`` / ``max_staleness`` bound it only while the
+queue never empties).  Everything applied is write-ahead logged, so the
 service warm-restarts from its checkpoint + WAL tail with identical
 answers and no index rebuild.
 

@@ -17,8 +17,9 @@ How determinism is engineered, not hoped for:
   ``submit_many`` (kept whole by the writer's drain contract) followed
   by a full :meth:`~repro.shard.ShardedCluster.sync`, so writer-batch /
   WAL / journal / publish counters cannot depend on drain timing;
-* **publish_every=1** — every applied batch publishes inside the writer
-  (never from the idle-staleness path), pinning the publish count to the
+* **publish_every=1** — every applied batch publishes right after its
+  apply, so the writer is never dirty when its queue drains and the
+  publish-on-idle path never fires, pinning the publish count to the
   batch count.
 
 The driver exercises every instrumented seam at once: the shard router's
@@ -71,7 +72,7 @@ def run_obs_loadgen(backend="core", n=400, m=1200, shards=3, churn=48,
     state_dir = state_dir or tempfile.mkdtemp(prefix="repro-obs-")
     # publish_every=1: every applied batch publishes synchronously inside
     # the writer, so the publish count is pinned to the batch count (the
-    # idle-staleness publish path never fires on a quiesced service).
+    # publish-on-idle path never finds the writer dirty).
     serve_config = ServeConfig(publish_every=1, queue_capacity=4096)
     shard_config = ShardConfig(shards=shards, seed=seed)
     sampler = AuditSampler(rate=tap_rate, capacity=tap_capacity,

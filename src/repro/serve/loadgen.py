@@ -447,6 +447,15 @@ def run_loadgen(backend="core", readers=4, duration=1.0, n=300, m=900,
             picker=lambda sd: make_pair_picker(source_picker, vertices, sd,
                                                picker_kwargs),
         )
+        # Publish-on-idle contract: once the submitter stops, the writer
+        # must drain and publish without a flush.  Judges progress only.
+        deadline = time.monotonic() + 5.0
+        while service.stats()["queue_depth"] or service.lag():
+            if time.monotonic() >= deadline:
+                run["problems"].append(
+                    "idle writer left applied batches unpublished")
+                break
+            time.sleep(0.005)
         service.flush()
         elapsed = time.time() - run["started"]
         stats = service.stats()

@@ -12,12 +12,14 @@ attribute store.  Any number of reader threads answer queries against the
 current snapshot with no locks: the GIL makes the snapshot-pointer read
 atomic, and a published snapshot is never mutated.
 
-Publish policy (:class:`ServeConfig`): a new snapshot is published once
-``publish_every`` updates have been applied since the last one, or once
-the oldest unpublished update is ``max_staleness`` seconds old, whichever
-comes first.  Readers therefore see answers at most ``max_staleness``
-behind the applied stream — the freshness/throughput dial that PSPC-style
-shared serving and the dynamic road-network literature both expose.
+Publish policy: the writer publishes whenever its queue drains — it
+never blocks with applied-but-unpublished updates, so an idle writer
+makes each write visible right after its apply.  A busy writer, whose
+queue never empties, is bounded by :class:`ServeConfig`: it publishes
+once ``publish_every`` updates have been applied since the last snapshot,
+or once the oldest unpublished update is ``max_staleness`` seconds old,
+whichever comes first.  A publish is a copy-on-write of the dirty label
+sets only, so publishing on idle costs little and buys freshness.
 
 Durability: with ``durability_dir`` set, the service keeps a checkpoint
 file (``snapshot.json``) plus a WAL (``wal.jsonl``) in that directory;
@@ -57,12 +59,12 @@ class ServeConfig:
     Parameters
     ----------
     publish_every:
-        Publish a fresh snapshot once this many updates have been applied
-        since the last publication (the every-k half of the policy).
+        A busy writer (its queue never drains) publishes once this many
+        updates have been applied since the last snapshot.
     max_staleness:
-        Publish once the oldest applied-but-unpublished update is this
-        many seconds old (the freshness half).  Bounds how far behind the
-        applied stream readers can observe.
+        A busy writer also publishes once the oldest unpublished update
+        is this many seconds old.  An idle writer waits on neither: it
+        publishes as soon as its queue drains.
     drain_max:
         Upper bound on updates drained into one applied batch — caps both
         coalescing latency and the size of a WAL record.
@@ -706,11 +708,12 @@ class SPCService:
         try:
             while True:
                 try:
-                    item = self._queue.get(timeout=self._poll_timeout())
+                    item = self._queue.get_nowait()
                 except queue.Empty:
+                    # Never block dirty, whatever token ended the drain.
                     if self._dirty:
                         self._publish()
-                    continue
+                    item = self._queue.get()
                 if not self._handle(item):
                     return
         except BaseException as exc:  # noqa: BLE001 — surfaced via ServeError
@@ -755,13 +758,6 @@ class SPCService:
         if control is not None:
             return self._handle(control)
         return True
-
-    def _poll_timeout(self):
-        """How long the writer may sleep before a staleness deadline."""
-        if self._dirty_since is None:
-            return None
-        deadline = self._dirty_since + self._config.max_staleness
-        return max(0.0, deadline - time.monotonic())
 
     def _apply_drained(self, first):
         """Drain up to drain_max updates starting at ``first`` and apply

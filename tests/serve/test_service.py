@@ -1,6 +1,7 @@
 """SPCService: the writer loop, publish policy, durability, and restore."""
 
 import os
+import threading
 
 import pytest
 
@@ -219,6 +220,90 @@ class TestPublishPolicy:
                 assert time.time() < deadline, "staleness publish never fired"
                 time.sleep(0.005)
             assert service.query(0, 4) == (1, 1)
+
+    def test_idle_writer_publishes_without_waiting_out_the_timer(
+            self, paper_graph):
+        import time
+
+        config = ServeConfig(publish_every=10_000, max_staleness=30.0)
+        with SPCService(repro.open(paper_graph), config) as service:
+            service.submit(InsertEdge(0, 4))
+            deadline = time.monotonic() + 5.0
+            while service.snapshot().seq != 1:
+                assert time.monotonic() < deadline, "idle writer never published"
+                time.sleep(0.005)
+            assert service.query(0, 4) == (1, 1)
+
+    def test_update_then_checkpoint_still_publishes(self, paper_graph,
+                                                    tmp_path):
+        import time
+
+        config = ServeConfig(publish_every=10_000, max_staleness=30.0,
+                             durability_dir=str(tmp_path))
+        with SPCService(repro.open(paper_graph), config) as service:
+            # Hold the writer inside the update's apply until the
+            # checkpoint token is queued behind it: the queue is then
+            # non-empty when the batch ends, and the checkpoint itself
+            # never publishes, so only the idle rule can publish here.
+            entered, release = threading.Event(), threading.Event()
+            apply = service.engine.apply
+
+            def held_apply(update):
+                entered.set()
+                release.wait(5.0)
+                return apply(update)
+
+            service.engine.apply = held_apply
+            service.submit(InsertEdge(0, 4))
+            assert entered.wait(5.0)
+            checkpointer = threading.Thread(target=service.checkpoint)
+            checkpointer.start()
+            deadline = time.monotonic() + 5.0
+            while service.stats()["queue_depth"] == 0:
+                assert time.monotonic() < deadline, "checkpoint never queued"
+                time.sleep(0.001)
+            release.set()
+            checkpointer.join(5.0)
+            assert not checkpointer.is_alive()
+            service.engine.apply = apply
+            while service.snapshot().seq != 1:
+                assert time.monotonic() < deadline, (
+                    "writer went idle with an unpublished update"
+                )
+                time.sleep(0.005)
+            assert service.query(0, 4) == (1, 1)
+
+    def test_busy_writer_still_honours_max_staleness(self):
+        import time
+
+        graph = erdos_renyi(60, 80, seed=5)
+        inserts = random_insertions(graph, 400, seed=5)
+        # drain_max=4 keeps batches short, so the staleness check (made
+        # after each batch) runs often enough to fire within the second.
+        config = ServeConfig(publish_every=10_000, max_staleness=0.05,
+                             drain_max=4)
+        with SPCService(repro.open(graph), config) as service:
+            apply = service.engine.apply
+
+            def slow_apply(update):
+                time.sleep(0.02)
+                return apply(update)
+
+            service.engine.apply = slow_apply
+            # Submissions outpace the 20 ms applies, so the queue never
+            # drains while the submitter runs: only max_staleness can
+            # publish.  Distinct inserts keep coalescing from emptying a
+            # batch.
+            before = service.stats()["snapshots_published"]
+            end = time.monotonic() + 1.0
+            for update in inserts:
+                if time.monotonic() >= end:
+                    break
+                service.submit(update)
+                time.sleep(0.005)
+            published = service.stats()["snapshots_published"] - before
+            service.engine.apply = apply
+            assert published >= 2
 
     def test_epoch_and_seq_monotone(self, paper_graph):
         with SPCService(repro.open(paper_graph), publish_every=1) as service:
