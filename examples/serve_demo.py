@@ -1,12 +1,15 @@
 """Snapshot-isolated serving with durability (the repro.serve layer).
 
-A service wraps the engine behind an update queue: reader threads answer
-queries lock-free against pinned, immutable snapshots while one writer
-applies updates and publishes a fresh snapshot as soon as its queue
-drains (``publish_every`` / ``max_staleness`` bound it only while the
-queue never empties).  Everything applied is write-ahead logged, so the
-service warm-restarts from its checkpoint + WAL tail with identical
-answers and no index rebuild.
+A service wraps the engine behind one writer role: reader threads answer
+queries lock-free against pinned, immutable snapshots while the role
+applies updates.  A submission that finds the writer idle is applied and
+published on the submitting thread, so it is visible when ``submit``
+returns; one that finds it busy is queued, and the writer thread drains
+the queue and publishes as soon as it empties (``publish_every`` /
+``max_staleness`` bound it only while the queue never empties).
+Everything applied is write-ahead logged, so the service warm-restarts
+from its checkpoint + WAL tail with identical answers and no index
+rebuild.
 
 Run with:  python examples/serve_demo.py
 """
@@ -46,7 +49,8 @@ def main():
                    for i in range(len(reads))]
         for t in threads:
             t.start()
-        # ...while the writer applies the update stream underneath them.
+        # ...while the writer role applies the update stream underneath
+        # them (one submit_many unit: one coalesced batch).
         service.submit_many(insertions)
         for t in threads:
             t.join()

@@ -28,10 +28,6 @@ def _is_weighted(graph):
     return hasattr(graph, "set_weight")
 
 
-def _is_directed(graph):
-    return hasattr(graph, "successors")
-
-
 def apply_graph_update(graph, update):
     """Apply one WAL update to a bare graph; returns LIFO undo thunks.
 

@@ -41,12 +41,6 @@ def prepare(name):
     return _PREPARED[name]
 
 
-def clear_prepared():
-    """Drop all memoized datasets and workload runs (used by tests)."""
-    _PREPARED.clear()
-    _WORKLOAD_RUNS.clear()
-
-
 class WorkloadRun:
     """The outcome of applying one update batch to a fresh dataset copy.
 

@@ -122,11 +122,6 @@ class DirectedSPCIndex:
         return _merge(self.out_label_set(h), self.in_label_set(v),
                       self._order.rank(h))
 
-    def pre_query_backward(self, h, v):
-        """Upper-bound (d̄, c̄) for v → h via hubs ranked strictly above h."""
-        return _merge(self.out_label_set(v), self.in_label_set(h),
-                      self._order.rank(h))
-
     def distance(self, s, t):
         """Return sd(s→t)."""
         return self.query(s, t)[0]

@@ -79,7 +79,7 @@ class ReadOnlyError(ReproError):
 
     :class:`repro.serve.SnapshotView` pins one published epoch of the
     index; writes must go through :meth:`repro.serve.SPCService.submit`
-    so the writer thread applies them and publishes a fresh snapshot.
+    so the service's writer applies them and publishes a fresh snapshot.
     """
 
 

@@ -65,21 +65,6 @@ def is_connected(graph):
     return len(connected_components(graph)) == 1
 
 
-def bfs_eccentricity(graph, source):
-    """Return the eccentricity of ``source`` within its component."""
-    dist = {source: 0}
-    queue = deque([source])
-    ecc = 0
-    while queue:
-        v = queue.popleft()
-        for w in graph.neighbors(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                ecc = dist[w]
-                queue.append(w)
-    return ecc
-
-
 def approximate_diameter(graph, samples=8, seed=0):
     """Lower-bound the diameter by double-sweep BFS from sampled sources."""
     import random

@@ -6,7 +6,7 @@ paper's update algorithms rely on (neighbor iteration, degree lookup, edge
 insertion/deletion) must be obvious and cheap.
 """
 
-from repro.exceptions import SelfLoop, VertexNotFound
+from repro.exceptions import SelfLoop
 
 
 def normalize_edge(u, v):
@@ -22,12 +22,6 @@ def check_endpoints_distinct(u, v):
     """Raise :class:`SelfLoop` if ``u == v`` (the paper's graphs are simple)."""
     if u == v:
         raise SelfLoop(u)
-
-
-def check_vertex(adjacency, v):
-    """Raise :class:`VertexNotFound` unless ``v`` is a key of ``adjacency``."""
-    if v not in adjacency:
-        raise VertexNotFound(v)
 
 
 def degree_histogram(degrees):

@@ -1,10 +1,12 @@
 """repro.serve — snapshot-isolated concurrent serving with durability.
 
 The production layer over :class:`~repro.engine.SPCEngine`: readers pin
-immutable epoch-tagged snapshots and answer lock-free, one writer thread
-drains an update queue and publishes fresh snapshots under an
-every-k / max-staleness policy, and a checkpoint + write-ahead-log pair
-makes the whole thing warm-restartable for every backend family::
+immutable epoch-tagged snapshots and answer lock-free, one writer role
+applies updates (on the submitting thread when it is idle, else from a
+queue its writer thread drains) and publishes fresh snapshots as soon as
+nothing is pending (every-k / max-staleness while busy), and a
+checkpoint + write-ahead-log pair makes the whole thing
+warm-restartable for every backend family::
 
     import repro
     from repro.serve import SPCService, ServeConfig

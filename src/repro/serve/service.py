@@ -1,24 +1,34 @@
 """SPCService: snapshot-isolated concurrent serving over one SPCEngine.
 
 The engine itself is single-threaded by design; this module is the
-reader/writer split the ROADMAP calls for.  One writer thread owns the
-engine exclusively: it drains submitted updates from a queue, applies each
-drained batch net-effect (reusing the engine's coalescing and the
-backend's batch hooks, so e.g. SD delete storms rebuild once per batch),
-appends the applied updates to the write-ahead log, and — under a publish
-policy — copies the index into a fresh immutable
-:class:`~repro.serve.snapshot.SnapshotView` and publishes it with a single
-attribute store.  Any number of reader threads answer queries against the
-current snapshot with no locks: the GIL makes the snapshot-pointer read
-atomic, and a published snapshot is never mutated.
+reader/writer split the ROADMAP calls for.  One *writer role*, a mutex,
+owns the engine exclusively: whoever holds it applies a batch net-effect
+(reusing the engine's coalescing and the backend's batch hooks, so e.g.
+SD delete storms rebuild once per batch), appends the applied updates to
+the write-ahead log, and — under a publish policy — copies the index into
+a fresh immutable :class:`~repro.serve.snapshot.SnapshotView` and
+publishes it with a single attribute store.  Any number of reader threads
+answer queries against the current snapshot with no locks: the GIL makes
+the snapshot-pointer read atomic, and a published snapshot is never
+mutated.
+
+Apply on idle: a submission that finds nothing pending (every earlier
+queue item fully handled) and the role free takes the role itself and
+applies and publishes on the submitting thread before returning.
+Otherwise it is queued, and the writer thread, which takes the same role
+around each queue item, drains the queue into batches.  Either way there
+is one apply/publish path (``_handle``), and submissions are applied in
+the order they were made.
 
 Publish policy: the writer publishes whenever its queue drains — it
-never blocks with applied-but-unpublished updates, so an idle writer
-makes each write visible right after its apply.  A busy writer, whose
-queue never empties, is bounded by :class:`ServeConfig`: it publishes
-once ``publish_every`` updates have been applied since the last snapshot,
-or once the oldest unpublished update is ``max_staleness`` seconds old,
-whichever comes first.  A publish is a copy-on-write of the dirty label
+never leaves the role with applied-but-unpublished updates and nothing
+pending, so an idle writer makes each write visible right after its
+apply.  A busy writer, whose queue never empties, is bounded by
+:class:`ServeConfig`: between batches it publishes once ``publish_every``
+updates have been applied since the last snapshot, or once
+``max_staleness`` seconds have passed since the first batch after it
+applied, whichever comes first (one long batch overruns the latter; see
+:class:`ServeConfig`).  A publish is a copy-on-write of the dirty label
 sets only, so publishing on idle costs little and buys freshness.
 
 Durability: with ``durability_dir`` set, the service keeps a checkpoint
@@ -62,9 +72,15 @@ class ServeConfig:
         A busy writer (its queue never drains) publishes once this many
         updates have been applied since the last snapshot.
     max_staleness:
-        A busy writer also publishes once the oldest unpublished update
-        is this many seconds old.  An idle writer waits on neither: it
-        publishes as soon as its queue drains.
+        A busy writer also publishes once this many seconds have passed
+        since the end of the first batch applied after the last snapshot.
+        The check runs only between batches and that clock starts only
+        when a batch has applied, so this is not a bound on the oldest
+        unpublished update: one long drained batch (up to ``drain_max``
+        updates) overruns it — a 20 ms-per-update stream with
+        ``max_staleness=0.05`` has left 60 updates unpublished for
+        0.93 s.  An idle writer waits on neither rule: it publishes as
+        soon as its queue drains.
     drain_max:
         Upper bound on updates drained into one applied batch — caps both
         coalescing latency and the size of a WAL record.
@@ -84,7 +100,7 @@ class ServeConfig:
         is a durability experiment, not a serving one.
     auto_checkpoint_every_k_batches:
         Automatic WAL compaction, count half: after this many applied
-        batches since the last durable checkpoint, the writer thread
+        batches since the last durable checkpoint, the writer role
         writes a fresh checkpoint and truncates the WAL it subsumed
         (``checkpoint(truncate_wal=True)`` semantics, inline on the
         writer).  ``0`` disables; requires a ``durability_dir``.  Bounds
@@ -256,7 +272,7 @@ class _ServeObs:
                 trace.finish(apply_s + wal_s + journal_s)
 
     def publish(self, publish_s):
-        """File one snapshot publication (writer thread)."""
+        """File one snapshot publication (by the writer role's holder)."""
         self.publishes.inc()
         self.stage_publish.observe(publish_s)
         tracer = self.tracer
@@ -317,6 +333,11 @@ class SPCService:
         self._closed = False
         self._fatal = None
         self._inflight = None  # dequeued-but-unhandled control token
+        #: the writer role: held by whichever thread is applying or
+        #: publishing — the writer thread, or a submitter that found the
+        #: service idle (see _apply_on_idle).
+        self._role = threading.Lock()
+        self._pulled = 0  # queue items the current handling took
         #: (update, exception) pairs for updates the writer rejected;
         #: the service keeps serving past individual bad updates.
         self.errors = []
@@ -414,10 +435,12 @@ class SPCService:
     def set_publish_listener(self, listener):
         """Install (or clear, with ``None``) a snapshot-publish hook.
 
-        ``listener()`` is called on the writer thread immediately after
-        every snapshot publication — the wakeup seam the resilient
-        routers use to wake lease waiters on fresh data instead of
-        polling.  Like the answer tap it must be cheap and must never
+        ``listener()`` is called immediately after every snapshot
+        publication, on whichever thread published: the writer thread,
+        or a submitting thread that applied its update on idle.  It is
+        the wakeup seam the resilient routers use to wake lease waiters
+        on fresh data instead of polling.  It runs holding the writer
+        role, so like the answer tap it must be cheap and must never
         raise (a raising listener kills the writer).
         """
         self._publish_listener = listener
@@ -522,19 +545,29 @@ class SPCService:
         return self.query(s, t)[1]
 
     # ------------------------------------------------------------------
-    # Write path (any thread submits; one writer thread applies)
+    # Write path (any thread submits; the writer role applies)
     # ------------------------------------------------------------------
 
     def submit(self, update):
-        """Enqueue one workload update (InsertEdge / DeleteEdge / ...).
+        """Submit one workload update (InsertEdge / DeleteEdge / ...).
 
-        Returns immediately (blocking only on queue backpressure); the
-        writer thread applies it and a later snapshot reflects it.
+        If the writer is idle (nothing pending, role free), the update is
+        applied, logged and published on this thread, and ``query`` sees
+        it when this returns.  Otherwise it is queued behind the pending
+        work (blocking only on queue backpressure) and a later snapshot
+        reflects it.  So a tight loop of single submits to an idle
+        service applies, logs and publishes once per update;
+        :meth:`submit_many` is the way to batch.
+
         Raises :class:`~repro.exceptions.ServeError` if the writer has
         died — including when death races the enqueue, in which case the
-        update may not have been applied.
+        update may not have been applied.  A writer death while applying
+        this update on idle surfaces at the next ``submit`` / ``flush`` /
+        ``checkpoint`` / ``close``, exactly as one on the writer thread.
         """
         self._check_writable()
+        if self._apply_on_idle(update):
+            return
         self._put_update(update)
         # The writer can stop between the check above and the put landing
         # (a fatal error, or a clean close() consuming its stop sentinel);
@@ -543,15 +576,15 @@ class SPCService:
         self._raise_if_stopped()
 
     def submit_many(self, updates):
-        """Enqueue an iterable of updates, preserving order.
+        """Submit an iterable of updates as one unit, preserving order.
 
-        The whole iterable is enqueued as one unit, so the writer drains
-        it into a single net-effect batch: churn *within* a submit_many
-        call always coalesces, regardless of drain timing.
+        The unit is applied within one net-effect batch — on this thread
+        when the writer is idle, as :meth:`submit` — so churn *within* a
+        submit_many call always coalesces, regardless of drain timing.
         """
         self._check_writable()
         updates = list(updates)
-        if updates:
+        if updates and not self._apply_on_idle(updates):
             self._put_update(updates)
             self._raise_if_stopped()  # same enqueue/stop race as submit()
 
@@ -668,8 +701,9 @@ class SPCService:
         return self._seq - self._snapshot.seq
 
     def staleness(self):
-        """Seconds the oldest applied-but-unpublished update has waited
-        (0.0 when the snapshot is current)."""
+        """Seconds since the first batch applied after the last publish
+        finished (0.0 when the snapshot is current); the clock
+        ``max_staleness`` is checked against."""
         since = self._dirty_since
         return 0.0 if since is None else time.monotonic() - since
 
@@ -701,30 +735,83 @@ class SPCService:
         )
 
     # ------------------------------------------------------------------
-    # Writer thread
+    # Writer role: the writer thread, or a submitter on idle
     # ------------------------------------------------------------------
 
-    def _writer_loop(self):
+    def _apply_on_idle(self, item):
+        """Apply and publish ``item`` (an update or a submit_many list) on
+        this thread if the writer is idle; returns False to queue it.
+
+        Idle means the role is free and nothing is pending — every queue
+        item fully handled, including those a drain pulled, which the
+        writer marks done only under the role — so applying here cannot
+        overtake an earlier submission.  A failure kills the writer role
+        just as one on the writer thread does; it surfaces at the next
+        call, except an interrupt, which is re-raised here too.
+        """
+        if not self._role.acquire(blocking=False):
+            return False
         try:
-            while True:
+            if self._queue.unfinished_tasks or not self._alive:
+                return False
+            try:
+                self._handle(item, drain=False)
+                if self._dirty:
+                    self._publish()
+            except BaseException as exc:  # noqa: BLE001 — see docstring
+                self._fatal = exc
+                self._alive = False
                 try:
-                    item = self._queue.get_nowait()
-                except queue.Empty:
-                    # Never block dirty, whatever token ended the drain.
-                    if self._dirty:
-                        self._publish()
-                    item = self._queue.get()
-                if not self._handle(item):
-                    return
-        except BaseException as exc:  # noqa: BLE001 — surfaced via ServeError
-            self._fatal = exc
+                    # Wake the writer thread so it exits and releases
+                    # whatever is queued; a full queue wakes it anyway.
+                    self._queue.put_nowait(_STOP)
+                except queue.Full:
+                    pass
+                if not isinstance(exc, Exception):
+                    raise
+            return True
+        finally:
+            self._role.release()
+
+    def _writer_loop(self):
+        running = True
+        try:
+            while running:
+                item = self._queue.get()
+                with self._role:
+                    running = self._handle_queued(item)
         finally:
             self._alive = False
             self._release_inflight()
             self._release_waiters()
 
-    def _handle(self, item):
-        """Process one queue item; returns False when the writer must stop.
+    def _handle_queued(self, item):
+        """Handle one queue item under the role; False when the writer
+        thread must stop (``_alive`` is then already cleared, so no
+        submitter takes the role after it)."""
+        if self._fatal is not None:  # the role died on a submitting thread
+            self._discard(item)
+            return False
+        self._pulled = 1
+        try:
+            running = self._handle(item)
+            # Never leave the role dirty with nothing pending, whatever
+            # token ended the drain.
+            if running and self._dirty and self._queue.empty():
+                self._publish()
+        except BaseException as exc:  # noqa: BLE001 — surfaced as ServeError
+            self._fatal = exc
+            running = False
+        if not running:
+            self._alive = False
+            return False
+        for _ in range(self._pulled):
+            self._queue.task_done()
+        return True
+
+    def _handle(self, item, drain=True):
+        """Process one item under the role; returns False when the writer
+        must stop.  ``drain`` pulls more queued updates into its batch.
 
         Everything the drain pulled off the queue before a control token
         has been applied by the time the token is handled, so handling it
@@ -752,24 +839,26 @@ class SPCService:
             self._do_checkpoint(item)  # sets its event in a finally
             self._inflight = None
             return True
-        control = self._apply_drained(item)
+        control = self._apply_drained(item, drain)
         self._maybe_publish()
         self._maybe_auto_checkpoint()
         if control is not None:
             return self._handle(control)
         return True
 
-    def _apply_drained(self, first):
-        """Drain up to drain_max updates starting at ``first`` and apply
-        them as one net-effect batch; returns a control token that ended
-        the drain early (to be re-queued), or None."""
+    def _apply_drained(self, first, drain):
+        """Drain up to drain_max updates starting at ``first`` (only
+        ``first`` unless ``drain``) and apply them as one net-effect
+        batch; returns a control token that ended the drain early (to be
+        handled next), or None."""
         batch = list(first) if isinstance(first, list) else [first]
         control = None
-        while len(batch) < self._config.drain_max:
+        while drain and len(batch) < self._config.drain_max:
             try:
                 item = self._queue.get_nowait()
             except queue.Empty:
                 break
+            self._pulled += 1
             if item is _STOP or isinstance(item, (_Barrier, _Checkpoint)):
                 control = item
                 if item is not _STOP:
@@ -901,7 +990,7 @@ class SPCService:
     def _maybe_auto_checkpoint(self):
         """Compact the WAL when the automatic policy says it is due.
 
-        Runs inline on the writer thread right after a batch applied, so
+        Runs inline under the writer role right after a batch applied, so
         the checkpoint captures a consistent engine exactly like a manual
         ``checkpoint(truncate_wal=True)``.  Failure is recorded in
         ``errors`` and serving continues with the WAL intact — losing the
@@ -1087,18 +1176,21 @@ class SPCService:
         """
         while True:
             try:
-                item = self._queue.get_nowait()
+                self._discard(self._queue.get_nowait())
             except queue.Empty:
                 return
-            if isinstance(item, (_Barrier, _Checkpoint)):
-                item.error = self._fatal or ServeError("service stopped")
-                item.event.set()
-            elif item is not _STOP:
-                dropped = item if isinstance(item, list) else [item]
-                self.errors.extend(
-                    (u, ServeError("dropped: service stopped before apply"))
-                    for u in dropped
-                )
+
+    def _discard(self, item):
+        """Release a queue item the stopped writer will never handle."""
+        if isinstance(item, (_Barrier, _Checkpoint)):
+            item.error = self._fatal or ServeError("service stopped")
+            item.event.set()
+        elif item is not _STOP:
+            dropped = item if isinstance(item, list) else [item]
+            self.errors.extend(
+                (u, ServeError("dropped: service stopped before apply"))
+                for u in dropped
+            )
 
 
 def serve(graph_or_engine, config=None, engine_config=None, **overrides):

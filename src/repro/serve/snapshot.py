@@ -1,7 +1,7 @@
 """Immutable, epoch-tagged views of the index — the reader half of serve.
 
 A :class:`SnapshotView` is what concurrent readers hold: one published
-state of the index, pinned forever.  The writer thread never mutates a
+state of the index, pinned forever.  The writer never mutates a
 published snapshot, so readers answer ``query`` / ``query_many`` with no
 locks at all — the only synchronization in the whole read path is the
 single atomic attribute read that fetches the current snapshot from the
@@ -49,7 +49,7 @@ def _rejector(name):
     def method(self, *args, **kwargs):
         raise ReadOnlyError(
             f"SnapshotView.{name}: snapshots are immutable — submit "
-            f"updates through SPCService.submit so the writer thread "
+            f"updates through SPCService.submit so the writer "
             f"applies them and publishes a fresh snapshot"
         )
 
@@ -111,10 +111,6 @@ class SnapshotView:
     def count(self, s, t):
         """Return spc(s, t) as of this snapshot's epoch."""
         return self.query(s, t)[1]
-
-    def age(self, now):
-        """Seconds between publication and ``now`` (staleness metric)."""
-        return now - self.published_at
 
     def __repr__(self):
         return (

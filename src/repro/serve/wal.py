@@ -271,8 +271,8 @@ def _trim_torn_tail(path):
 class WriteAheadLog:
     """Append-only writer over the WAL file.
 
-    Owned by the service's writer thread — appends are single-threaded by
-    construction, so the class needs no locking of its own.  Opening the
+    Owned by the service's writer role, a mutex — appends are serialized
+    by construction, so the class needs no locking of its own.  Opening the
     log trims any torn final line (see :func:`_trim_torn_tail`).  With
     ``backend`` set, every record is stamped with the backend family that
     applied it, so readers can refuse a checkpoint/WAL family mismatch.

@@ -194,6 +194,42 @@ class TestDiskFullFault:
             with pytest.raises(ServeError):
                 service.close()
 
+    def test_append_fault_on_idle_submit_is_fail_stop(self, tmp_path):
+        # A submit that finds the writer idle applies on the submitting
+        # thread; its append fault must kill the writer role exactly as
+        # one on the writer thread does.
+        service = _service(tmp_path)
+        try:
+            _grow_wal(service)
+            wal = os.path.join(str(tmp_path), "wal.jsonl")
+            records_before = len(list(read_wal(wal)))
+            update, behind = random_insertions(service.engine.graph, 2,
+                                               seed=10)
+            disk_full = DiskFullFault(ops=("append",))
+
+            def fault(op, path):
+                if op == "append" and not disk_full.raised:
+                    # Another submission lands while the role is held:
+                    # it queues, and the dead writer must account for it.
+                    service.submit(behind)
+                disk_full(op, path)
+
+            service.set_disk_fault(fault)
+            disk_full.arm()
+            service.submit(update)  # the death surfaces at the next call
+            assert disk_full.raised == 1
+            service._thread.join(5.0)
+            assert not service._thread.is_alive()
+            assert [u for u, _ in service.errors] == [behind]
+            with pytest.raises(ServeError, match="writer thread died"):
+                service.submit(update)
+            with pytest.raises(ServeError, match="writer thread died"):
+                service.flush(timeout=5.0)
+            assert len(list(read_wal(wal))) == records_before
+        finally:
+            with pytest.raises(ServeError):
+                service.close()
+
     def test_unarmed_fault_is_inert(self, tmp_path):
         fault = DiskFullFault()
         fault("append", "anywhere")   # disarmed: no raise

@@ -254,7 +254,8 @@ class TestPublishPolicy:
                 return apply(update)
 
             service.engine.apply = held_apply
-            service.submit(InsertEdge(0, 4))
+            with service._role:  # a busy writer: the update is queued
+                service.submit(InsertEdge(0, 4))
             assert entered.wait(5.0)
             checkpointer = threading.Thread(target=service.checkpoint)
             checkpointer.start()
@@ -290,13 +291,16 @@ class TestPublishPolicy:
                 return apply(update)
 
             service.engine.apply = slow_apply
-            # Submissions outpace the 20 ms applies, so the queue never
-            # drains while the submitter runs: only max_staleness can
-            # publish.  Distinct inserts keep coalescing from emptying a
-            # batch.
+            # Submissions outpace the 20 ms applies, so once the first is
+            # queued (the role is held, so it cannot apply on idle) the
+            # queue never drains while the submitter runs: only
+            # max_staleness can publish.  Distinct inserts keep coalescing
+            # from emptying a batch.
             before = service.stats()["snapshots_published"]
             end = time.monotonic() + 1.0
-            for update in inserts:
+            with service._role:
+                service.submit(inserts[0])
+            for update in inserts[1:]:
                 if time.monotonic() >= end:
                     break
                 service.submit(update)
@@ -316,6 +320,152 @@ class TestPublishPolicy:
             epochs = [s.epoch for s in seen]
             assert seqs == sorted(seqs)
             assert epochs == sorted(epochs)
+
+
+class _GatedRole:
+    """The service's writer role, except that the writer thread waits for
+    ``gate`` before taking it: the window in which it has dequeued an item
+    but not yet applied it."""
+
+    def __init__(self, service, gate):
+        self._lock = service._role
+        self._writer = service._thread
+        self._gate = gate
+
+    def acquire(self, blocking=True):
+        if threading.current_thread() is self._writer:
+            assert self._gate.wait(5.0), "gate never opened"
+        return self._lock.acquire(blocking)
+
+    def release(self):
+        self._lock.release()
+
+    def __enter__(self):
+        self.acquire()
+        return self
+
+    def __exit__(self, *exc):
+        self.release()
+
+
+class TestApplyOnIdle:
+    def test_submit_queues_behind_a_dequeued_item(self, paper_graph):
+        import time
+
+        first, second, third = (InsertEdge(0, 4), InsertEdge(5, 8),
+                                InsertEdge(0, 9))
+        with SPCService(repro.open(paper_graph)) as service:
+            applied = []
+            entered, release, gate = (threading.Event(), threading.Event(),
+                                      threading.Event())
+            apply = service.engine.apply
+
+            def held_apply(update):
+                applied.append(update)
+                if update == first:
+                    entered.set()
+                    release.wait(5.0)
+                return apply(update)
+
+            service.engine.apply = held_apply
+            service._role = _GatedRole(service, gate)
+            # `first` applies on idle on another thread, held in its apply,
+            # so `second` is queued; the writer thread dequeues it and
+            # waits at the gate.
+            holder = threading.Thread(target=service.submit, args=(first,))
+            holder.start()
+            assert entered.wait(5.0)
+            service.submit(second)
+            deadline = time.monotonic() + 5.0
+            while service.stats()["queue_depth"]:
+                assert time.monotonic() < deadline, "second never dequeued"
+                time.sleep(0.001)
+            release.set()
+            holder.join(5.0)
+            assert not holder.is_alive()
+            # The role is free but `second` is pending: `third` must queue
+            # behind it, not apply ahead of it on this thread.
+            service.submit(third)
+            assert applied == [first]
+            assert service.stats()["queue_depth"] == 1
+            gate.set()
+            service.flush()
+            service.engine.apply = apply
+            assert applied == [first, second, third]
+            assert service.query(0, 9) == (1, 1)
+
+    def test_submit_to_idle_service_is_visible_on_return(self, paper_graph):
+        config = ServeConfig(publish_every=10_000, max_staleness=30.0)
+        with SPCService(repro.open(paper_graph), config) as service:
+            service.submit(InsertEdge(0, 4))
+            assert service.snapshot().seq == service.applied_seq == 1
+            assert service.query(0, 4) == (1, 1)
+            # Queue three submissions behind a held role: the writer
+            # thread drains them into one batch.
+            with service._role:
+                service.submit(InsertEdge(5, 8))
+                service.submit_many([InsertEdge(0, 9), InsertEdge(1, 11)])
+                service.submit(DeleteEdge(0, 4))
+            service.flush()
+            assert service.applied_seq == 2
+            # Every item that drain pulled is marked done: the service is
+            # idle again, so the next submit applies and publishes inline.
+            service.submit(InsertEdge(0, 4))
+            assert service.snapshot().seq == service.applied_seq == 3
+            assert service.query(0, 4) == (1, 1)
+
+    def test_concurrent_submitters_match_restore(self, tmp_path):
+        import sys
+        import time
+
+        graph = erdos_renyi(60, 150, seed=11)
+        updates = (random_insertions(graph, 60, seed=11)
+                   + random_deletions(graph, 20, seed=11))
+        pairs = all_pairs_sample(graph)
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads more often
+        try:
+            with SPCService(SPCEngine(graph), durability_dir=str(tmp_path),
+                            drain_max=4) as service:
+                stop = threading.Event()
+                reads = []
+
+                def reader():
+                    while not stop.is_set():
+                        reads.append(service.query_many(pairs))
+
+                def submitter(part):
+                    # Paced, so the writer goes idle now and then: updates
+                    # both apply on idle and queue for the writer thread.
+                    for update in part:
+                        service.submit(update)
+                        time.sleep(0.005)
+
+                threads = [threading.Thread(target=reader)] + [
+                    threading.Thread(target=submitter, args=(updates[i::4],))
+                    for i in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads[1:]:
+                    thread.join(30.0)
+                    assert not thread.is_alive()
+                stop.set()
+                threads[0].join(30.0)
+                assert not threads[0].is_alive()
+                service.flush()
+                assert not service.errors
+                assert service.stats()["applied_updates"] == len(updates)
+                assert service.engine.check()
+                live = service.query_many(pairs)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert reads
+        restored = restore(str(tmp_path))
+        try:
+            assert restored.query_many(pairs) == live
+        finally:
+            restored.close()
 
 
 class TestConfig:
