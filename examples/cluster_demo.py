@@ -21,9 +21,14 @@ from repro.workloads import random_insertions
 
 
 def main():
+    with tempfile.TemporaryDirectory(prefix="repro-cluster-") as state_dir:
+        run(state_dir)
+
+
+def run(state_dir):
+    """The demo proper; ``state_dir`` holds its WAL and checkpoints."""
     graph = barabasi_albert(400, attach=3, seed=7)
     engine = repro.open(graph)
-    state_dir = tempfile.mkdtemp(prefix="repro-cluster-")
     print(f"graph: {engine.graph}, backend: {engine.backend_name}")
 
     with SPCCluster(engine, state_dir, replicas=2,

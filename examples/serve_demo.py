@@ -26,11 +26,16 @@ from repro.workloads import random_insertions
 
 
 def main():
+    with tempfile.TemporaryDirectory(prefix="repro-serve-") as state_dir:
+        run(state_dir)
+
+
+def run(state_dir):
+    """The demo proper; ``state_dir`` holds its WAL and checkpoints."""
     graph = barabasi_albert(400, attach=3, seed=7)
     engine = repro.open(graph)
     print(f"graph: {engine.graph}, backend: {engine.backend_name}")
 
-    state_dir = tempfile.mkdtemp(prefix="repro-serve-")
     with SPCService(engine, durability_dir=state_dir,
                     publish_every=8, max_staleness=0.02) as service:
         # Readers pin one snapshot each and hammer it concurrently.

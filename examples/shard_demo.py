@@ -27,9 +27,14 @@ from repro.workloads import random_insertions
 
 
 def main():
+    with tempfile.TemporaryDirectory(prefix="repro-shard-") as state_dir:
+        run(state_dir)
+
+
+def run(state_dir):
+    """The demo proper; ``state_dir`` holds its WAL and checkpoints."""
     graph = barabasi_albert(300, attach=3, seed=11)
     engine = repro.open(graph)
-    state_dir = tempfile.mkdtemp(prefix="repro-shard-")
     print(f"graph: {engine.graph}, backend: {engine.backend_name}")
 
     # A reference engine on a copy of the graph keeps an unsharded

@@ -32,7 +32,7 @@ when the deletion strands a degree-1, lower-ranked endpoint: its label set
 collapses to the self-label and no other vertex can hold it as a hub.
 """
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from time import perf_counter
 
@@ -229,9 +229,9 @@ def dec_bfs(step, back, labels_of, root_labels, holders, rank, h_vertex, region,
     t0 = perf_counter()
     h = rank[h_vertex]
 
-    # PreQUERY array: the root's labels from *strictly* higher-ranked hubs.
-    root_get = {hr: d for hr, d, _ in root_labels if hr != h}.get
-    above_h = h - 1
+    # PreQUERY array: the root's labels; each visit scans only the hubs
+    # ranked strictly above h.
+    root_get = root_labels.root_get()
     inside = set(region)
     held = holders(h)
 
@@ -274,23 +274,23 @@ def dec_bfs(step, back, labels_of, root_labels, holders, rank, h_vertex, region,
             stats.bfs_visits += 1
 
             # Prune when PreQUERY(h, v) via hubs ranked above h gives d̄ < D[v].
+            # The visit's one bisect bounds the scan and finds v's own entry.
             ls = labels_of(v)
-            if prequery_prunes(ls, root_get, above_h, dv):
+            hubs = ls.hubs
+            i = bisect_left(hubs, h)
+            if prequery_prunes(hubs, ls.dists, i, root_get, dv):
                 continue
 
             cv = count[v]
-            existing = ls.get(h)
-            if existing is None:
+            if i == len(hubs) or hubs[i] != h:
                 ls.set(h, dv, cv)
                 stats.inserted += 1
-            else:
-                d_i, c_i = existing
-                if d_i != dv:
-                    ls.set(h, dv, cv)
-                    stats.renew_dist += 1
-                elif c_i != cv:
-                    ls.set(h, dv, cv)
-                    stats.renew_count += 1
+            elif ls.dists[i] != dv:
+                ls.set(h, dv, cv)
+                stats.renew_dist += 1
+            elif ls.counts[i] != cv:
+                ls.set(h, dv, cv)
+                stats.renew_count += 1
             updated.add(v)
 
             for w in step(v):

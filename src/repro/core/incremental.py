@@ -22,6 +22,7 @@ place: SpcQUERY takes a minimum over hubs, so they can never surface, and
 skipping their removal is part of what makes IncSPC fast.
 """
 
+from bisect import bisect_left
 from collections import deque
 from time import perf_counter
 
@@ -85,7 +86,7 @@ def inc_bfs(step, labels_of, root_labels, rank, h, entry, vb, stats):
         # for insertions (labels are never removed), but guard for safety.
         return
     d0, c0 = entry
-    root_get = dict(zip(root_labels.hubs, root_labels.dists)).get
+    root_get = root_labels.root_get()
 
     dist = {vb: d0 + 1}
     count = {vb: c0}
@@ -98,25 +99,30 @@ def inc_bfs(step, labels_of, root_labels, rank, h, entry, vb, stats):
 
         # Prune when d_L = SpcQUERY(h, v), via the root-label array, is
         # below D[v].  The probe must see the up-to-date index, including
-        # labels renewed earlier in this same update.
+        # labels renewed earlier in this same update.  The witness x = h
+        # comes first: the root holds its self-label (h, 0, 1), so it is
+        # v's own (h, ·, ·) entry alone, found by the visit's one bisect.
         ls = labels_of(v)
-        if prequery_prunes(ls, root_get, h, dv):
+        hubs = ls.hubs
+        dists = ls.dists
+        i = bisect_left(hubs, h)
+        own = i < len(hubs) and hubs[i] == h
+        if own and dists[i] < dv:
+            continue
+        if prequery_prunes(hubs, dists, i, root_get, dv):
             continue
 
-        existing = ls.get(h)
-        if existing is not None:
-            d_i, c_i = existing
-            if dv == d_i:
-                ls.set(h, dv, count[v] + c_i)
-                stats.renew_count += 1
-            else:
-                ls.set(h, dv, count[v])
-                stats.renew_dist += 1
-        else:
-            ls.set(h, dv, count[v])
-            stats.inserted += 1
-
         cv = count[v]
+        if not own:
+            ls.set(h, dv, cv)
+            stats.inserted += 1
+        elif dv == dists[i]:
+            ls.set(h, dv, cv + ls.counts[i])
+            stats.renew_count += 1
+        else:
+            ls.set(h, dv, cv)
+            stats.renew_dist += 1
+
         dnext = dv + 1
         for w in step(v):
             dw = dist.get(w)

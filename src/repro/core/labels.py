@@ -34,6 +34,11 @@ without the maintenance algorithms knowing: the copy-on-write publish,
 which re-copies only the dirty label sets (:func:`frozen_labels`,
 DESIGN.md §10), and the label journal of hub-partitioned shards
 (DESIGN.md §13).
+
+A set also caches the hub -> distance map that the maintenance kernels
+probe when its owner is the root of a BFS (:meth:`LabelSet.root_get`).
+The same three mutators drop it, so it is never stale; copies start
+without one (DESIGN.md §4).
 """
 
 from bisect import bisect_left, bisect_right
@@ -86,7 +91,8 @@ class LabelSet:
     index's reverse hub map; mutations then maintain the map transparently.
     """
 
-    __slots__ = ("hubs", "dists", "counts", "_holders", "_owner", "_sink")
+    __slots__ = ("hubs", "dists", "counts", "_holders", "_owner", "_sink",
+                 "_root_get")
 
     def __init__(self):
         self.hubs = []
@@ -95,6 +101,7 @@ class LabelSet:
         self._holders = None
         self._owner = None
         self._sink = None
+        self._root_get = None
 
     def bind(self, holders, owner):
         """Attach this set to a shared reverse hub map.
@@ -132,12 +139,26 @@ class LabelSet:
             return self.dists[i], self.counts[i]
         return None
 
+    def root_get(self):
+        """Return the ``dict.get`` of this set's hub -> distance map.
+
+        The map a maintenance BFS rooted at the owner probes for PreQUERY
+        (:func:`prequery_prunes`).  It is built on the first call and kept
+        until :meth:`set`, :meth:`remove` or :meth:`clear` changes the set,
+        so BFSs rooted at an unchanged hub share one map.
+        """
+        get = self._root_get
+        if get is None:
+            get = self._root_get = dict(zip(self.hubs, self.dists)).get
+        return get
+
     def set(self, hub, dist, count):
         """Insert or replace the entry for ``hub``.
 
         Returns ``"inserted"`` or ``"replaced"`` so callers can maintain the
         paper's RenewC / RenewD / Insert statistics without a second lookup.
         """
+        self._root_get = None
         sink = self._sink
         if sink is not None:
             sink.add(self._owner)
@@ -164,6 +185,7 @@ class LabelSet:
         hubs = self.hubs
         i = bisect_left(hubs, hub)
         if i < len(hubs) and hubs[i] == hub:
+            self._root_get = None
             sink = self._sink
             if sink is not None:
                 sink.add(self._owner)
@@ -186,6 +208,7 @@ class LabelSet:
         Marks the owner dirty even when already empty: a vertex drop must
         reach the delta journal so shards forget the vertex too.
         """
+        self._root_get = None
         sink = self._sink
         if sink is not None:
             sink.add(self._owner)
@@ -210,7 +233,9 @@ class LabelSet:
         """Return an independent, *unbound* copy of this label set.
 
         The copy does not report into any reverse hub map; the adopting
-        index re-binds it (see ``SPCIndex.copy``).
+        index re-binds it (see ``SPCIndex.copy``).  It starts without a
+        cached root map, so published snapshots never share one with the
+        live index.
         """
         other = LabelSet()
         other.hubs = list(self.hubs)
@@ -294,27 +319,28 @@ def counting_probe(source_labels, target_label_of):
     return probe
 
 
-def prequery_prunes(labels, root_get, bound, dist):
-    """Return True if some hub ranked ``<= bound`` certifies a path < ``dist``.
+def prequery_prunes(hubs, dists, end, root_get, dist):
+    """Return True if a hub in ``hubs[:end]`` certifies a path < ``dist``.
 
     The prune test of every counting maintenance BFS: the visit at v with
-    tentative distance ``dist`` = D[v] is pruned when a hub x in L(v) with
-    rank number at most ``bound`` gives ``root_get(x) + sd(x, v) < dist``,
-    where ``root_get`` is the ``dict.get`` of the BFS root's hub -> distance
-    map.  DecSPC passes ``bound = h - 1`` (PreQUERY: hubs strictly above h),
-    IncSPC ``bound = h``.
+    tentative distance ``dist`` = D[v] is pruned when a hub x among the
+    first ``end`` entries of L(v)'s parallel ``hubs``/``dists`` arrays
+    gives ``root_get(x) + sd(x, v) < dist``, where ``root_get`` is the
+    BFS root h's :meth:`LabelSet.root_get`.  Every kernel passes
+    ``end = bisect_left(hubs, h)``, the one bisect of its visit, so the
+    scan covers the hubs ranked strictly above h: DecSPC's PreQUERY
+    exactly.  IncSPC also counts h itself as a witness, and tests that
+    entry, ``hubs[end]``, before it calls this.
 
-    Equal to comparing the full minimum over L(v) against ``dist``, but
-    cheaper twice over.  It scans only ``hubs[:bisect_right(hubs, bound)]``:
-    the root's labels obey the rank constraint (every hub ranks at or above
-    its holder, see ``check_invariants``), so no hub past the bound can be
-    in the root's map.  And it stops at the first witness, since one hub
-    below ``dist`` already decides the test.  A tie ``== dist`` never
-    prunes: equal-length paths still have to be counted.
+    Equal to comparing the full minimum over L(v) except h against
+    ``dist``, but cheaper twice over.  The root's labels obey the rank
+    constraint (every hub ranks at or above its holder, see
+    ``check_invariants``), so no hub past h can be in the root's map.  And
+    it stops at the first witness, since one hub below ``dist`` already
+    decides the test.  A tie ``== dist`` never prunes: equal-length paths
+    still have to be counted.
     """
-    hubs = labels.hubs
-    dists = labels.dists
-    for i in range(bisect_right(hubs, bound)):
+    for i in range(end):
         rd = root_get(hubs[i])
         if rd is not None and rd + dists[i] < dist:
             return True

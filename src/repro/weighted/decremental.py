@@ -15,6 +15,7 @@ full deletions of a pendant, lower-ranked endpoint, so both backends call
 """
 
 import heapq
+from bisect import bisect_left
 from time import perf_counter
 
 from repro.core.decremental import try_isolated_fast_path
@@ -141,9 +142,7 @@ def _dec_update_dijkstra(graph, index, h_vertex, targets, stats):
     rank = order.rank_map()
     label_of = index.label_set
     h = rank[h_vertex]
-    hub_labels = label_of(h_vertex)
-    root_get = {hr: d for hr, d, _ in hub_labels if hr != h}.get
-    above_h = h - 1
+    root_get = label_of(h_vertex).root_get()
 
     updated = set()
     dist = {h_vertex: 0}
@@ -157,23 +156,22 @@ def _dec_update_dijkstra(graph, index, h_vertex, targets, stats):
         settled.add(v)
         stats.bfs_visits += 1
         ls = label_of(v)
-        if prequery_prunes(ls, root_get, above_h, dv):
+        hubs = ls.hubs
+        i = bisect_left(hubs, h)
+        if prequery_prunes(hubs, ls.dists, i, root_get, dv):
             continue
-        if v in targets:
-            existing = ls.get(h)
-            if existing is None:
-                ls.set(h, dv, count[v])
-                stats.inserted += 1
-            else:
-                d_i, c_i = existing
-                if d_i != dv:
-                    ls.set(h, dv, count[v])
-                    stats.renew_dist += 1
-                elif c_i != count[v]:
-                    ls.set(h, dv, count[v])
-                    stats.renew_count += 1
-            updated.add(v)
         cv = count[v]
+        if v in targets:
+            if i == len(hubs) or hubs[i] != h:
+                ls.set(h, dv, cv)
+                stats.inserted += 1
+            elif ls.dists[i] != dv:
+                ls.set(h, dv, cv)
+                stats.renew_dist += 1
+            elif ls.counts[i] != cv:
+                ls.set(h, dv, cv)
+                stats.renew_count += 1
+            updated.add(v)
         for w, weight in graph.neighbors(v).items():
             if w in settled or h > rank[w]:
                 continue

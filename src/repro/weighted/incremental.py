@@ -9,6 +9,7 @@ of an existing edge is the identical procedure with the new weight.
 """
 
 import heapq
+from bisect import bisect_left
 from time import perf_counter
 
 from repro.core.labels import prequery_prunes
@@ -74,9 +75,7 @@ def _inc_update_dijkstra(graph, index, h, va, vb, w_ab, stats):
         return
     d0, c0 = entry
 
-    hub_vertex = order.vertex(h)
-    hub_labels = label_of(hub_vertex)
-    root_get = dict(zip(hub_labels.hubs, hub_labels.dists)).get
+    root_get = label_of(order.vertex(h)).root_get()
 
     dist = {vb: d0 + w_ab}
     count = {vb: c0}
@@ -88,22 +87,26 @@ def _inc_update_dijkstra(graph, index, h, va, vb, w_ab, stats):
             continue
         settled.add(v)
         stats.bfs_visits += 1
+        # The witness x = h first, as in repro.core.incremental.inc_bfs.
         ls = label_of(v)
-        if prequery_prunes(ls, root_get, h, dv):
+        hubs = ls.hubs
+        dists = ls.dists
+        i = bisect_left(hubs, h)
+        own = i < len(hubs) and hubs[i] == h
+        if own and dists[i] < dv:
             continue
-        existing = ls.get(h)
-        if existing is not None:
-            d_i, c_i = existing
-            if dv == d_i:
-                ls.set(h, dv, count[v] + c_i)
-                stats.renew_count += 1
-            else:
-                ls.set(h, dv, count[v])
-                stats.renew_dist += 1
-        else:
-            ls.set(h, dv, count[v])
-            stats.inserted += 1
+        if prequery_prunes(hubs, dists, i, root_get, dv):
+            continue
         cv = count[v]
+        if not own:
+            ls.set(h, dv, cv)
+            stats.inserted += 1
+        elif dv == dists[i]:
+            ls.set(h, dv, cv + ls.counts[i])
+            stats.renew_count += 1
+        else:
+            ls.set(h, dv, cv)
+            stats.renew_dist += 1
         for w, weight in graph.neighbors(v).items():
             if w in settled or h > rank[w]:
                 continue

@@ -1,14 +1,19 @@
 """Unit tests for LabelSet and the packed 64-bit encoding."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import build_spc_index
 from repro.core.labels import (
     COUNT_BITS,
     ENTRY_BYTES,
     LabelSet,
+    frozen_labels,
     pack_entry,
     unpack_entry,
 )
+from repro.graph import path_graph
 
 
 class TestLabelSet:
@@ -66,6 +71,70 @@ class TestLabelSet:
         ls = LabelSet()
         ls.set(0, 0, 1)
         assert repr(ls) == "LabelSet[(0,0,1)]"
+
+
+label_ops = st.lists(st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 8), st.integers(0, 6),
+              st.integers(1, 4)),
+    st.tuples(st.just("remove"), st.integers(0, 8)),
+    st.tuples(st.just("clear")),
+    st.tuples(st.just("probe")),
+), max_size=30)
+
+
+class TestRootMapCache:
+    """``root_get`` caches the hub -> distance map until the set changes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(ops=label_ops)
+    def test_matches_a_fresh_map_after_every_op(self, ops):
+        ls = LabelSet()
+        for op in ops:
+            if op[0] == "set":
+                ls.set(*op[1:])
+            elif op[0] == "remove":
+                ls.remove(op[1])
+            elif op[0] == "clear":
+                ls.clear()
+            fresh = dict(zip(ls.hubs, ls.dists)).get
+            get = ls.root_get()
+            for hub in range(-1, 10):  # hubs present and absent
+                assert get(hub) == fresh(hub)
+
+    def test_kept_until_a_change(self):
+        ls = LabelSet()
+        ls.set(0, 0, 1)
+        get = ls.root_get()
+        assert ls.root_get() is get
+        ls.remove(3)  # absent: nothing changes
+        assert ls.root_get() is get
+        ls.set(0, 0, 2)  # a count change drops it too
+        assert ls.root_get() is not get
+
+    def test_copy_never_shares_it(self):
+        ls = LabelSet()
+        ls.set(0, 0, 1)
+        ls.set(2, 1, 1)
+        get = ls.root_get()
+        clone = ls.copy()
+        assert clone.root_get().__self__ is not get.__self__
+        ls.set(1, 4, 1)
+        assert clone.root_get()(1) is None
+        clone.set(2, 3, 1)
+        assert ls.root_get()(2) == 1 and clone.root_get()(2) == 3
+
+    def test_frozen_view_never_shares_it(self):
+        index = build_spc_index(path_graph(5))
+        live = {v: index.label_set(v) for v in range(5)}
+        maps = {v: ls.root_get().__self__ for v, ls in live.items()}
+        first = frozen_labels(None, live, set(), LabelSet.copy)
+        later = frozen_labels(first, live, {1, 2}, LabelSet.copy)
+        for view in (first, later):
+            for v, ls in view.items():
+                assert ls.root_get().__self__ is not maps[v]
+        live[3].set(7, 9, 1)
+        assert first[3].root_get()(7) is later[3].root_get()(7) is None
+        assert live[3].root_get()(7) == 9
 
 
 class TestPackedEncoding:

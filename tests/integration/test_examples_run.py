@@ -1,5 +1,6 @@
 """Every example script must run cleanly end to end."""
 
+import os
 import pathlib
 import subprocess
 import sys
@@ -17,12 +18,16 @@ def test_examples_exist():
 
 
 @pytest.mark.parametrize("script", EXAMPLES, ids=lambda p: p.name)
-def test_example_runs(script):
+def test_example_runs(script, tmp_path):
+    # The example's own temporary directory is tmp_path, so anything it
+    # leaves there is something it forgot to remove.
     proc = subprocess.run(
         [sys.executable, str(script)],
         capture_output=True,
         text=True,
         timeout=600,
+        env={**os.environ, "TMPDIR": str(tmp_path)},
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip(), "examples should print their findings"
+    assert not list(tmp_path.iterdir()), "examples must remove their temp files"

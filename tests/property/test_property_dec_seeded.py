@@ -16,6 +16,7 @@ the reference:
   adjacent to its region, and a directed hub on both sides of the arc.
 """
 
+from bisect import bisect_left
 from collections import deque
 from contextlib import ExitStack
 from unittest import mock
@@ -54,7 +55,6 @@ def full_bfs_dec_bfs(step, labels_of, root_labels, holders, rank, h_vertex,
     h over every vertex ranked at or below h, writing only ``targets``."""
     h = rank[h_vertex]
     root_get = {hr: d for hr, d, _ in root_labels if hr != h}.get
-    above_h = h - 1
 
     updated = set()
     dist = {h_vertex: 0}
@@ -65,7 +65,8 @@ def full_bfs_dec_bfs(step, labels_of, root_labels, holders, rank, h_vertex,
         dv = dist[v]
         stats.bfs_visits += 1
         ls = labels_of(v)
-        if prequery_prunes(ls, root_get, above_h, dv):
+        if prequery_prunes(ls.hubs, ls.dists, bisect_left(ls.hubs, h),
+                           root_get, dv):
             continue
         if v in targets:
             existing = ls.get(h)

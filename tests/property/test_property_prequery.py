@@ -2,7 +2,10 @@
 
 ``prequery_prunes`` replaced six inline loops that computed the minimum of
 ``root_dist[hub] + sd(hub, v)`` over *all* of L(v) and pruned when it fell
-below D[v].  These tests keep that loop as the reference:
+below D[v].  The kernels now pass it L(v)'s arrays and the position
+``end = bisect_left(hubs, h)`` of the root hub h; IncSPC tests v's own
+(h, ·, ·) entry at that position itself, first.  These tests keep the full
+loop, over every hub of L(v) except that own entry, as the reference:
 
 * on random rank-constrained label sets, the primitive decides exactly as
   the reference does, ties and empty prefixes included;
@@ -10,6 +13,7 @@ below D[v].  These tests keep that loop as the reference:
   label set equal to kernels running the reference, after every update.
 """
 
+from bisect import bisect_left
 from contextlib import ExitStack
 from unittest import mock
 
@@ -43,12 +47,18 @@ KERNEL_MODULES = (
 )
 
 
-def full_minimum_prunes(labels, root_get, bound, dist):
-    """The loop the kernels ran before: the minimum over all of L(v)."""
-    del bound  # the full scan looks at every hub
-    hubs, dists = labels.hubs, labels.dists
+def full_minimum_prunes(hubs, dists, end, root_get, dist):
+    """The loop the kernels ran before: the minimum over all of L(v).
+
+    Only the entry at ``end`` is left out: there L(v) holds the root hub h
+    itself, if at all, and PreQUERY proper never counts h (IncSPC tests it
+    before the scan).  Every hub past it is scanned, so the rank bound is
+    checked, not assumed.
+    """
     best = INF
     for i in range(len(hubs)):
+        if i == end:
+            continue
         rd = root_get(hubs[i])
         if rd is not None:
             cand = rd + dists[i]
@@ -71,19 +81,25 @@ distances = st.one_of(
 )
 
 
+def scan_args(ls, h):
+    """The arguments a kernel visiting ``ls`` for root hub ``h`` passes."""
+    return ls.hubs, ls.dists, bisect_left(ls.hubs, h)
+
+
 @st.composite
 def prune_cases(draw):
-    """(L(v), root map, bound, D[v]) obeying the rank constraint.
+    """(L(v), root map, h, D[v]) obeying the rank constraint.
 
-    The root's hubs all rank at or above ``bound`` — in the kernels the root
-    is hub h, whose labels hold hubs ranked at or above h.  L(v) holds hubs
-    ranked at or above v, which may lie on either side of the bound.
+    The root's hubs all rank at or above the root hub ``h``, and the root
+    holds its self-label (h, 0).  L(v) holds hubs ranked at or above v,
+    which may lie on either side of h, and h itself or not.
     """
-    bound = draw(st.integers(-1, 10))
-    owner = draw(st.integers(max(bound, 0), 14))
+    h = draw(st.integers(0, 10))
+    owner = draw(st.integers(h, 14))
     held = draw(st.dictionaries(st.integers(0, owner), distances, max_size=10))
-    root = draw(st.dictionaries(st.integers(0, bound), distances, max_size=8)
-                if bound >= 0 else st.just({}))
+    root = dict(draw(st.dictionaries(st.integers(0, h - 1), distances,
+                                     max_size=8) if h else st.just({})))
+    root[h] = 0
     # Mostly probe at a candidate distance (or just past it), so that ties
     # and near-ties are common rather than accidental.
     cands = [root[h] + d for h, d in held.items() if h in root]
@@ -93,40 +109,42 @@ def prune_cases(draw):
             dist += draw(st.sampled_from([1, 0.5]))
     else:
         dist = draw(st.one_of(distances, st.just(INF)))
-    return label_set(held), root, bound, dist
+    return label_set(held), root, h, dist
 
 
 class TestPrimitive:
     @settings(max_examples=400, **COMMON)
     @given(case=prune_cases())
     def test_matches_full_minimum(self, case):
-        ls, root, bound, dist = case
-        assert prequery_prunes(ls, root.get, bound, dist) == \
-            full_minimum_prunes(ls, root.get, bound, dist)
+        ls, root, h, dist = case
+        args = scan_args(ls, h)
+        assert prequery_prunes(*args, root.get, dist) == \
+            full_minimum_prunes(*args, root.get, dist)
 
     def test_tie_does_not_prune(self):
         ls = label_set({0: 1, 1: 2.5})
-        root = {0: 2, 1: 0.5}
-        assert not prequery_prunes(ls, root.get, 1, 3)
-        assert prequery_prunes(ls, root.get, 1, 3.5)
+        root = {0: 2, 1: 0.5, 2: 0}
+        assert not prequery_prunes(*scan_args(ls, 2), root.get, 3)
+        assert prequery_prunes(*scan_args(ls, 2), root.get, 3.5)
 
     def test_empty_prefix_scans_nothing(self):
-        # Every hub of L(v) ranks below the bound: nothing is looked up,
-        # even though the root map (wrongly) holds a shorter witness.
+        # Every hub of L(v) ranks at or below h: nothing is looked up, even
+        # though the root map (wrongly) holds a shorter witness.
         ls = label_set({5: 0, 7: 1})
         root = {5: 0, 7: 0}
-        assert not prequery_prunes(ls, root.get, 4, 10)
-        assert prequery_prunes(ls, root.get, 5, 10)
+        assert not prequery_prunes(*scan_args(ls, 5), root.get, 10)
+        assert prequery_prunes(*scan_args(ls, 6), root.get, 10)
 
     def test_first_witness_stops_the_scan(self):
         seen = []
-        root = {0: 1, 1: 0, 2: 0}
+        root = {0: 1, 1: 0, 2: 0, 3: 0}
 
         def get(hub):
             seen.append(hub)
             return root.get(hub)
 
-        assert prequery_prunes(label_set({0: 1, 1: 1, 2: 1}), get, 2, 3)
+        ls = label_set({0: 1, 1: 1, 2: 1})
+        assert prequery_prunes(*scan_args(ls, 3), get, 3)
         assert seen == [0]
 
 
