@@ -17,7 +17,8 @@ keeps optimizing, so every PR leaves a perf trajectory in
 * ``update_latency`` — raw per-update wall clock over a hybrid
   insert/delete stream, the end-to-end number the Figure 10 experiments
   report on real datasets, split into the maintenance phases
-  ``UpdateStats`` times (SrrSEARCH, BFS, removal pass).
+  ``UpdateStats`` times (SrrSEARCH, BFS, removal pass), with the mean
+  number of region pairs DecUPDATE keeps per delete.
 
 Wired into the CLI as ``repro-bench micro``; CI runs the quick profile as
 a perf-smoke job that fails on crash, never on timing.
@@ -152,7 +153,7 @@ def _bench_update_latency(config, extra):
     all_stats = engine.apply_stream(stream)
     table = Table(
         "update latency over a hybrid stream (phases: mean per update)",
-        ["kind", "count", "mean_us", "median_us", "max_us",
+        ["kind", "count", "mean_us", "median_us", "max_us", "kept",
          "srr_us", "bfs_us", "removal_us"],
     )
     summaries = {}
@@ -165,6 +166,9 @@ def _bench_update_latency(config, extra):
             phase: sum(getattr(s, phase) for s in stats) / max(1, len(stats))
             for phase in ("srr_s", "bfs_s", "removal_s")
         }
+        # Region pairs DecUPDATE left alone per delete (drop_kept).
+        summary["kept_mean"] = (sum(s.kept for s in stats) / len(stats)
+                                if kind == "delete" and stats else None)
         summaries[kind] = summary
         phases = summary["phases_mean_s"]
         table.add_row(
@@ -172,6 +176,7 @@ def _bench_update_latency(config, extra):
             round(summary["mean"] * 1e6, 1),
             round(summary["median"] * 1e6, 1),
             round(summary["max"] * 1e6, 1),
+            "—" if summary["kept_mean"] is None else round(summary["kept_mean"], 1),
             round(phases["srr_s"] * 1e6, 1),
             round(phases["bfs_s"] * 1e6, 1),
             round(phases["removal_s"] * 1e6, 1),

@@ -21,11 +21,16 @@ overestimates.  DecSPC works in two phases:
     descending order of rank, so PreQUERY's upper bound d̄ — computed from
     strictly higher-ranked, already-repaired hubs — is sound), the
     (h, ·, ·) labels of the opposite side's SR ∪ R on G_{i+1}.  Only those
-    targets ranked below h can change, so the rank-pruned BFS runs inside
-    that region alone, seeded from the unchanged (h, ·, ·) entries of its
-    boundary.  Visited targets get their label renewed or inserted and are
-    marked U[v] = True; labels of unvisited targets are removed afterwards:
-    either h got disconnected from them or their label became dominated.
+    targets ranked below h can change, and of them only those that no
+    entry proves untouched: a target u holding (h, d, ·) with
+    d < sd(h, near end) + 1 + sd(far end, u) has no shortest h–u path over
+    the edge, so it is *kept* (:func:`drop_kept`, the Ramalingam–Reps
+    test).  The rank-pruned BFS runs inside the remaining region alone,
+    seeded from the unchanged (h, ·, ·) entries of its boundary, kept
+    holders included.  Visited targets get their label renewed or
+    inserted and are marked U[v] = True; labels of unvisited region
+    vertices are removed afterwards: either h got disconnected from them
+    or their label became dominated.
 
 The §3.2.3 isolated-vertex optimization short-circuits the whole procedure
 when the deletion strands a degree-1, lower-ranked endpoint: its label set
@@ -67,8 +72,8 @@ def dec_spc(graph, index, a, b, stats=None, use_isolated_fast_path=True):
     lab = set(la.hubs) & set(lb.hubs)  # common hubs of a and b (rank numbers)
 
     t0 = perf_counter()
-    sr_a, r_a = srr_search(step, a, b, lab, rank)
-    sr_b, r_b = srr_search(step, b, a, lab, rank)
+    sr_a, r_a, dist_a = srr_search(step, a, b, lab, rank)
+    sr_b, r_b, dist_b = srr_search(step, b, a, lab, rank)
     stats.srr_s += perf_counter() - t0
     stats.sr_a, stats.sr_b = len(sr_a), len(sr_b)
     stats.r_a, stats.r_b = len(r_a), len(r_b)
@@ -83,7 +88,12 @@ def dec_spc(graph, index, a, b, stats=None, use_isolated_fast_path=True):
     holders = index.holders
     for h_vertex in affected_hubs:  # descending order of rank
         h = rank[h_vertex]
-        region = below_b(h) if h_vertex in sr_a else below_a(h)
+        if h_vertex in sr_a:
+            region = drop_kept(below_b(h), holders(h), label_of, h,
+                               dist_a[h_vertex] + 1, dist_b, stats)
+        else:
+            region = drop_kept(below_a(h), holders(h), label_of, h,
+                               dist_b[h_vertex] + 1, dist_a, stats)
         dec_bfs(step, step, label_of, label_of(h_vertex), holders, rank,
                 h_vertex, region, stats)
     return stats
@@ -148,6 +158,12 @@ def srr_search(step, start, far, lab, rank):
     max dv + 1.  ``lab`` holds the common hubs of the edge endpoints as rank
     numbers (Condition A).  The directed SrrSEARCH runs this kernel once per
     side, with predecessors or successors as ``step``.
+
+    Returns (SR, R, dist).  ``dist`` is the near BFS's distance map; on
+    every affected vertex it is exact, sd(v, start) on G_i, because a
+    shortest path from an affected vertex to ``start`` runs through
+    affected vertices only.  DecUPDATE reads the hubs' and the targets'
+    distances from it (:func:`drop_kept`).
     """
     sr, r = set(), set()
     dist = {start: 0}
@@ -191,7 +207,7 @@ def srr_search(step, start, far, lab, rank):
                 queue.append(w)
             elif dw == dnext:
                 count[w] += cv
-    return sr, r
+    return sr, r, dist
 
 
 def regions_below(targets, rank):
@@ -205,6 +221,27 @@ def regions_below(targets, rank):
     ordered = sorted(targets, key=rank.__getitem__)
     ranks = [rank[v] for v in ordered]
     return lambda h: ordered[bisect_right(ranks, h):]
+
+
+def drop_kept(region, held, labels_of, h, reach, far_dist, stats):
+    """Return the vertices of ``region`` whose (h, ·, ·) entry may change.
+
+    ``reach`` is sd(h, near end) + 1 and ``far_dist`` maps each target u to
+    sd(far end, u), both on G_i (:func:`srr_search`), so every h–u path
+    over the deleted edge is at least ``reach + far_dist[u]`` long.  A
+    holder u of (h, d, ·) with d below that bound has shortest h–u paths
+    that avoid the edge: they, and so its entry, survive the delete.  It
+    is *kept*: left out of the region, it seeds its region neighbours as a
+    non-target does, and the removal pass leaves it alone (DESIGN.md §4).
+    ``held`` is the reverse hub map's holders(h).  Its time counts in
+    ``stats.bfs_s``.
+    """
+    t0 = perf_counter()
+    repair = [u for u in region
+              if u not in held or labels_of(u).get(h)[0] >= reach + far_dist[u]]
+    stats.kept += len(region) - len(repair)
+    stats.bfs_s += perf_counter() - t0
+    return repair
 
 
 def dec_bfs(step, back, labels_of, root_labels, holders, rank, h_vertex, region,

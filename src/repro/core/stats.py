@@ -27,6 +27,9 @@ class UpdateStats:
     renew_dist: int = 0
     inserted: int = 0
     removed: int = 0
+    # DecUPDATE region pairs (h, u) left alone because u's entry provably
+    # survives the delete (decremental.drop_kept).
+    kept: int = 0
     bfs_visits: int = 0
     affected_hubs: int = 0
     sr_a: int = 0
@@ -58,6 +61,7 @@ class UpdateStats:
         self.renew_dist += other.renew_dist
         self.inserted += other.inserted
         self.removed += other.removed
+        self.kept += other.kept
         self.bfs_visits += other.bfs_visits
         self.affected_hubs += other.affected_hubs
         self.sr_a += other.sr_a

@@ -26,9 +26,9 @@ pending, so an idle writer makes each write visible right after its
 apply.  A busy writer, whose queue never empties, is bounded by
 :class:`ServeConfig`: between batches it publishes once ``publish_every``
 updates have been applied since the last snapshot, or once
-``max_staleness`` seconds have passed since the first batch after it
-applied, whichever comes first (one long batch overruns the latter; see
-:class:`ServeConfig`).  A publish is a copy-on-write of the dirty label
+``max_staleness`` seconds have passed since the first update after it
+was dequeued, whichever comes first (one long batch overruns the latter;
+see :class:`ServeConfig`).  A publish is a copy-on-write of the dirty label
 sets only, so publishing on idle costs little and buys freshness.
 
 Durability: with ``durability_dir`` set, the service keeps a checkpoint
@@ -73,14 +73,12 @@ class ServeConfig:
         updates have been applied since the last snapshot.
     max_staleness:
         A busy writer also publishes once this many seconds have passed
-        since the end of the first batch applied after the last snapshot.
-        The check runs only between batches and that clock starts only
-        when a batch has applied, so this is not a bound on the oldest
-        unpublished update: one long drained batch (up to ``drain_max``
-        updates) overruns it — a 20 ms-per-update stream with
-        ``max_staleness=0.05`` has left 60 updates unpublished for
-        0.93 s.  An idle writer waits on neither rule: it publishes as
-        soon as its queue drains.
+        since the first update applied after the last snapshot was
+        dequeued.  The check runs only between batches, so one long
+        drained batch (up to ``drain_max`` updates) still overruns the
+        bound by its own apply time; no batch, though, ends dirty past it
+        without publishing.  An idle writer waits on neither rule: it
+        publishes as soon as its queue drains.
     drain_max:
         Upper bound on updates drained into one applied batch — caps both
         coalescing latency and the size of a WAL record.
@@ -701,8 +699,8 @@ class SPCService:
         return self._seq - self._snapshot.seq
 
     def staleness(self):
-        """Seconds since the first batch applied after the last publish
-        finished (0.0 when the snapshot is current); the clock
+        """Seconds since the first update applied after the last publish
+        was dequeued (0.0 when the snapshot is current); the clock
         ``max_staleness`` is checked against."""
         since = self._dirty_since
         return 0.0 if since is None else time.monotonic() - since
@@ -851,6 +849,10 @@ class SPCService:
         ``first`` unless ``drain``) and apply them as one net-effect
         batch; returns a control token that ended the drain early (to be
         handled next), or None."""
+        # ``first`` was just dequeued (or handed over on idle): if this
+        # batch dirties the snapshot, the staleness clock starts here, so
+        # it counts the batch's own apply time.
+        dequeued = time.monotonic()
         batch = list(first) if isinstance(first, list) else [first]
         control = None
         while drain and len(batch) < self._config.drain_max:
@@ -930,7 +932,7 @@ class SPCService:
             self._applied_updates += len(applied)
             self._dirty += len(applied)
             if self._dirty_since is None:
-                self._dirty_since = time.monotonic()
+                self._dirty_since = dequeued
             if obs is not None:
                 obs.writer_batch(len(applied), t_applied - t_start,
                                  t_wal - t_applied, t_journal - t_wal,

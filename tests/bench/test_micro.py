@@ -72,3 +72,14 @@ class TestResultShape:
         assert lat["insert"]["phases_mean_s"]["srr_s"] == 0
         assert result.tables[2].columns[-3:] == [
             "srr_us", "bfs_us", "removal_us"]
+
+    def test_delete_row_reports_kept_pairs(self):
+        result = run(tiny_config())
+        lat = result.extra["update_latency"]
+        assert lat["delete"]["kept_mean"] >= 0
+        assert lat["insert"]["kept_mean"] is None
+        table = result.tables[2]
+        kept = table.columns.index("kept")
+        rows = {row[0]: row for row in table.rows}
+        assert rows["delete"][kept] == round(lat["delete"]["kept_mean"], 1)
+        assert rows["insert"][kept] == "—"

@@ -145,7 +145,7 @@ class TestExample39Toy:
         la = index.label_set("a")
         lb = index.label_set("b")
         lab = set(la.hubs) & set(lb.hubs)
-        sr_a, r_a = srr_search(toy_graph.neighbors, "a", "b", lab,
+        sr_a, r_a, _ = srr_search(toy_graph.neighbors, "a", "b", lab,
                                index.order.rank_map())
         assert "w" in sr_a
         assert "h" in sr_a  # h is a common hub of a and b (Condition A)
@@ -159,8 +159,8 @@ class TestFigure6Decremental:
         lb = paper_index.label_set(2)
         lab = set(la.hubs) & set(lb.hubs)
         step, rank = paper_graph.neighbors, paper_index.order.rank_map()
-        sr_v1, r_v1 = srr_search(step, 1, 2, lab, rank)
-        sr_v2, r_v2 = srr_search(step, 2, 1, lab, rank)
+        sr_v1, r_v1, _ = srr_search(step, 1, 2, lab, rank)
+        sr_v2, r_v2, _ = srr_search(step, 2, 1, lab, rank)
         assert sr_v1 == {1, 6, 10}
         assert r_v1 == set()
         assert sr_v2 == {2}

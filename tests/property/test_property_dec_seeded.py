@@ -12,8 +12,13 @@ the reference:
   insert/renew/removal counts;
 * the seeded kernel only expands region vertices;
 * named streams pin the cases the seeding has to get right: the DESIGN.md
-  §5 stale-label stream, a delete that leaves a region with no seeds, a hub
-  adjacent to its region, and a directed hub on both sides of the arc.
+  §5 stale-label stream, a delete that leaves a region with no seeds, a
+  kept target adjacent to its hub that seeds the region, and a directed
+  hub on both sides of the arc.
+
+The drivers drop kept holders (``decremental.drop_kept``) before they call
+the kernel, so both kernels here repair the same region;
+``test_property_dec_kept.py`` checks the drop itself.
 """
 
 from bisect import bisect_left
@@ -265,17 +270,26 @@ class TestNamedCases:
 
     def test_hub_adjacent_to_its_region(self):
         """On the square 0-1-2-3, deleting (1, 2) leaves hub 0 (a common
-        hub of both endpoints) adjacent to region vertex 3: its self-label
-        seeds 3 at distance 1."""
+        hub of both endpoints) adjacent to target 3.  3 holds (0, 1, 1) and
+        1 < sd(0, 1) + 1 + sd(2, 3) = 3, so 3 is kept: it stays out of hub
+        0's region, and its entry seeds region vertex 2 at distance 2.
+
+        A region vertex adjacent to its hub can no longer occur at all:
+        the edge makes h its highest-ranked shortest path, so it holds
+        (h, 1, 1), below every bound but the deleted edge's own.  The
+        self-label therefore never seeds (test_property_dec_kept.py)."""
         g = Graph.from_edges([(0, 1), (1, 2), (2, 3), (3, 0)])
         live, ref = _twins(g, build_spc_index, order=VertexOrder([0, 1, 2, 3]))
         recorder = Recorder()
-        _twin_delete(live, ref, dec_spc, 1, 2, recorder)
+        stats = _twin_delete(live, ref, dec_spc, 1, 2, recorder)
+        assert stats.kept == 1
         assert any(
-            h_vertex == 0 and 3 in inside and 0 in back(3)
+            h_vertex == 0 and inside == {2} and 3 in back(2)
             for h_vertex, inside, back, _ in recorder.calls
         )
-        assert live[1].label_set(3).get(0) == (1, 1)  # hub 0 has rank 0
+        index = live[1]
+        assert index.label_set(3).get(0) == (1, 1)  # hub 0 has rank 0
+        assert index.label_set(2).get(0) == (2, 1)  # was (2, 2) via 1 and 3
         assert verify_espc(*live)
 
     def test_directed_hub_on_both_sides_keeps_its_self_label(self):

@@ -78,9 +78,9 @@ def undirected_sides(graph, index, a, b):
     lab = set(la.hubs) & set(lb.hubs)
     step = graph.neighbors
     return [
-        (srr_search(step, a, b, lab, rank),
+        (srr_search(step, a, b, lab, rank)[:2],
          label_scan_srr_search(step, label_of, a, lb, lab, rank)),
-        (srr_search(step, b, a, lab, rank),
+        (srr_search(step, b, a, lab, rank)[:2],
          label_scan_srr_search(step, label_of, b, la, lab, rank)),
     ]
 
@@ -93,10 +93,10 @@ def directed_sides(graph, index, a, b):
     lab_in = set(lin(a).hubs) & set(lin(b).hubs)
     lab_out = set(lout(a).hubs) & set(lout(b).hubs)
     return [
-        (srr_search(graph.predecessors, a, b, lab_in, rank),
+        (srr_search(graph.predecessors, a, b, lab_in, rank)[:2],
          label_scan_srr_search(graph.predecessors, lout, a, lin(b), lab_in,
                                rank)),
-        (srr_search(graph.successors, b, a, lab_out, rank),
+        (srr_search(graph.successors, b, a, lab_out, rank)[:2],
          label_scan_srr_search(graph.successors, lin, b, lout(a), lab_out,
                                rank)),
     ]

@@ -309,6 +309,61 @@ class TestPublishPolicy:
             service.engine.apply = apply
             assert published >= 2
 
+    def test_no_batch_ends_stale_unpublished_at_default_drain(self):
+        import time
+
+        graph = erdos_renyi(60, 80, seed=5)
+        inserts = random_insertions(graph, 400, seed=5)
+        # The default drain_max: with 20 ms applies and 5 ms submits each
+        # drained batch is about four times the last (1, 4, 16, ...).  The
+        # staleness clock starts when the first dirty update is dequeued,
+        # so a batch that ends with an update older than max_staleness
+        # unpublished publishes at once.  Stamped at the batch's end, the
+        # clock let the 16-update third batch end dirty 0.3 s old.
+        config = ServeConfig(publish_every=10_000, max_staleness=0.05)
+        with SPCService(repro.open(graph), config) as service:
+            apply = service.engine.apply
+            publish = service._publish
+            maybe_publish = service._maybe_publish
+            oldest = []  # apply start of the oldest unpublished update
+            dirty_seen, late = [], []
+
+            def slow_apply(update):
+                if not oldest:
+                    oldest.append(time.monotonic())
+                time.sleep(0.02)
+                return apply(update)
+
+            def tracked_publish():
+                publish()
+                oldest.clear()
+
+            def checked_maybe_publish():
+                # Read the clock first: the service's own check comes later.
+                now = time.monotonic()
+                dirty_seen.append(service._dirty)
+                maybe_publish()
+                # (``oldest`` stays empty once the plain apply is back.)
+                if service._dirty and oldest and (
+                        now - oldest[0] > config.max_staleness):
+                    late.append((service._dirty, now - oldest[0]))
+
+            service.engine.apply = slow_apply
+            service._publish = tracked_publish
+            service._maybe_publish = checked_maybe_publish
+            end = time.monotonic() + 0.6
+            with service._role:  # a busy writer: the first update queues
+                service.submit(inserts[0])
+            for update in inserts[1:]:
+                if time.monotonic() >= end:
+                    break
+                service.submit(update)
+                time.sleep(0.005)
+            service.engine.apply = apply
+            service.flush()
+        assert max(dirty_seen) > 4  # batches beyond the drain_max=4 test's
+        assert late == [], f"batches ended stale and unpublished: {late}"
+
     def test_epoch_and_seq_monotone(self, paper_graph):
         with SPCService(repro.open(paper_graph), publish_every=1) as service:
             seen = [service.snapshot()]
