@@ -14,9 +14,8 @@ Public API quickstart::
     engine.query(0, 2)              # answers stay exact under updates
 
 ``repro.open`` works identically for :class:`DiGraph` and
-:class:`WeightedGraph`; the legacy ``DynamicSPC`` / ``DynamicDirectedSPC``
-/ ``DynamicWeightedSPC`` facades remain as deprecation shims over the
-engine.
+:class:`WeightedGraph`; it is the one entry point for dynamic shortest
+path counting on every graph family.
 
 Package map (see DESIGN.md for the full inventory):
 
@@ -37,12 +36,10 @@ Package map (see DESIGN.md for the full inventory):
 """
 
 from repro.core import (
-    DynamicSPC,
     LabelSet,
     SPCIndex,
     StreamStats,
     UpdateStats,
-    build_dynamic,
     build_spc_index,
     dec_spc,
     inc_spc,
@@ -88,8 +85,6 @@ __all__ = [
     "build_spc_index",
     "inc_spc",
     "dec_spc",
-    "DynamicSPC",
-    "build_dynamic",
     "UpdateStats",
     "StreamStats",
     "VertexOrder",

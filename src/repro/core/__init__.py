@@ -2,7 +2,6 @@
 
 from repro.core.builder import build_spc_index
 from repro.core.decremental import dec_spc
-from repro.core.dynamic import DynamicSPC, build_dynamic
 from repro.core.incremental import inc_spc
 from repro.core.index import SPCIndex
 from repro.core.labels import ENTRY_BYTES, LabelSet, pack_entry, unpack_entry
@@ -20,8 +19,6 @@ __all__ = [
     "build_spc_index",
     "inc_spc",
     "dec_spc",
-    "DynamicSPC",
-    "build_dynamic",
     "UpdateStats",
     "StreamStats",
     "pack_entry",

@@ -14,6 +14,11 @@ and one :class:`~repro.core.labels.LabelSet` per vertex.  It answers
 The index never touches the graph at query time; that is the point of 2-hop
 labeling and what the benchmarks in Figure 7(c) measure.
 
+The weighted backend keeps its labels in this same class: "for weighted
+graphs, the labels store the sum of weights along the shortest paths
+instead of the number of hops" (Appendix C.2), and a :class:`LabelSet`
+holds int or float distances alike.
+
 Alongside the forward map (vertex -> L(v)) the index maintains a *reverse
 hub map* ``holders``: hub rank -> set of vertices whose label set contains
 that hub.  Every :class:`LabelSet` is bound to it on creation, so the
@@ -28,11 +33,10 @@ from repro.core.labels import (
     LabelSet,
     counting_probe,
     frozen_labels,
+    merge_query,
 )
 from repro.exceptions import VertexNotFound
 from repro.order import VertexOrder
-
-INF = float("inf")
 
 _NO_HOLDERS = frozenset()
 
@@ -41,7 +45,8 @@ class SPCIndex:
     """Hub-labeling index answering shortest-path counting queries.
 
     Instances are normally produced by :func:`repro.core.builder.build_spc_index`
-    and maintained by IncSPC / DecSPC; direct construction creates an index
+    (weighted: :func:`repro.weighted.build_weighted_spc_index`) and
+    maintained by IncSPC / DecSPC; direct construction creates an index
     with only self-labels, correct for an edgeless graph.
     """
 
@@ -138,14 +143,14 @@ class SPCIndex:
         """
         ls = self.label_set(s)
         lt = self.label_set(t)
-        return _merge_query(ls, lt, stop_rank=None)
+        return merge_query(ls, lt, stop_rank=None)
 
     def pre_query(self, s, t):
         """PreQUERY(s, t): like :meth:`query` but hubs ranked at or below s
         are excluded — the upper bound (d̄, c̄) used by DecUPDATE."""
         ls = self.label_set(s)
         lt = self.label_set(t)
-        return _merge_query(ls, lt, stop_rank=self._order.rank(s))
+        return merge_query(ls, lt, stop_rank=self._order.rank(s))
 
     def distance(self, s, t):
         """Return sd(s, t) (inf when disconnected)."""
@@ -312,35 +317,3 @@ class SPCIndex:
             f"avg_label={self.average_label_size():.1f})"
         )
 
-
-def _merge_query(ls, lt, stop_rank):
-    """Two-pointer merge over two sorted label sets.
-
-    Implements Algorithm 1; with ``stop_rank`` set, hubs with rank >= that
-    value are ignored (PreQUERY's early break at the query vertex itself).
-    """
-    hubs_s, dists_s, counts_s = ls.hubs, ls.dists, ls.counts
-    hubs_t, dists_t, counts_t = lt.hubs, lt.dists, lt.counts
-    i, j = 0, 0
-    len_s, len_t = len(hubs_s), len(hubs_t)
-    best = INF
-    count = 0
-    while i < len_s and j < len_t:
-        hs = hubs_s[i]
-        ht = hubs_t[j]
-        if hs == ht:
-            if stop_rank is not None and hs >= stop_rank:
-                break
-            d = dists_s[i] + dists_t[j]
-            if d < best:
-                best = d
-                count = counts_s[i] * counts_t[j]
-            elif d == best:
-                count += counts_s[i] * counts_t[j]
-            i += 1
-            j += 1
-        elif hs < ht:
-            i += 1
-        else:
-            j += 1
-    return best, count

@@ -276,6 +276,42 @@ def frozen_labels(prev, live, dirty, copy):
     return out
 
 
+def merge_query(ls, lt, stop_rank):
+    """Two-pointer merge over two sorted label sets.
+
+    Implements Algorithm 1; with ``stop_rank`` set, hubs with rank >= that
+    value are ignored (PreQUERY's early break at the query vertex itself).
+    Every counting index answers through it: the undirected and weighted
+    index merge L(s) against L(t), the directed one L_out(s) against
+    L_in(t).
+    """
+    hubs_s, dists_s, counts_s = ls.hubs, ls.dists, ls.counts
+    hubs_t, dists_t, counts_t = lt.hubs, lt.dists, lt.counts
+    i, j = 0, 0
+    len_s, len_t = len(hubs_s), len(hubs_t)
+    best = INF
+    count = 0
+    while i < len_s and j < len_t:
+        hs = hubs_s[i]
+        ht = hubs_t[j]
+        if hs == ht:
+            if stop_rank is not None and hs >= stop_rank:
+                break
+            d = dists_s[i] + dists_t[j]
+            if d < best:
+                best = d
+                count = counts_s[i] * counts_t[j]
+            elif d == best:
+                count += counts_s[i] * counts_t[j]
+            i += 1
+            j += 1
+        elif hs < ht:
+            i += 1
+        else:
+            j += 1
+    return best, count
+
+
 def counting_probe(source_labels, target_label_of):
     """Return ``probe(t) -> (sd, spc)`` sharing one scan of the source labels.
 

@@ -2,7 +2,6 @@
 
 from repro.directed.builder import build_directed_spc_index
 from repro.directed.decremental import dec_spc_directed
-from repro.directed.dynamic import DynamicDirectedSPC
 from repro.directed.incremental import inc_spc_directed
 from repro.directed.index import DirectedSPCIndex
 
@@ -11,5 +10,4 @@ __all__ = [
     "build_directed_spc_index",
     "inc_spc_directed",
     "dec_spc_directed",
-    "DynamicDirectedSPC",
 ]

@@ -11,11 +11,10 @@ from repro.core.labels import (
     LabelSet,
     counting_probe,
     frozen_labels,
+    merge_query,
 )
 from repro.exceptions import VertexNotFound
 from repro.order import VertexOrder
-
-INF = float("inf")
 
 _NO_HOLDERS = frozenset()
 
@@ -115,12 +114,12 @@ class DirectedSPCIndex:
 
     def query(self, s, t):
         """Return (sd(s→t), spc(s→t)); (inf, 0) when t is unreachable."""
-        return _merge(self.out_label_set(s), self.in_label_set(t), None)
+        return merge_query(self.out_label_set(s), self.in_label_set(t), None)
 
     def pre_query_forward(self, h, v):
         """Upper-bound (d̄, c̄) for h → v via hubs ranked strictly above h."""
-        return _merge(self.out_label_set(h), self.in_label_set(v),
-                      self._order.rank(h))
+        return merge_query(self.out_label_set(h), self.in_label_set(v),
+                           self._order.rank(h))
 
     def distance(self, s, t):
         """Return sd(s→t)."""
@@ -259,30 +258,3 @@ class DirectedSPCIndex:
     def __repr__(self):
         return f"DirectedSPCIndex(n={len(self._lin)}, entries={self.num_entries})"
 
-
-def _merge(lout_s, lin_t, stop_rank):
-    hubs_s, dists_s, counts_s = lout_s.hubs, lout_s.dists, lout_s.counts
-    hubs_t, dists_t, counts_t = lin_t.hubs, lin_t.dists, lin_t.counts
-    i, j = 0, 0
-    len_s, len_t = len(hubs_s), len(hubs_t)
-    best = INF
-    count = 0
-    while i < len_s and j < len_t:
-        hs = hubs_s[i]
-        ht = hubs_t[j]
-        if hs == ht:
-            if stop_rank is not None and hs >= stop_rank:
-                break
-            d = dists_s[i] + dists_t[j]
-            if d < best:
-                best = d
-                count = counts_s[i] * counts_t[j]
-            elif d == best:
-                count += counts_s[i] * counts_t[j]
-            i += 1
-            j += 1
-        elif hs < ht:
-            i += 1
-        else:
-            j += 1
-    return best, count

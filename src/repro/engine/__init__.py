@@ -10,9 +10,7 @@ One facade for every graph family::
     engine.insert_edge(u, v)              # IncSPC + cache invalidation
     engine.apply_batch(updates)           # net-effect coalescing
 
-See DESIGN.md §7 for the architecture; the legacy ``DynamicSPC`` /
-``DynamicDirectedSPC`` / ``DynamicWeightedSPC`` facades are deprecation
-shims over this engine.
+See DESIGN.md §7 for the architecture.
 """
 
 from repro.engine.backends import (

@@ -31,7 +31,6 @@ from repro.graph.weighted import WeightedGraph
 from repro.weighted.builder import build_weighted_spc_index
 from repro.weighted.decremental import dec_spc_weighted, increase_weight
 from repro.weighted.incremental import decrease_weight, inc_spc_weighted
-from repro.weighted.index import WeightedSPCIndex
 
 
 @register_backend
@@ -54,12 +53,6 @@ class CoreBackend(SPCBackend):
             self.graph, self.index, a, b,
             use_isolated_fast_path=self.config.use_isolated_fast_path,
         )
-
-    def verify(self, sample_pairs=None, seed=0):
-        from repro.verify import verify_espc
-
-        return verify_espc(self.graph, self.index,
-                           sample_pairs=sample_pairs, seed=seed)
 
 
 @register_backend
@@ -109,12 +102,6 @@ class DirectedBackend(SPCBackend):
                 "out": out_labels.get(key, []),
             }
 
-    def verify(self, sample_pairs=None, seed=0):
-        from repro.verify import verify_espc_directed
-
-        return verify_espc_directed(self.graph, self.index,
-                                    sample_pairs=sample_pairs, seed=seed)
-
     def check_invariants(self):
         from repro.verify import check_invariants_directed
 
@@ -127,7 +114,7 @@ class WeightedBackend(SPCBackend):
 
     name = "weighted"
     graph_type = WeightedGraph
-    index_type = WeightedSPCIndex
+    index_type = SPCIndex
     weighted = True
 
     def check_weight(self, weight):
@@ -162,12 +149,6 @@ class WeightedBackend(SPCBackend):
             raise EngineError("the weighted backend has no in-edges")
         # ``edges`` are (neighbor, weight) pairs.
         return [(v, u, w) for u, w in edges]
-
-    def verify(self, sample_pairs=None, seed=0):
-        from repro.verify import verify_espc_weighted
-
-        return verify_espc_weighted(self.graph, self.index,
-                                    sample_pairs=sample_pairs, seed=seed)
 
 
 @register_backend

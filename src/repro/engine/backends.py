@@ -253,9 +253,17 @@ class SPCBackend(abc.ABC):
     # Verification
     # ------------------------------------------------------------------
 
-    @abc.abstractmethod
     def verify(self, sample_pairs=None, seed=0):
-        """Check the index against ground truth; raises IndexCorruption."""
+        """Check the index against ground truth; raises IndexCorruption.
+
+        The default runs :func:`repro.verify.verify_espc`, which picks the
+        ground-truth traversal from the graph's type; backends whose
+        answers are not (sd, spc) override.
+        """
+        from repro.verify import verify_espc
+
+        return verify_espc(self.graph, self.index,
+                           sample_pairs=sample_pairs, seed=seed)
 
     def check_invariants(self):
         """Validate structural label invariants; raises IndexCorruption.

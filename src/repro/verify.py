@@ -2,9 +2,10 @@
 
 Theorems 3.7 and 3.16 claim the updated index obeys Exact Shortest Paths
 Covering — every query answers (sd, spc) exactly.  ``verify_espc`` checks
-that claim against BFS ground truth, exhaustively on small graphs or over a
-random pair sample on larger ones, and raises :class:`IndexCorruption` with
-a precise diagnosis on the first mismatch.
+that claim on every graph family against ground truth picked from the
+graph's type (BFS, directed BFS or Dijkstra), exhaustively on small graphs
+or over a random pair sample on larger ones, and raises
+:class:`IndexCorruption` with a precise diagnosis on the first mismatch.
 
 ``check_invariants`` validates the structural well-formedness that every
 SPC-Index must satisfy regardless of the graph: per-vertex self-labels,
@@ -20,155 +21,88 @@ the distance-only siblings for the SD backend.
 import random
 
 from repro.exceptions import IndexCorruption
+from repro.graph.directed import DiGraph
+from repro.graph.weighted import WeightedGraph
 from repro.traversal.bfs import bfs_counting_sssp, directed_bfs_counting_sssp
+from repro.traversal.dijkstra import dijkstra_counting_sssp
 
 INF = float("inf")
 
 
-def verify_espc(graph, index, sample_pairs=None, seed=0, exhaustive_threshold=400):
-    """Check SpcQUERY against BFS ground truth.
+def _ground_truth(graph):
+    """Return (counting SSSP, exhaustive threshold) for ``graph``'s family.
+
+    A Dijkstra source costs more than a BFS one, so weighted graphs switch
+    to a pair sample sooner.
+    """
+    if isinstance(graph, WeightedGraph):
+        return dijkstra_counting_sssp, 200
+    if isinstance(graph, DiGraph):
+        return directed_bfs_counting_sssp, 300
+    return bfs_counting_sssp, 400
+
+
+def _pairs_by_source(vertices, sample_pairs, seed, exhaustive_threshold):
+    """Return the (s, t) pairs a check covers, grouped by source.
+
+    With ``sample_pairs`` None: every ordered pair of ``vertices`` when
+    there are at most ``exhaustive_threshold`` of them, else ``4 * n``
+    random pairs.  An int requests that many random pairs (drawn with
+    ``seed``); an iterable of (s, t) pairs is used verbatim.  The result
+    maps each source to its targets, so one traversal or one source scan
+    serves them all.
+    """
+    if sample_pairs is None and len(vertices) <= exhaustive_threshold:
+        return {s: vertices for s in vertices}
+    if sample_pairs is None:
+        sample_pairs = 4 * len(vertices)
+    if isinstance(sample_pairs, int):
+        rng = random.Random(seed)
+        pairs = [(rng.choice(vertices), rng.choice(vertices))
+                 for _ in range(sample_pairs)]
+    else:
+        pairs = sample_pairs
+    by_source = {}
+    for s, t in pairs:
+        by_source.setdefault(s, []).append(t)
+    return by_source
+
+
+def verify_espc(graph, index, sample_pairs=None, seed=0):
+    """Check SpcQUERY against ground truth for ``graph``'s family.
 
     Parameters
     ----------
     graph, index:
-        The graph and the index claimed to cover it.
+        The graph and the index claimed to cover it.  The ground truth is
+        picked from the graph's type: BFS for a :class:`Graph`, directed
+        BFS for a :class:`DiGraph` (pairs are s → t), Dijkstra for a
+        :class:`WeightedGraph`.
     sample_pairs:
-        If None, verify all pairs when n <= ``exhaustive_threshold``, else
-        sample ``4 * n`` random pairs.  An int requests that many sampled
-        pairs; an iterable of (s, t) pairs is used verbatim.
+        If None, verify all pairs when n is at most 400 (directed 300,
+        weighted 200), else sample ``4 * n`` random pairs.  An int
+        requests that many sampled pairs (drawn with ``seed``); an
+        iterable of (s, t) pairs is used verbatim.
     """
+    sssp, exhaustive_threshold = _ground_truth(graph)
     vertices = sorted(graph.vertices())
-    n = len(vertices)
-    if n == 0:
-        return True
-
-    if sample_pairs is None and n <= exhaustive_threshold:
-        _verify_exhaustive(graph, index, vertices)
-        return True
-
-    if sample_pairs is None:
-        sample_pairs = 4 * n
-    return _verify_sampled(graph, index, bfs_counting_sssp, vertices,
-                           sample_pairs, seed)
-
-
-def _verify_sampled(graph, index, sssp, vertices, sample_pairs, seed):
-    """Check a pair sample against ``sssp`` ground truth (any family)."""
-    if isinstance(sample_pairs, int):
-        rng = random.Random(seed)
-        pairs = [
-            (rng.choice(vertices), rng.choice(vertices)) for _ in range(sample_pairs)
-        ]
-    else:
-        pairs = list(sample_pairs)
-
-    # Group by source so one traversal serves all queries from that source.
-    by_source = {}
-    for s, t in pairs:
-        by_source.setdefault(s, []).append(t)
+    by_source = _pairs_by_source(vertices, sample_pairs, seed, exhaustive_threshold)
     for s, ts in by_source.items():
         dist, count = sssp(graph, s)
         for t in ts:
             expected = (dist.get(t, INF), count.get(t, 0)) if s != t else (0, 1)
-            _compare(index, s, t, expected)
-    return True
-
-
-def _verify_exhaustive(graph, index, vertices):
-    for s in vertices:
-        dist, count = bfs_counting_sssp(graph, s)
-        for t in vertices:
-            if s == t:
-                expected = (0, 1)
-            else:
-                expected = (dist.get(t, INF), count.get(t, 0))
-            _compare(index, s, t, expected)
-
-
-def _compare(index, s, t, expected):
-    got = index.query(s, t)
-    if got != expected:
-        raise IndexCorruption(
-            f"ESPC violated for pair ({s}, {t}): index answers "
-            f"(sd={got[0]}, spc={got[1]}) but ground truth is "
-            f"(sd={expected[0]}, spc={expected[1]})"
-        )
-
-
-def verify_espc_directed(graph, index, exhaustive_threshold=300,
-                         sample_pairs=None, seed=0):
-    """Directed ESPC check against directed BFS ground truth.
-
-    Exhaustive over every ordered pair up to ``exhaustive_threshold``
-    vertices; beyond that (or when ``sample_pairs`` is given) it checks a
-    random pair sample like :func:`verify_espc`.
-    """
-    vertices = sorted(graph.vertices())
-    if not vertices:
-        return True
-    if sample_pairs is not None or len(vertices) > exhaustive_threshold:
-        if sample_pairs is None:
-            sample_pairs = 4 * len(vertices)
-        return _verify_sampled(graph, index, directed_bfs_counting_sssp,
-                               vertices, sample_pairs, seed)
-    for s in vertices:
-        dist, count = directed_bfs_counting_sssp(graph, s)
-        for t in vertices:
-            if s == t:
-                expected = (0, 1)
-            else:
-                expected = (dist.get(t, INF), count.get(t, 0))
             got = index.query(s, t)
             if got != expected:
                 raise IndexCorruption(
-                    f"directed ESPC violated for ({s} -> {t}): index answers "
-                    f"{got} but ground truth is {expected}"
+                    f"ESPC violated for pair ({s}, {t}): index answers "
+                    f"(sd={got[0]}, spc={got[1]}) but ground truth is "
+                    f"(sd={expected[0]}, spc={expected[1]})"
                 )
     return True
 
 
-def verify_espc_weighted(graph, index, exhaustive_threshold=200,
-                         sample_pairs=None, seed=0):
-    """Weighted ESPC check against Dijkstra counting ground truth.
-
-    Exhaustive over every pair up to ``exhaustive_threshold`` vertices;
-    beyond that (or when ``sample_pairs`` is given) it checks a random
-    pair sample like :func:`verify_espc`.
-    """
-    from repro.traversal.dijkstra import dijkstra_counting_sssp
-
-    vertices = sorted(graph.vertices())
-    if not vertices:
-        return True
-    if sample_pairs is not None or len(vertices) > exhaustive_threshold:
-        if sample_pairs is None:
-            sample_pairs = 4 * len(vertices)
-        return _verify_sampled(graph, index, dijkstra_counting_sssp,
-                               vertices, sample_pairs, seed)
-    for s in vertices:
-        dist, count = dijkstra_counting_sssp(graph, s)
-        for t in vertices:
-            if s == t:
-                expected = (0, 1)
-            else:
-                expected = (dist.get(t, INF), count.get(t, 0))
-            got = index.query(s, t)
-            if got != expected:
-                raise IndexCorruption(
-                    f"weighted ESPC violated for ({s}, {t}): index answers "
-                    f"{got} but ground truth is {expected}"
-                )
-    return True
-
-
-def check_invariants(index, graph=None):
+def check_invariants(index):
     """Validate structural invariants of an SPC-Index.
-
-    With ``graph`` given, additionally checks that every labeled distance is
-    an *upper bound* on the true distance that never undercuts it (stale
-    labels after insertions may overestimate, never underestimate), by
-    checking the query result only — per-label distances are allowed to be
-    stale by Lemma 3.1.
 
     Also verifies the reverse hub map when the index maintains one: the
     map and the label sets must describe exactly the same (holder, hub)
@@ -291,28 +225,14 @@ def check_sd_invariants(index):
     return True
 
 
-def verify_sd(graph, index, sample_pairs=None, seed=0, exhaustive_threshold=400):
+def verify_sd(graph, index, sample_pairs=None, seed=0):
     """Check SD-Index distances against BFS ground truth.
 
-    Sampling behaves like :func:`verify_espc`; only sd(s, t) is compared
+    Pairs are chosen as in :func:`verify_espc`; only sd(s, t) is compared
     (the SD-Index carries no counts).
     """
     vertices = sorted(graph.vertices())
-    n = len(vertices)
-    if n == 0:
-        return True
-    if sample_pairs is None and n <= exhaustive_threshold:
-        pairs = [(s, t) for s in vertices for t in vertices]
-    elif isinstance(sample_pairs, int) or sample_pairs is None:
-        k = sample_pairs if isinstance(sample_pairs, int) else 4 * n
-        rng = random.Random(seed)
-        pairs = [(rng.choice(vertices), rng.choice(vertices)) for _ in range(k)]
-    else:
-        pairs = list(sample_pairs)
-
-    by_source = {}
-    for s, t in pairs:
-        by_source.setdefault(s, []).append(t)
+    by_source = _pairs_by_source(vertices, sample_pairs, seed, 400)
     for s, ts in by_source.items():
         dist, _ = bfs_counting_sssp(graph, s)
         for t in ts:
@@ -331,16 +251,13 @@ def indexes_equivalent(index_a, index_b, graph, sample_pairs=None, seed=0):
 
     Used to compare a dynamically-maintained index against a rebuilt one:
     label *sets* may legitimately differ (IncSPC retains stale entries) but
-    query answers must agree.
+    query answers must agree.  Pairs are chosen as in :func:`verify_espc`,
+    exhaustively up to 60 vertices.
     """
     vertices = sorted(graph.vertices())
-    if sample_pairs is None and len(vertices) <= 60:
-        pairs = [(s, t) for s in vertices for t in vertices]
-    else:
-        rng = random.Random(seed)
-        k = sample_pairs if isinstance(sample_pairs, int) else 4 * len(vertices)
-        pairs = [(rng.choice(vertices), rng.choice(vertices)) for _ in range(k)]
-    for s, t in pairs:
-        if index_a.query(s, t) != index_b.query(s, t):
-            return False
+    by_source = _pairs_by_source(vertices, sample_pairs, seed, 60)
+    for s, ts in by_source.items():
+        for t in ts:
+            if index_a.query(s, t) != index_b.query(s, t):
+                return False
     return True

@@ -9,8 +9,8 @@ tied predecessor has strictly smaller distance under positive weights.
 
 import heapq
 
+from repro.core.index import SPCIndex
 from repro.order import VertexOrder, make_order
-from repro.weighted.index import WeightedSPCIndex
 
 INF = float("inf")
 
@@ -21,7 +21,7 @@ def build_weighted_spc_index(graph, order=None, strategy="degree"):
         order = make_order(graph, strategy)
     elif not isinstance(order, VertexOrder):
         order = VertexOrder(order)
-    index = WeightedSPCIndex(order, with_self_labels=False)
+    index = SPCIndex(order, with_self_labels=False)
     rank = order.rank_map()
 
     for root in order:

@@ -8,7 +8,8 @@ The paper's update experiments draw from four workload shapes:
 * **degree-skewed** updates — edges picked by deg(u)·deg(v) buckets (§4.5).
 
 Updates are small objects with an ``apply(dynamic)`` method so streams can
-be replayed against any oracle exposing the DynamicSPC mutation API.
+be replayed against any oracle exposing the :class:`SPCEngine` mutation
+API.
 
 The generators are weight-aware: when the target graph is weighted (it
 exposes ``set_weight``), insertions carry a sampled weight, deletions
@@ -109,7 +110,7 @@ class InsertVertex:
     edges: tuple = ()
 
     def apply(self, dynamic):
-        """Apply to a DynamicSPC-like oracle."""
+        """Apply to an SPCEngine-like oracle."""
         return dynamic.insert_vertex(self.v, edges=self.edges)
 
 
@@ -120,7 +121,7 @@ class DeleteVertex:
     v: int
 
     def apply(self, dynamic):
-        """Apply to a DynamicSPC-like oracle."""
+        """Apply to an SPCEngine-like oracle."""
         return dynamic.delete_vertex(self.v)
 
 

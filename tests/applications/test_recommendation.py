@@ -1,11 +1,12 @@
 """Tests for the recommendation helpers."""
 
+import repro
 from repro.applications import (
     mutual_friend_candidates,
     rank_pairs_by_affinity,
     recommend_friends,
 )
-from repro.core import DynamicSPC, build_spc_index
+from repro.core import build_spc_index
 from repro.graph import Graph, powerlaw_cluster
 
 
@@ -49,7 +50,7 @@ class TestIntroExample:
 class TestDynamicRecommendation:
     def test_recommendations_follow_updates(self):
         g = powerlaw_cluster(120, attach=3, triangle_prob=0.5, seed=9)
-        dyn = DynamicSPC(g)
+        dyn = repro.open(g, cache_size=0)
         user = max(g.vertices(), key=g.degree)
         recs = recommend_friends(dyn.graph, dyn, user, k=3)
         assert recs

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.core import DynamicSPC
+import repro
 from repro.core.batch import coalesce_edge_updates
 from repro.exceptions import WorkloadError
 from repro.graph import Graph, erdos_renyi, path_graph
@@ -69,7 +69,7 @@ class TestApplyBatch:
                 ops.append(InsertEdge(u, v))
                 simulated.add_edge(u, v)
 
-        dyn = DynamicSPC(g.copy())
+        dyn = repro.open(g.copy(), cache_size=0)
         stats, cancelled = dyn.apply_batch(ops)
         assert sorted(dyn.graph.edges()) == sorted(simulated.edges())
         assert len(stats) + cancelled == len(ops)
@@ -77,7 +77,7 @@ class TestApplyBatch:
 
     def test_fully_cancelling_batch_is_free(self):
         g = path_graph(4)
-        dyn = DynamicSPC(g)
+        dyn = repro.open(g, cache_size=0)
         entries_before = dyn.index.num_entries
         stats, cancelled = dyn.apply_batch(
             [InsertEdge(0, 3), DeleteEdge(0, 3), DeleteEdge(1, 2), InsertEdge(1, 2)]

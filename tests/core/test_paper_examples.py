@@ -30,8 +30,8 @@ class TestTable2Construction:
         expected_entries = sum(len(entries) for entries in PAPER_INDEX.values())
         assert paper_index.num_entries == expected_entries
 
-    def test_invariants_hold(self, paper_index, paper_graph):
-        assert check_invariants(paper_index, paper_graph)
+    def test_invariants_hold(self, paper_index):
+        assert check_invariants(paper_index)
 
     def test_espc_cover_constraint(self, paper_graph, paper_index):
         assert verify_espc(paper_graph, paper_index)

@@ -17,7 +17,7 @@ import random
 
 from repro.core import build_spc_index, dec_spc, inc_spc
 from repro.graph import random_weighted
-from repro.verify import verify_espc, verify_espc_weighted
+from repro.verify import verify_espc
 from repro.weighted import build_weighted_spc_index, decrease_weight, increase_weight
 
 
@@ -36,7 +36,7 @@ class TestWeightedRegression:
                 decrease_weight(g, index, u, v, new_w)
             elif new_w > old:
                 increase_weight(g, index, u, v, new_w)
-            assert verify_espc_weighted(g, index), f"after ({u},{v})->{new_w}"
+            assert verify_espc(g, index), f"after ({u},{v})->{new_w}"
 
 
 class TestUnweightedStaleLabels:

@@ -4,15 +4,15 @@ import random
 
 import pytest
 
+import repro
 from repro.directed import (
-    DynamicDirectedSPC,
     build_directed_spc_index,
     dec_spc_directed,
     inc_spc_directed,
 )
 from repro.exceptions import EdgeNotFound
 from repro.graph import DiGraph, random_directed
-from repro.verify import verify_espc_directed
+from repro.verify import verify_espc
 
 INF = float("inf")
 
@@ -23,21 +23,21 @@ class TestDirectedIncremental:
         index = build_directed_spc_index(g)
         inc_spc_directed(g, index, 0, 3)
         assert index.query(0, 3) == (1, 1)
-        assert verify_espc_directed(g, index)
+        assert verify_espc(g, index)
 
     def test_tie_creating_arc(self):
         g = DiGraph.from_edges([(0, 1), (1, 3), (0, 2)])
         index = build_directed_spc_index(g)
         inc_spc_directed(g, index, 2, 3)
         assert index.query(0, 3) == (2, 2)
-        assert verify_espc_directed(g, index)
+        assert verify_espc(g, index)
 
     def test_reverse_arc_insertion(self):
         g = DiGraph.from_edges([(0, 1), (1, 2)])
         index = build_directed_spc_index(g)
         inc_spc_directed(g, index, 2, 0)  # close the cycle
         assert index.query(2, 1) == (2, 1)
-        assert verify_espc_directed(g, index)
+        assert verify_espc(g, index)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_arc_insertions(self, seed):
@@ -51,7 +51,7 @@ class TestDirectedIncremental:
                 continue
             inc_spc_directed(g, index, u, v)
             done += 1
-            assert verify_espc_directed(g, index), f"seed={seed} arc=({u},{v})"
+            assert verify_espc(g, index), f"seed={seed} arc=({u},{v})"
 
 
 class TestDirectedDecremental:
@@ -60,21 +60,21 @@ class TestDirectedDecremental:
         index = build_directed_spc_index(g)
         dec_spc_directed(g, index, 1, 2)
         assert index.query(0, 2) == (INF, 0)
-        assert verify_espc_directed(g, index)
+        assert verify_espc(g, index)
 
     def test_delete_one_of_two_paths(self):
         g = DiGraph.from_edges([(0, 1), (0, 2), (1, 3), (2, 3)])
         index = build_directed_spc_index(g)
         dec_spc_directed(g, index, 1, 3)
         assert index.query(0, 3) == (2, 1)
-        assert verify_espc_directed(g, index)
+        assert verify_espc(g, index)
 
     def test_reroute_through_longer_path(self):
         g = DiGraph.from_edges([(0, 1), (0, 2), (2, 3), (3, 1)])
         index = build_directed_spc_index(g)
         dec_spc_directed(g, index, 0, 1)
         assert index.query(0, 1) == (3, 1)
-        assert verify_espc_directed(g, index)
+        assert verify_espc(g, index)
 
     def test_missing_arc_raises(self):
         g = DiGraph.from_edges([(0, 1)])
@@ -91,40 +91,40 @@ class TestDirectedDecremental:
         rng.shuffle(arcs)
         for u, v in arcs[:12]:
             dec_spc_directed(g, index, u, v)
-            assert verify_espc_directed(g, index), f"seed={seed} arc=({u},{v})"
+            assert verify_espc(g, index), f"seed={seed} arc=({u},{v})"
 
 
 class TestDirectedFacade:
     def test_docstring_example(self):
         g = DiGraph.from_edges([(0, 1), (1, 2)])
-        dyn = DynamicDirectedSPC(g)
+        dyn = repro.open(g, cache_size=0)
         assert dyn.query(0, 2) == (2, 1)
         dyn.insert_edge(0, 2)
         assert dyn.query(0, 2) == (1, 1)
 
     def test_vertex_lifecycle(self):
         g = DiGraph.from_edges([(0, 1)])
-        dyn = DynamicDirectedSPC(g)
-        dyn.insert_vertex(5, out_edges=[0], in_edges=[1])
+        dyn = repro.open(g, cache_size=0)
+        dyn.insert_vertex(5, edges=[0], in_edges=[1])
         assert dyn.query(5, 1) == (2, 1)
         assert dyn.query(0, 5) == (2, 1)
         dyn.delete_vertex(5)
         assert not dyn.graph.has_vertex(5)
-        assert verify_espc_directed(dyn.graph, dyn.index)
+        assert verify_espc(dyn.graph, dyn.index)
 
     def test_history_and_rebuild(self):
         g = DiGraph.from_edges([(0, 1), (1, 2)])
-        dyn = DynamicDirectedSPC(g)
+        dyn = repro.open(g, cache_size=0)
         dyn.insert_edge(2, 0)
         dyn.delete_edge(2, 0)
         assert dyn.history.updates == 2
         assert dyn.rebuild() > 0
-        assert verify_espc_directed(dyn.graph, dyn.index)
+        assert verify_espc(dyn.graph, dyn.index)
 
     def test_mixed_random_updates(self):
         rng = random.Random(9)
         g = random_directed(12, 25, seed=9)
-        dyn = DynamicDirectedSPC(g)
+        dyn = repro.open(g, cache_size=0)
         for step in range(20):
             if step % 2 == 0:
                 while True:
@@ -135,4 +135,4 @@ class TestDirectedFacade:
             else:
                 u, v = rng.choice(sorted(dyn.graph.edges()))
                 dyn.delete_edge(u, v)
-            assert verify_espc_directed(dyn.graph, dyn.index), f"step {step}"
+            assert verify_espc(dyn.graph, dyn.index), f"step {step}"

@@ -5,7 +5,7 @@ import pytest
 from repro.directed import DirectedSPCIndex, build_directed_spc_index
 from repro.graph import DiGraph, directed_scale_free, random_directed
 from repro.order import VertexOrder
-from repro.verify import verify_espc_directed
+from repro.verify import verify_espc
 
 INF = float("inf")
 
@@ -38,12 +38,12 @@ class TestDirectedConstruction:
     def test_espc_random_digraphs(self, seed):
         g = random_directed(20, 55, seed=seed)
         index = build_directed_spc_index(g)
-        assert verify_espc_directed(g, index)
+        assert verify_espc(g, index)
 
     def test_espc_scale_free(self):
         g = directed_scale_free(60, attach=2, seed=3)
         index = build_directed_spc_index(g)
-        assert verify_espc_directed(g, index)
+        assert verify_espc(g, index)
 
     def test_in_out_labels_distinct(self):
         g = DiGraph.from_edges([(0, 1)])

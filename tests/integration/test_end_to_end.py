@@ -6,8 +6,8 @@ update stream, verification — through the public API only.
 
 import random
 
+import repro
 from repro import (
-    DynamicSPC,
     bfs_counting_pair,
     bibfs_counting,
     build_spc_index,
@@ -23,7 +23,7 @@ from repro.workloads import hybrid_stream, random_pairs
 class TestDatasetLifecycle:
     def test_eua_analogue_full_cycle(self):
         g = load_dataset("EUA")
-        dyn = DynamicSPC(g)
+        dyn = repro.open(g, cache_size=0)
 
         pairs = random_pairs(dyn.graph, 60, seed=1)
         for s, t in pairs:
@@ -37,7 +37,7 @@ class TestDatasetLifecycle:
 
     def test_dynamic_matches_reconstruction_oracle(self):
         g = barabasi_albert(120, attach=2, seed=4)
-        dyn = DynamicSPC(g.copy())
+        dyn = repro.open(g.copy(), cache_size=0)
         oracle = ReconstructionOracle(g.copy())
 
         stream = hybrid_stream(g, insertions=8, deletions=3, seed=5)
@@ -49,7 +49,7 @@ class TestDatasetLifecycle:
 
     def test_three_engines_agree_after_churn(self):
         g = barabasi_albert(150, attach=3, seed=7)
-        dyn = DynamicSPC(g)
+        dyn = repro.open(g, cache_size=0)
         rng = random.Random(8)
         vertices = sorted(g.vertices())
 
@@ -73,7 +73,7 @@ class TestDatasetLifecycle:
         from repro import SPCIndex
 
         g = barabasi_albert(80, attach=2, seed=10)
-        dyn = DynamicSPC(g)
+        dyn = repro.open(g, cache_size=0)
         dyn.insert_edge(0, 79) if not g.has_edge(0, 79) else None
         payload = dyn.index.to_dict()
         restored = SPCIndex.from_dict(payload)

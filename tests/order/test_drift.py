@@ -1,6 +1,6 @@
 """Tests for the ordering-drift diagnostics (§6 lazy-rebuild support)."""
 
-from repro.core import DynamicSPC
+import repro
 from repro.graph import Graph, erdos_renyi, star_graph
 from repro.order import (
     degree_order,
@@ -57,7 +57,7 @@ class TestDriftMetrics:
 class TestDriftRebuildPolicy:
     def test_facade_drift_method(self):
         g = erdos_renyi(25, 50, seed=5)
-        dyn = DynamicSPC(g)
+        dyn = repro.open(g, cache_size=0)
         report = dyn.drift()
         assert report["sampled_inversions"] == 0.0
 
@@ -65,8 +65,8 @@ class TestDriftRebuildPolicy:
         # Degree-inverting churn with an aggressive drift policy must
         # trigger at least one rebuild and keep answers exact.
         g = star_graph(14)
-        dyn = DynamicSPC(
-            g, rebuild_drift_threshold=0.05, drift_check_every=5,
+        dyn = repro.open(
+            g, cache_size=0, rebuild_drift_threshold=0.05, drift_check_every=5,
         )
         for leaf in range(2, 12):
             dyn.delete_edge(0, leaf)

@@ -21,7 +21,6 @@ from repro.weighted import (
     inc_spc_weighted,
     increase_weight,
 )
-from repro.weighted.index import WeightedSPCIndex
 from tests.property.strategies import (
     small_digraphs,
     small_graphs,
@@ -183,7 +182,7 @@ class TestWeightedHoldersMap:
     @given(g=small_weighted_graphs())
     def test_roundtrips_preserve_holders(self, g):
         index = build_weighted_spc_index(g)
-        restored = WeightedSPCIndex.from_dict(index.to_dict())
+        restored = SPCIndex.from_dict(index.to_dict())
         assert restored.holders_map() == index.holders_map()
         clone = index.copy()
         assert clone.holders_map() == index.holders_map()

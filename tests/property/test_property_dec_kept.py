@@ -43,7 +43,6 @@ from repro.verify import (
     check_invariants,
     check_invariants_directed,
     verify_espc,
-    verify_espc_directed,
 )
 from tests.property.strategies import small_digraphs, small_graphs
 
@@ -158,7 +157,7 @@ DIRECTED = Family(
     build_directed_spc_index, inc_spc_directed, dec_spc_directed,
     reference_dec_spc_directed,
     lambda vs: [(u, v) for u in vs for v in vs if u != v],
-    _directed_sides, verify_espc_directed, check_invariants_directed,
+    _directed_sides, verify_espc, check_invariants_directed,
 )
 
 

@@ -7,7 +7,7 @@ from repro.core import build_spc_index
 from repro.directed import build_directed_spc_index, dec_spc_directed, inc_spc_directed
 from repro.graph import DiGraph
 from repro.order import make_order
-from repro.verify import verify_espc_directed, verify_espc_weighted
+from repro.verify import verify_espc
 from repro.weighted import (
     build_weighted_spc_index,
     dec_spc_weighted,
@@ -25,7 +25,7 @@ class TestDirectedProperty:
     @given(g=small_digraphs())
     def test_construction(self, g):
         index = build_directed_spc_index(g)
-        assert verify_espc_directed(g, index)
+        assert verify_espc(g, index)
 
     @settings(max_examples=30, **COMMON)
     @given(g=small_digraphs(), ops=st.lists(st.integers(0, 10_000), max_size=5))
@@ -39,7 +39,7 @@ class TestDirectedProperty:
                 break
             u, v = candidates[idx % len(candidates)]
             inc_spc_directed(g, index, u, v)
-        assert verify_espc_directed(g, index)
+        assert verify_espc(g, index)
 
     @settings(max_examples=30, **COMMON)
     @given(g=small_digraphs(), ops=st.lists(st.integers(0, 10_000), max_size=5))
@@ -51,7 +51,7 @@ class TestDirectedProperty:
                 break
             u, v = arcs[idx % len(arcs)]
             dec_spc_directed(g, index, u, v)
-        assert verify_espc_directed(g, index)
+        assert verify_espc(g, index)
 
     @settings(max_examples=30, **COMMON)
     @given(g=small_digraphs(),
@@ -70,7 +70,7 @@ class TestDirectedProperty:
                 arcs = sorted(g.edges())
                 if arcs:
                     dec_spc_directed(g, index, *arcs[idx % len(arcs)])
-            assert verify_espc_directed(g, index)
+            assert verify_espc(g, index)
 
     @settings(max_examples=30, **COMMON)
     @given(g=small_graphs())
@@ -97,7 +97,7 @@ class TestWeightedProperty:
     @given(g=small_weighted_graphs())
     def test_construction(self, g):
         index = build_weighted_spc_index(g)
-        assert verify_espc_weighted(g, index)
+        assert verify_espc(g, index)
 
     @settings(max_examples=30, **COMMON)
     @given(
@@ -137,4 +137,4 @@ class TestWeightedProperty:
                     decrease_weight(g, index, u, v, w)
                 elif w > old:
                     increase_weight(g, index, u, v, w)
-        assert verify_espc_weighted(g, index)
+        assert verify_espc(g, index)

@@ -21,14 +21,13 @@ class TestPublicApi:
 
     def test_module_docstring_quickstart_is_true(self):
         # The usage example in the package docstring must actually work.
-        from repro import DynamicSPC, Graph
-
-        g = Graph.from_edges([(0, 1), (1, 2), (0, 3), (3, 2)])
-        dyn = DynamicSPC(g)
-        assert dyn.query(0, 2) == (2, 2)
-        dyn.insert_edge(0, 2)
-        dyn.delete_edge(0, 1)
-        assert dyn.check()
+        g = repro.Graph.from_edges([(0, 1), (1, 2), (0, 3), (3, 2)])
+        engine = repro.open(g)
+        assert engine.query(0, 2) == (2, 2)
+        engine.insert_edge(0, 2)
+        engine.delete_edge(0, 1)
+        assert engine.query(0, 2) == (1, 1)
+        assert engine.check()
 
     def test_subpackages_importable(self):
         import repro.baselines

@@ -112,6 +112,28 @@ class TestIndexesEquivalent:
         ls.set(hub, d, c + 1)
         assert not indexes_equivalent(a, b, g)
 
+    def test_checks_the_given_pairs(self):
+        # An index wrong on one pair only: the explicit pair list must be
+        # what is checked, not a random sample that misses it.
+        g = path_graph(80)
+        index = build_spc_index(g)
+        wrong = _WrongOn(index, (0, 79))
+        assert indexes_equivalent(index, wrong, g, sample_pairs=[(0, 1)])
+        assert not indexes_equivalent(index, wrong, g,
+                                      sample_pairs=[(0, 79)])
+
+
+class _WrongOn:
+    """An index that answers like ``index`` except on one pair."""
+
+    def __init__(self, index, pair):
+        self._index = index
+        self._pair = pair
+
+    def query(self, s, t):
+        d, c = self._index.query(s, t)
+        return (d, c + 1) if (s, t) == self._pair else (d, c)
+
 
 def _absent_edge(g):
     vs = sorted(g.vertices())

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
+import repro
 from repro.exceptions import EdgeNotFound, GraphError
 from repro.graph import WeightedGraph, random_weighted
-from repro.verify import verify_espc_weighted
+from repro.verify import verify_espc
 from repro.weighted import (
-    DynamicWeightedSPC,
     build_weighted_spc_index,
     dec_spc_weighted,
     decrease_weight,
@@ -25,21 +25,21 @@ class TestWeightedIncremental:
         index = build_weighted_spc_index(g)
         inc_spc_weighted(g, index, 0, 2, 4)
         assert index.query(0, 2) == (4, 1)
-        assert verify_espc_weighted(g, index)
+        assert verify_espc(g, index)
 
     def test_insert_tie(self):
         g = WeightedGraph.from_edges([(0, 1, 2), (1, 2, 2)])
         index = build_weighted_spc_index(g)
         inc_spc_weighted(g, index, 0, 2, 4)
         assert index.query(0, 2) == (4, 2)
-        assert verify_espc_weighted(g, index)
+        assert verify_espc(g, index)
 
     def test_insert_useless_heavy_edge(self):
         g = WeightedGraph.from_edges([(0, 1, 1), (1, 2, 1)])
         index = build_weighted_spc_index(g)
         inc_spc_weighted(g, index, 0, 2, 10)
         assert index.query(0, 2) == (2, 1)
-        assert verify_espc_weighted(g, index)
+        assert verify_espc(g, index)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_insertions(self, seed):
@@ -53,7 +53,7 @@ class TestWeightedIncremental:
                 continue
             inc_spc_weighted(g, index, u, v, rng.randint(1, 4))
             done += 1
-            assert verify_espc_weighted(g, index), f"seed={seed}"
+            assert verify_espc(g, index), f"seed={seed}"
 
 
 class TestWeightChanges:
@@ -62,14 +62,14 @@ class TestWeightChanges:
         index = build_weighted_spc_index(g)
         decrease_weight(g, index, 0, 2, 3)
         assert index.query(0, 2) == (3, 1)
-        assert verify_espc_weighted(g, index)
+        assert verify_espc(g, index)
 
     def test_decrease_to_tie(self):
         g = WeightedGraph.from_edges([(0, 1, 2), (1, 2, 2), (0, 2, 10)])
         index = build_weighted_spc_index(g)
         decrease_weight(g, index, 0, 2, 4)
         assert index.query(0, 2) == (4, 2)
-        assert verify_espc_weighted(g, index)
+        assert verify_espc(g, index)
 
     def test_decrease_guard(self):
         g = WeightedGraph.from_edges([(0, 1, 2)])
@@ -83,14 +83,14 @@ class TestWeightChanges:
         assert index.query(0, 3) == (4, 2)
         increase_weight(g, index, 2, 3, 5)
         assert index.query(0, 3) == (4, 1)
-        assert verify_espc_weighted(g, index)
+        assert verify_espc(g, index)
 
     def test_increase_changes_distance(self):
         g = WeightedGraph.from_edges([(0, 1, 1), (1, 2, 1), (0, 2, 5)])
         index = build_weighted_spc_index(g)
         increase_weight(g, index, 0, 1, 10)
         assert index.query(0, 1) == (6, 1)  # 0-2-1 via weights 5+1
-        assert verify_espc_weighted(g, index)
+        assert verify_espc(g, index)
 
     def test_increase_guard(self):
         g = WeightedGraph.from_edges([(0, 1, 2)])
@@ -112,7 +112,7 @@ class TestWeightChanges:
                 decrease_weight(g, index, u, v, new_w)
             else:
                 increase_weight(g, index, u, v, new_w)
-            assert verify_espc_weighted(g, index), f"seed={seed}"
+            assert verify_espc(g, index), f"seed={seed}"
 
 
 class TestWeightedDecremental:
@@ -121,14 +121,14 @@ class TestWeightedDecremental:
         index = build_weighted_spc_index(g)
         dec_spc_weighted(g, index, 0, 1)
         assert index.query(0, 1) == (6, 1)
-        assert verify_espc_weighted(g, index)
+        assert verify_espc(g, index)
 
     def test_delete_disconnects(self):
         g = WeightedGraph.from_edges([(0, 1, 1), (1, 2, 2)])
         index = build_weighted_spc_index(g)
         dec_spc_weighted(g, index, 1, 2, use_isolated_fast_path=False)
         assert index.query(0, 2) == (INF, 0)
-        assert verify_espc_weighted(g, index)
+        assert verify_espc(g, index)
 
     def test_isolated_fast_path(self):
         g = WeightedGraph.from_edges([(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 4)])
@@ -136,7 +136,7 @@ class TestWeightedDecremental:
         stats = dec_spc_weighted(g, index, 2, 3)
         assert stats.isolated_fast_path
         assert index.query(3, 0) == (INF, 0)
-        assert verify_espc_weighted(g, index)
+        assert verify_espc(g, index)
 
     def test_missing_edge(self):
         g = WeightedGraph.from_edges([(0, 1, 1)], vertices=[2])
@@ -153,38 +153,38 @@ class TestWeightedDecremental:
         rng.shuffle(edges)
         for u, v, _ in edges[:10]:
             dec_spc_weighted(g, index, u, v)
-            assert verify_espc_weighted(g, index), f"seed={seed}"
+            assert verify_espc(g, index), f"seed={seed}"
 
 
 class TestWeightedFacade:
     def test_docstring_example(self):
         g = WeightedGraph.from_edges([(0, 1, 2), (1, 2, 2), (0, 2, 5)])
-        dyn = DynamicWeightedSPC(g)
+        dyn = repro.open(g, cache_size=0)
         assert dyn.query(0, 2) == (4, 1)
         dyn.set_weight(0, 2, 4)
         assert dyn.query(0, 2) == (4, 2)
 
     def test_set_weight_noop(self):
         g = WeightedGraph.from_edges([(0, 1, 2)])
-        dyn = DynamicWeightedSPC(g)
+        dyn = repro.open(g, cache_size=0)
         stats = dyn.set_weight(0, 1, 2)
         assert stats.kind == "noop"
 
     def test_vertex_lifecycle(self):
         g = WeightedGraph.from_edges([(0, 1, 1)])
-        dyn = DynamicWeightedSPC(g)
+        dyn = repro.open(g, cache_size=0)
         dyn.insert_vertex(5, edges=[(0, 2), (1, 2)])
         assert dyn.query(5, 1) == (2, 1)
         dyn.delete_vertex(5)
         assert not dyn.graph.has_vertex(5)
-        assert verify_espc_weighted(dyn.graph, dyn.index)
+        assert verify_espc(dyn.graph, dyn.index)
 
     def test_history_and_rebuild(self):
         g = WeightedGraph.from_edges([(0, 1, 1), (1, 2, 1)])
-        dyn = DynamicWeightedSPC(g)
+        dyn = repro.open(g, cache_size=0)
         dyn.insert_edge(0, 2, 3)
         dyn.delete_edge(0, 2)
         dyn.set_weight(0, 1, 4)
         assert dyn.history.updates == 3
         assert dyn.rebuild() > 0
-        assert verify_espc_weighted(dyn.graph, dyn.index)
+        assert verify_espc(dyn.graph, dyn.index)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.graph import WeightedGraph, random_weighted
-from repro.verify import verify_espc_weighted
+from repro.verify import verify_espc
 from repro.weighted import build_weighted_spc_index
 
 INF = float("inf")
@@ -36,7 +36,7 @@ class TestWeightedConstruction:
     def test_espc_random_weighted(self, seed):
         g = random_weighted(18, 40, max_weight=4, seed=seed)
         index = build_weighted_spc_index(g)
-        assert verify_espc_weighted(g, index)
+        assert verify_espc(g, index)
 
     def test_unit_weights_match_unweighted(self):
         from repro.core import build_spc_index

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro.exceptions import WorkloadError
 from repro.graph import complete_graph, erdos_renyi, path_graph, random_directed
 from repro.workloads import (
@@ -124,10 +125,8 @@ class TestVertexChurnAndQueries:
         assert len(updates) == 8
 
     def test_vertex_churn_applies(self):
-        from repro.core import DynamicSPC
-
         g = erdos_renyi(15, 30, seed=16)
-        dyn = DynamicSPC(g.copy())
+        dyn = repro.open(g.copy(), cache_size=0)
         for upd in vertex_churn(g, inserts=3, deletes=2, seed=17):
             try:
                 dyn.apply(upd)
