@@ -203,16 +203,23 @@ class DivergenceReport:
             "divergences": [d.describe() for d in self.divergences[:16]],
         }
 
+    def error(self, message):
+        """An :class:`AuditDivergenceError` with ``message``, carrying the
+        first retained divergence's seq (``None`` when there is none)."""
+        first = self.divergences[0] if self.divergences else None
+        return AuditDivergenceError(
+            message, seq=first.seq if first else None,
+            divergences=self.divergences,
+        )
+
     def raise_if_any(self):
         """Raise :class:`AuditDivergenceError` when anything was recorded."""
         if self.total:
             first = self.divergences[0] if self.divergences else None
-            raise AuditDivergenceError(
+            raise self.error(
                 f"differential verification recorded {self.total} "
                 f"divergence(s) ({', '.join(self.severities_seen())}); "
-                f"first: {first.describe() if first else 'not retained'}",
-                seq=first.seq if first else None,
-                divergences=self.divergences,
+                f"first: {first.describe() if first else 'not retained'}"
             )
 
     def __len__(self):

@@ -26,25 +26,17 @@ Wired into the benchmark CLI as ``repro-bench audit`` (results land in
 ``bench_results/audit.json``); importable via :func:`run_audit_loadgen`.
 """
 
-import shutil
-import tempfile
 import time
 
-from repro.audit.comparator import (
-    COUNT_MISMATCH,
-    DIST_MISMATCH,
-    REFUSAL,
-    DivergenceReport,
-)
+from repro.audit.comparator import COUNT_MISMATCH, DIST_MISMATCH, REFUSAL
 from repro.audit.faults import corrupt_snapshot_wrapper
-from repro.audit.sampler import AuditSampler
-from repro.audit.shadow import ShadowAuditor
+from repro.audit.shadow import AuditSession
 from repro.cluster.cluster import ClusterConfig, SPCCluster
 from repro.engine import EngineConfig, SPCEngine
-from repro.exceptions import AuditDivergenceError, ClusterError, ServeError
+from repro.exceptions import AuditDivergenceError, ClusterError
 from repro.serve.loadgen import (
-    _close_quietly,
-    _latency_ms,
+    _Harness,
+    _load_report,
     _Reader,
     _run_load,
     make_pair_picker,
@@ -85,60 +77,22 @@ def run_audit_loadgen(backend="core", replicas=2, readers=3, duration=1.2,
     graph, cycle, pairs = make_workload(backend, n, m, seed=seed, churn=churn)
     vertices = sorted(graph.vertices())
     engine = SPCEngine(graph, config=EngineConfig(backend=backend))
-    own_dir = state_dir is None
-    state_dir = state_dir or tempfile.mkdtemp(prefix="repro-audit-")
-    serve_config = ServeConfig(
-        publish_every=publish_every,
-        max_staleness=max_staleness,
-        queue_capacity=4096,
-        durability_dir=state_dir,
-    )
     cluster_config = ClusterConfig(
         replicas=replicas,
         policy=policy,
         staleness_delta=staleness_delta,
     )
-    cluster = None
-    auditor = None
     detection = {}
-    try:
-        cluster = SPCCluster(
-            engine, state_dir, config=cluster_config,
-            serve_config=serve_config, overwrite=True,
-        )
-        sampler = AuditSampler(
-            rate=sample_rate, capacity=reservoir, seed=seed + 5
-        )
-        cluster.set_answer_tap(sampler)
-
-        def on_divergence(divergence):
-            # Record *when* the tripwire fired, relative to the run —
-            # the detection-latency number the report exposes.
-            detection.setdefault("first_divergence_at", time.time())
-            detection.setdefault("first_divergence_seq", divergence.seq)
-            detection.setdefault("first_divergence_severity",
-                                 divergence.severity)
-
-        auditor = ShadowAuditor(
-            sampler, state_dir,
-            report=DivergenceReport(sink=on_divergence),
-            history=history,
-        )
-        registry = tracer = None
-        if telemetry is not None:
-            from repro.obs import MetricsRegistry, Tracer
-
-            registry = MetricsRegistry()
-            tracer = Tracer()
-            cluster.set_metrics(registry, tracer=tracer)
-            engine.set_metrics(registry)
-            sampler.set_metrics(registry)
-            auditor.set_metrics(registry)
-    except BaseException:
-        _close_quietly([auditor, cluster], state_dir if own_dir else None)
-        raise
-
     events = {}
+    problems = []
+
+    def on_divergence(divergence):
+        # Record *when* the tripwire fired, relative to the run — the
+        # detection-latency number the report exposes.
+        detection.setdefault("first_divergence_at", time.time())
+        detection.setdefault("first_divergence_seq", divergence.seq)
+        detection.setdefault("first_divergence_severity",
+                             divergence.severity)
 
     def kill_replica():
         cluster.kill_replica("replica-0")
@@ -164,8 +118,23 @@ def run_audit_loadgen(backend="core", replicas=2, readers=3, duration=1.2,
     faults = [(0.3, kill_replica)] if kill else []
     if corrupt:
         faults.append((0.45, corrupt_replica))
-    problems = []
-    try:
+
+    with _Harness("audit", state_dir, telemetry) as h:
+        serve_config = ServeConfig(
+            publish_every=publish_every,
+            max_staleness=max_staleness,
+            queue_capacity=4096,
+            durability_dir=h.state_dir,
+        )
+        cluster = h.own(SPCCluster(
+            engine, h.state_dir, config=cluster_config,
+            serve_config=serve_config, overwrite=True,
+        ))
+        audit = h.own(AuditSession(
+            cluster, h.state_dir, sample_rate, reservoir, seed + 5, history,
+            sink=on_divergence,
+        ))
+        h.instrument(cluster, engine, audit)
         run = _run_load(
             "audit",
             [_Reader(cluster.query_tagged, cluster.router.query_many_tagged)
@@ -175,65 +144,33 @@ def run_audit_loadgen(backend="core", replicas=2, readers=3, duration=1.2,
             picker=lambda sd: make_pair_picker(source_picker, vertices, sd,
                                                picker_kwargs),
         )
-        run_started, run_ended = run["started"], run["ended"]
         cluster.sync(timeout=30.0)
-        if not auditor.drain(timeout=drain_timeout):
-            problems.append(
-                f"auditor failed to drain within {drain_timeout} s "
-                f"(pending {auditor.stats()['pending']})"
-            )
-        elapsed = run_ended - run_started
-        sampler_stats = sampler.stats()
-        auditor_stats = auditor.stats()
-        if registry is not None:
-            from repro.obs.export import write_files
-
-            stem = f"audit-{backend}" + (f"-{corrupt}" if corrupt else "")
-            telemetry_paths = write_files(
-                registry, telemetry, tracer=tracer, stem=stem,
-            )
-        try:
-            auditor.close()
-        except ServeError as exc:
-            problems.append(f"auditor died: {exc}")
-    except BaseException:
-        _close_quietly([auditor, cluster], state_dir if own_dir else None)
-        raise
-    try:
-        cluster.close()
-    except ClusterError as exc:
-        problems.append(f"shutdown failure: {exc}")
-    if own_dir:
-        shutil.rmtree(state_dir, ignore_errors=True)
+        audit.drain(problems, drain_timeout)
+        telemetry_paths = h.write_telemetry(
+            f"audit-{backend}" + (f"-{corrupt}" if corrupt else "")
+        )
+        audit.close(problems)
+        h.close(cluster, problems, ClusterError)
 
     problems.extend(run["problems"])
 
-    report = auditor.report
+    report = audit.report
     severities = report.severities_seen()
     expected = EXPECTED_SEVERITY.get(corrupt)
     if "first_divergence_at" in detection:
         detection["detected_during_run"] = (
-            detection["first_divergence_at"] <= run_ended
+            detection["first_divergence_at"] <= run["ended"]
         )
         detection["detection_after_s"] = round(
-            detection.pop("first_divergence_at") - run_started, 3
+            detection.pop("first_divergence_at") - run["started"], 3
         )
     if strict:
-        if auditor_stats["audited"] == 0:
-            problems.append(
-                "auditor audited zero samples — the run proves nothing "
-                "(raise duration, sample_rate or reservoir)"
-            )
-        if corrupt is None and report.total:
-            problems.append(
-                f"clean run reported {report.total} divergence(s): "
-                f"{report.divergences[0].describe()}"
-            )
+        audit.judge(problems, clean=corrupt is None)
         if corrupt is not None:
             if not report.total:
                 problems.append(
                     f"corrupted run ({corrupt}) went undetected across "
-                    f"{auditor_stats['audited']} audited answers"
+                    f"{audit.auditor_stats['audited']} audited answers"
                 )
             elif severities != [expected]:
                 problems.append(
@@ -241,36 +178,28 @@ def run_audit_loadgen(backend="core", replicas=2, readers=3, duration=1.2,
                     f"{expected!r} class, got {severities}"
                 )
 
-    reads = run["reads"]
     result = {
         "backend": backend,
         "replicas": replicas,
         "readers": readers,
         "policy": policy,
-        "duration_s": round(elapsed, 3),
         "graph": {"n": n, "m": m},
-        "reads": reads,
-        "read_qps": round(reads / elapsed) if elapsed else 0,
-        "read_latency_ms": _latency_ms(run["latencies"]),
-        "updates_submitted": run["submitted"],
+        **_load_report(run),
         "sample_rate": sample_rate,
-        "sampler": sampler_stats,
-        "auditor": auditor_stats,
+        "sampler": audit.sampler_stats,
+        "auditor": audit.auditor_stats,
         "corrupt_mode": corrupt,
         "expected_severity": expected,
         "severities_seen": severities,
         "detection": detection,
-        "telemetry": list(telemetry_paths) if registry is not None else None,
+        "telemetry": telemetry_paths,
         "fault_injection": events,
         "audit_problems": problems,
     }
     if strict and problems:
         preview = "; ".join(str(p) for p in problems[:5])
-        first = report.divergences[0] if report.divergences else None
-        raise AuditDivergenceError(
+        raise report.error(
             f"audit loadgen observed {len(problems)} problem(s) "
-            f"({backend} backend): {preview}",
-            seq=first.seq if first else None,
-            divergences=report.divergences,
+            f"({backend} backend): {preview}"
         )
     return result

@@ -24,7 +24,9 @@ import time
 
 from repro.audit.comparator import Divergence, DivergenceReport, classify_divergence
 from repro.audit.replay import GraphReplayer
+from repro.audit.sampler import AuditSampler
 from repro.engine import baseline_answer, get_backend
+from repro.exceptions import ServeError
 from repro.serve.follower import StreamFollower
 from repro.serve.persist import graph_from_payload
 
@@ -226,3 +228,68 @@ class ShadowAuditor(StreamFollower):
                 severity=severity,
                 target=sample.target,
             ))
+
+
+class AuditSession:
+    """One shadow audit of a live fleet, from the tap to the verdict.
+
+    The part every audited harness (audit, shard, chaos, replay) shares:
+    an :class:`~repro.audit.AuditSampler` (``rate``, ``capacity``,
+    ``seed``) tapped into ``fleet``'s answers and a
+    :class:`ShadowAuditor` tailing the stream in ``state_dir``.  ``sink``
+    goes to the :class:`~repro.audit.DivergenceReport` and
+    ``stall_budget`` to the auditor.  Close it on every exit path (it is
+    idempotent); :meth:`close` with a ``problems`` list records a dead
+    auditor there instead of raising.
+    """
+
+    def __init__(self, fleet, state_dir, rate, capacity, seed, history,
+                 sink=None, stall_budget=None):
+        self.sampler = AuditSampler(rate=rate, capacity=capacity, seed=seed)
+        fleet.set_answer_tap(self.sampler)
+        self.auditor = ShadowAuditor(
+            self.sampler, state_dir, report=DivergenceReport(sink=sink),
+            history=history, stall_budget=stall_budget,
+        )
+        self.report = self.auditor.report
+        self.sampler_stats = self.auditor_stats = None
+
+    def set_metrics(self, registry):
+        """Promote the sampler's and the auditor's counters."""
+        self.sampler.set_metrics(registry)
+        self.auditor.set_metrics(registry)
+
+    def drain(self, problems, timeout):
+        """Audit everything sampled, then take ``sampler_stats`` and
+        ``auditor_stats``; a drain that times out is a problem."""
+        if not self.auditor.drain(timeout=timeout):
+            problems.append(
+                f"auditor failed to drain within {timeout} s "
+                f"(pending {self.auditor.stats()['pending']})"
+            )
+        self.sampler_stats = self.sampler.stats()
+        self.auditor_stats = self.auditor.stats()
+
+    def close(self, problems=None):
+        """Stop the auditor; a dead one raises, or with ``problems`` is
+        recorded there."""
+        try:
+            self.auditor.close()
+        except ServeError as exc:
+            if problems is None:
+                raise
+            problems.append(f"auditor died: {exc}")
+
+    def judge(self, problems, clean=True):
+        """The verdicts every audited run shares, after :meth:`drain`: it
+        audited something, and, when ``clean``, nothing diverged."""
+        if self.auditor_stats["audited"] == 0:
+            problems.append(
+                "auditor audited zero answers — the run proves nothing "
+                "(raise duration, sample_rate or reservoir)"
+            )
+        if clean and self.report.total:
+            problems.append(
+                f"shadow audit diverged {self.report.total} time(s): "
+                f"{self.report.divergences[0].describe()}"
+            )

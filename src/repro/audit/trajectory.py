@@ -1,13 +1,12 @@
 """Perf-trajectory history: record every bench run, report drift.
 
-The opt-in ``--compare`` gate compares one run against one committed
-JSON file; this module promotes that into *history*:
+The repo's one perf-regression gate judges a run against its history,
+not against a single committed JSON file:
 
 * ``repro-bench <experiment> --record`` appends one JSONL entry per
   experiment to ``BENCH_history.jsonl`` — run metadata (experiment,
-  timestamp, profile, seed) plus the tracked metrics extracted by the
-  same :mod:`repro.bench.compare` extractors the gate uses, so the two
-  mechanisms can never track different numbers;
+  timestamp, profile, seed) plus the tracked metrics extracted by
+  :func:`repro.bench.compare.extract_metrics`;
 * ``repro-bench drift`` reads the history and reports, per experiment,
   how the most recent run moved against a rolling baseline window (the
   mean of the previous ``window`` runs), direction-aware — a regression
@@ -112,9 +111,9 @@ def drift_report(entries, window=5, tolerance=0.5, experiments=None):
     entry is measured against the per-metric *mean* of the up-to-
     ``window`` runs before it, direction-aware (a higher-is-better metric
     regresses by falling).  Returns ``(regressions, lines, skipped)``:
-    ``regressions`` lists one dict per metric whose change exceeds
-    ``tolerance``, shaped like
-    :func:`repro.bench.compare.compare_result`; ``lines`` is the full
+    ``regressions`` lists one ``{"experiment", "metric", "baseline",
+    "current", "change", "direction"}`` dict per metric whose change
+    exceeds ``tolerance``; ``lines`` is the full
     human-readable account; ``skipped`` lists one
     ``{"experiment", "metric", "reason"}`` dict per comparison the
     report could NOT make — an empty history, a single-entry experiment

@@ -1,24 +1,14 @@
-"""Perf-trajectory comparison against a committed baseline (opt-in).
+"""Tracked metrics: the numbers the perf trajectory records per experiment.
 
-``bench_results/`` records the hot-path numbers per PR; this module turns
-them into a regression gate::
-
-    repro-bench micro --compare bench_results/micro.json --tolerance 0.5
-
-re-runs the experiment and exits nonzero when any tracked metric regressed
-beyond the tolerance (0.5 = 50% slower than the baseline).  It is **off by
-default everywhere**: CI's perf-smoke job never passes ``--compare``
-(shared runners make timing nondeterministic), so the gate is a local
-tool — run it before committing a hot-path change, against the baseline
-the previous PR committed.
-
-Only experiments registered in :data:`METRIC_EXTRACTORS` are comparable;
-each extractor picks the stable, meaningful numbers out of the result's
-``extra`` payload (never table formatting) and declares which direction is
-better.  Improvements are reported but never fail the run.
+Each extractor in :data:`METRIC_EXTRACTORS` picks the stable, meaningful
+numbers out of one experiment's ``extra`` payload (never table
+formatting) and declares which direction is better.
+:func:`repro.audit.trajectory.record_run` appends them to
+``BENCH_history.jsonl`` (``repro-bench <experiment> --record``), and
+``repro-bench drift`` judges the latest run of each against the mean of
+the previous ones.  That is the one regression gate: CI runs it on the
+committed history, never on fresh timings from a shared runner.
 """
-
-import json
 
 _LOWER = "lower"
 _HIGHER = "higher"
@@ -173,73 +163,11 @@ METRIC_EXTRACTORS = {
 def extract_metrics(result_name, extra):
     """Extract ``{metric: (value, direction)}`` for one experiment.
 
-    The single extraction seam shared by the opt-in ``--compare`` gate
-    and the recorded perf trajectory (:mod:`repro.audit.trajectory`), so
-    the two regression mechanisms can never track different numbers.
-    Returns ``None`` for experiments with no tracked metrics.
+    The one extraction seam of the recorded perf trajectory
+    (:mod:`repro.audit.trajectory`).  Returns ``None`` for experiments
+    with no tracked metrics.
     """
     extractor = METRIC_EXTRACTORS.get(result_name)
     if extractor is None:
         return None
     return extractor(extra)
-
-
-def compare_result(result, baseline_path, tolerance):
-    """Compare one fresh ExperimentResult against a committed baseline.
-
-    Returns (regressions, report_lines): ``regressions`` lists dicts for
-    every metric worse than ``baseline * (1 + tolerance)`` (or better-is-
-    higher mirrored); ``report_lines`` is the full human-readable account,
-    one line per shared metric.
-    """
-    with open(baseline_path) as f:
-        baseline = json.load(f)
-    lines = []
-    if baseline.get("name") != result.name:
-        lines.append(
-            f"[compare] baseline {baseline_path} records "
-            f"{baseline.get('name')!r}, not {result.name!r}; skipping"
-        )
-        return [], lines
-    current = extract_metrics(result.name, result.extra)
-    if current is None:
-        lines.append(
-            f"[compare] no tracked metrics for {result.name!r} "
-            f"(comparable: {sorted(METRIC_EXTRACTORS)}); skipping"
-        )
-        return [], lines
-    base = extract_metrics(result.name, baseline.get("extra", {}))
-    regressions = []
-    for name in sorted(current):
-        if name not in base:
-            lines.append(f"[compare] {name}: new metric, no baseline")
-            continue
-        cur_value, direction = current[name]
-        base_value, _ = base[name]
-        if not base_value:
-            lines.append(f"[compare] {name}: baseline is 0, skipped")
-            continue
-        if direction == _LOWER:
-            change = (cur_value - base_value) / base_value
-        else:
-            change = (base_value - cur_value) / base_value
-        verdict = "ok"
-        if change > tolerance:
-            verdict = "REGRESSION"
-            regressions.append({
-                "metric": name,
-                "baseline": base_value,
-                "current": cur_value,
-                "change": change,
-                "direction": direction,
-            })
-        elif change < 0:
-            verdict = "improved"
-        lines.append(
-            f"[compare] {name}: {base_value:.6g} -> {cur_value:.6g} "
-            f"({change:+.1%} {'slower' if direction == _LOWER else 'worse'}"
-            f" bound {tolerance:.0%}) {verdict}"
-        )
-    for name in sorted(set(base) - set(current)):
-        lines.append(f"[compare] {name}: present in baseline only")
-    return regressions, lines

@@ -18,7 +18,6 @@ from repro.audit.trajectory import (
     load_history,
     record_run,
 )
-from repro.bench.compare import compare_result
 from repro.bench.config import get_profile
 from repro.bench.experiments import (
     ablations,
@@ -134,15 +133,9 @@ def main(argv=None):
         help="directory to write one JSON result file per experiment",
     )
     parser.add_argument(
-        "--compare", default=None, metavar="BASELINE_JSON",
-        help="compare against a committed baseline result (e.g. "
-             "bench_results/micro.json) and fail on regressions beyond "
-             "--tolerance; opt-in, never run in CI",
-    )
-    parser.add_argument(
         "--tolerance", type=float, default=0.5,
-        help="allowed fractional regression before --compare or drift "
-             "fails (default: 0.5 = 50%%)",
+        help="allowed fractional regression before drift fails "
+             "(default: 0.5 = 50%%)",
     )
     parser.add_argument(
         "--record", nargs="?", const=HISTORY_FILENAME, default=None,
@@ -212,19 +205,6 @@ def main(argv=None):
                     f"[record] {name}: {len(entry['metrics'])} metric(s) "
                     f"appended to {args.record}"
                 )
-        if args.compare:
-            regressions, report = compare_result(
-                result, args.compare, args.tolerance
-            )
-            for line in report:
-                print(line)
-            if regressions:
-                print(
-                    f"[compare] {len(regressions)} metric(s) regressed "
-                    f"beyond {args.tolerance:.0%}",
-                    file=sys.stderr,
-                )
-                failures += 1
         if args.save_dir:
             os.makedirs(args.save_dir, exist_ok=True)
             result.save(os.path.join(args.save_dir, f"{name}.json"))

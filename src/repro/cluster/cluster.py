@@ -75,7 +75,7 @@ class SPCCluster(Fleet):
     >>> from repro.cluster import SPCCluster
     >>> from repro.workloads import InsertEdge
     >>> engine = repro.open(repro.Graph.from_edges([(0, 1), (1, 2)]))
-    >>> with SPCCluster(engine, tempfile.mkdtemp()) as c:
+    >>> with tempfile.TemporaryDirectory() as d, SPCCluster(engine, d) as c:
     ...     session = c.session()
     ...     _ = session.submit(InsertEdge(0, 2)).ack()
     ...     session.query(0, 2)

@@ -33,8 +33,6 @@ Wired into the benchmark CLI as ``repro-bench cluster`` (results land in
 """
 
 import os
-import shutil
-import tempfile
 import time
 
 from repro.engine import EngineConfig, SPCEngine
@@ -42,8 +40,8 @@ from repro.exceptions import ClusterError
 from repro.cluster.cluster import ClusterConfig, SPCCluster
 from repro.serve.loadgen import (
     _check_answer,
-    _close_quietly,
-    _latency_ms,
+    _Harness,
+    _load_report,
     _Reader,
     _run_load,
     make_pair_picker,
@@ -178,43 +176,13 @@ def run_cluster_loadgen(backend="core", replicas=2, readers=4, duration=1.2,
     graph, cycle, pairs = make_workload(backend, n, m, seed=seed, churn=churn)
     vertices = sorted(graph.vertices())
     engine = SPCEngine(graph, config=EngineConfig(backend=backend))
-    own_dir = state_dir is None
-    state_dir = state_dir or tempfile.mkdtemp(prefix="repro-cluster-")
-    serve_config = ServeConfig(
-        publish_every=publish_every,
-        max_staleness=max_staleness,
-        queue_capacity=4096,
-        durability_dir=state_dir,
-    )
     cluster_config = ClusterConfig(
         replicas=replicas,
         policy=policy,
         staleness_delta=staleness_delta,
     )
-    cluster = None
-    try:
-        cluster = SPCCluster(
-            engine, state_dir, config=cluster_config,
-            serve_config=serve_config, overwrite=True,
-        )
-        # Snapshot the initial state *now*: mid-run checkpoints overwrite
-        # snapshot.json, and the replay oracle must start from seq 0.
-        initial_payload = load_checkpoint(
-            os.path.join(state_dir, SNAPSHOT_FILENAME)
-        )
-        registry = tracer = None
-        if telemetry is not None:
-            from repro.obs import MetricsRegistry, Tracer
-
-            registry = MetricsRegistry()
-            tracer = Tracer()
-            cluster.set_metrics(registry, tracer=tracer)
-            engine.set_metrics(registry)
-    except BaseException:
-        _close_quietly([cluster], state_dir if own_dir else None)
-        raise
-
     events = {}
+    problems = []
 
     def kill_replica():
         cluster.kill_replica("replica-0")
@@ -240,13 +208,28 @@ def run_cluster_loadgen(backend="core", replicas=2, readers=4, duration=1.2,
                 f"needed {target_seq}"
             )
 
-    bounded = policy == "bounded_staleness"
-    cluster_readers = [
-        _ClusterReader(cluster, bounded, staleness_delta)
-        for _ in range(readers)
-    ]
-    problems = []
-    try:
+    with _Harness("cluster", state_dir, telemetry) as h:
+        serve_config = ServeConfig(
+            publish_every=publish_every,
+            max_staleness=max_staleness,
+            queue_capacity=4096,
+            durability_dir=h.state_dir,
+        )
+        cluster = h.own(SPCCluster(
+            engine, h.state_dir, config=cluster_config,
+            serve_config=serve_config, overwrite=True,
+        ))
+        # Snapshot the initial state *now*: mid-run checkpoints overwrite
+        # snapshot.json, and the replay oracle must start from seq 0.
+        initial_payload = load_checkpoint(
+            os.path.join(h.state_dir, SNAPSHOT_FILENAME)
+        )
+        h.instrument(cluster, engine)
+        bounded = policy == "bounded_staleness"
+        cluster_readers = [
+            _ClusterReader(cluster, bounded, staleness_delta)
+            for _ in range(readers)
+        ]
         run = _run_load(
             "cluster", cluster_readers, pairs, seed + 20,
             cluster.submit_many, cycle, batch_size, pause, duration,
@@ -258,45 +241,28 @@ def run_cluster_loadgen(backend="core", replicas=2, readers=4, duration=1.2,
                                                picker_kwargs),
         )
         final_seq = cluster.sync(timeout=30.0)
-        elapsed = time.time() - run["started"]
         stats = cluster.stats()
         cluster.check_invariants()
-        if registry is not None:
-            from repro.obs.export import write_files
+        telemetry_paths = h.write_telemetry(f"cluster-{backend}")
+        for name, replica in cluster.replicas.items():
+            if not replica.healthy:
+                problems.append(
+                    f"replica {name} ended unhealthy: {replica.fatal!r}"
+                )
+            elif replica.applied_seq != final_seq:
+                problems.append(
+                    f"replica {name} diverged: seq {replica.applied_seq} "
+                    f"!= primary {final_seq}"
+                )
+        h.close(cluster, problems, ClusterError)
 
-            telemetry_paths = write_files(
-                registry, telemetry, tracer=tracer,
-                stem=f"cluster-{backend}",
-            )
-    except BaseException:
-        _close_quietly([cluster], state_dir if own_dir else None)
-        raise
-    for name, replica in cluster.replicas.items():
-        if not replica.healthy:
-            problems.append(
-                f"replica {name} ended unhealthy: {replica.fatal!r}"
-            )
-        elif replica.applied_seq != final_seq:
-            problems.append(
-                f"replica {name} diverged: seq {replica.applied_seq} != "
-                f"primary {final_seq}"
-            )
-    try:
-        cluster.close()
-    except ClusterError as exc:
-        problems.append(f"shutdown failure: {exc}")
-
-    problems.extend(run["problems"])
-    served = [item for reader in cluster_readers for item in reader.served]
-    try:
+        problems.extend(run["problems"])
+        served = [item for reader in cluster_readers
+                  for item in reader.served]
         replay_report = _verify_against_replay(
-            state_dir, initial_payload, served, problems, backend
+            h.state_dir, initial_payload, served, problems, backend
         )
-    finally:
-        if own_dir:
-            shutil.rmtree(state_dir, ignore_errors=True)
 
-    reads = run["reads"]
     primary_stats = stats["primary"]
     if primary_stats["errors"]:
         problems.append(
@@ -309,16 +275,12 @@ def run_cluster_loadgen(backend="core", replicas=2, readers=4, duration=1.2,
         "readers": readers,
         "policy": policy,
         "staleness_delta": staleness_delta,
-        "duration_s": round(elapsed, 3),
         "graph": {"n": n, "m": m},
-        "reads": reads,
-        "read_qps": round(reads / elapsed) if elapsed else 0,
-        "read_latency_ms": _latency_ms(run["latencies"]),
+        **_load_report(run),
         "answers_audited": len(served),
-        "updates_submitted": run["submitted"],
         "updates_applied": primary_stats["applied_updates"],
         "applied_batches": primary_stats["applied_batches"],
-        "telemetry": list(telemetry_paths) if registry is not None else None,
+        "telemetry": telemetry_paths,
         "routed": stats["router"]["routed"],
         "primary_reads": stats["router"]["primary_reads"],
         "router_fallbacks": stats["router"]["fallbacks"],
@@ -336,12 +298,6 @@ def run_cluster_loadgen(backend="core", replicas=2, readers=4, duration=1.2,
         if replay_report.total:
             # Replay-oracle divergences carry their offending WAL seq;
             # surface them through the audit stack's typed error.
-            from repro.exceptions import AuditDivergenceError
-
-            first = replay_report.divergences[0]
-            raise AuditDivergenceError(
-                message, seq=first.seq,
-                divergences=replay_report.divergences,
-            )
+            raise replay_report.error(message)
         raise ClusterError(message)
     return report

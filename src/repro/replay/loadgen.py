@@ -19,10 +19,14 @@ stack tapped on the read path, and replays:
   way: every planned query is issued exactly once (a refusal — the
   fleet's designed degraded mode — is counted and *not* retried, so the
   issued sequence stays deterministic);
-* a **fault controller** fires the scenario's :class:`~repro.replay
-  .scenario.FaultSpec` schedule at its run fractions (absolute
-  scheduling, the rule of the threaded harnesses' load driver in
-  :mod:`repro.serve.loadgen`).
+* the scenario's :class:`~repro.replay.scenario.FaultSpec` schedule
+  fires at its run fractions on the threaded harnesses' absolute fault
+  loop (:func:`repro.serve.loadgen._fault_loop`): a step that only comes
+  around after the run's deadline is a missed injection window.
+
+The state dir, telemetry and teardown are the threaded harnesses'
+(:class:`repro.serve.loadgen._Harness`), and the audit is one
+:class:`~repro.audit.shadow.AuditSession`.
 
 The strict contract follows the house rule — consistency is judged,
 timing never: zero shadow-audit divergences, a non-trivial audit count,
@@ -30,20 +34,21 @@ refusals only where a fault schedule explains them, and recovery after
 a restart.  Wired into the benchmark CLI as ``repro-bench replay``.
 """
 
-import shutil
-import tempfile
 import threading
 import time
 
-from repro.audit.comparator import DivergenceReport
-from repro.audit.sampler import AuditSampler
-from repro.audit.shadow import ShadowAuditor
+from repro.audit.shadow import AuditSession
 from repro.cluster.cluster import SPCCluster
 from repro.engine import EngineConfig, SPCEngine
-from repro.exceptions import AuditDivergenceError, ClusterError, ServeError
+from repro.exceptions import ClusterError, ServeError
 from repro.replay.plan import ReplayPlan
 from repro.replay.scenario import ReplayScenario, get_scenario
-from repro.serve.loadgen import _check_answer, _latency_ms
+from repro.serve.loadgen import (
+    _check_answer,
+    _fault_loop,
+    _Harness,
+    _latency_ms,
+)
 from repro.serve.service import ServeConfig, SPCService
 from repro.shard.shardcluster import ShardedCluster
 
@@ -98,12 +103,6 @@ class _Fleet:
             self.impl.flush(timeout=timeout)
         else:
             self.impl.sync(timeout=timeout)
-
-    def close(self):
-        try:
-            self.impl.close()
-        except (ServeError, ClusterError):
-            pass
 
 
 def _writer_loop(fleet, plan, start, record, pacing_hist=None):
@@ -177,26 +176,6 @@ def _reader_loop(fleet, schedule, plan, start, record):
     record["problems"] = problems
 
 
-def _fault_controller(fleet, faults, start, duration, record):
-    """Fire each fault at ``start + at·duration`` (absolute schedule)."""
-    problems = []
-    events = []
-    try:
-        for fault in sorted(faults, key=lambda f: f.at):
-            time.sleep(max(0.0, start + duration * fault.at - time.time()))
-            fleet.apply_fault(fault)
-            events.append({
-                "action": fault.action,
-                "target": fault.target,
-                "at": fault.at,
-                "applied_seq": fleet.primary.applied_seq,
-            })
-    except Exception as exc:  # noqa: BLE001 — a failed injection fails the run
-        problems.append(f"fault controller crashed: {exc!r}")
-    record["events"] = events
-    record["problems"] = problems
-
-
 def run_replay_scenario(scenario, seed=0, duration=None, corpus_kwargs=None,
                         state_dir=None, telemetry=None, strict=True,
                         drain_timeout=30.0):
@@ -234,79 +213,71 @@ def run_replay_scenario(scenario, seed=0, duration=None, corpus_kwargs=None,
     engine = SPCEngine(
         plan.bootstrap.copy(), config=EngineConfig(backend=scenario.backend)
     )
-    own_dir = state_dir is None
-    state_dir = state_dir or tempfile.mkdtemp(prefix="repro-replay-")
-    fleet = None
-    auditor = None
-    try:
-        fleet = _Fleet(scenario, engine, state_dir)
-        sampler = AuditSampler(
-            rate=scenario.sample_rate, capacity=scenario.reservoir,
-            seed=seed + 5,
-        )
-        fleet.set_answer_tap(sampler)
-        auditor = ShadowAuditor(
-            sampler, state_dir, report=DivergenceReport(), history=1024
-        )
-        registry = tracer = pacing_hist = None
-        if telemetry is not None:
-            from repro.obs import MetricsRegistry, Tracer
+    events = []
+    problems = []
 
-            registry = MetricsRegistry()
-            tracer = Tracer()
-            fleet.set_metrics(registry, tracer=tracer)
-            sampler.set_metrics(registry)
-            auditor.set_metrics(registry)
-            pacing_hist = registry.histogram(
+    def fault_step(fault):
+        def step():
+            fleet.apply_fault(fault)
+            events.append({
+                "action": fault.action,
+                "target": fault.target,
+                "at": fault.at,
+                "applied_seq": fleet.primary.applied_seq,
+            })
+
+        step.__name__ = fault.action
+        return fault.at, step
+
+    with _Harness("replay", state_dir, telemetry) as h:
+        fleet = _Fleet(scenario, engine, h.state_dir)
+        h.own(fleet.impl)
+        audit = h.own(AuditSession(
+            fleet, h.state_dir, scenario.sample_rate, scenario.reservoir,
+            seed + 5, 1024,
+        ))
+        h.instrument(fleet, audit)
+        pacing_hist = None
+        if h.registry is not None:
+            pacing_hist = h.registry.histogram(
                 "repro_replay_pacing_lag_seconds"
             )
-    except BaseException:
-        if auditor is not None:
-            try:
-                auditor.close()
-            except ServeError:
-                pass
-        if fleet is not None:
-            fleet.close()
-        if own_dir:
-            shutil.rmtree(state_dir, ignore_errors=True)
-        raise
 
-    start = time.time()
-    writer_record = {}
-    reader_records = [{} for _ in range(scenario.readers)]
-    fault_record = {"events": [], "problems": []}
-    threads = [threading.Thread(
-        target=_writer_loop,
-        args=(fleet, plan, start, writer_record, pacing_hist),
-        name="replay-writer",
-    )]
-    for i, schedule in enumerate(plan.reader_slices(scenario.readers)):
-        threads.append(threading.Thread(
-            target=_reader_loop,
-            args=(fleet, schedule, plan, start, reader_records[i]),
-            name=f"replay-reader-{i}",
-        ))
-    if scenario.faults:
-        threads.append(threading.Thread(
-            target=_fault_controller,
-            args=(fleet, scenario.faults, start, scenario.duration,
-                  fault_record),
-            name="replay-fault-controller",
-        ))
-
-    problems = []
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        start = time.time()
+        writer_record = {}
+        reader_records = [{} for _ in range(scenario.readers)]
+        stop = threading.Event()
+        threads = [threading.Thread(
+            target=_writer_loop,
+            args=(fleet, plan, start, writer_record, pacing_hist),
+            name="replay-writer",
+        )]
+        for i, schedule in enumerate(plan.reader_slices(scenario.readers)):
+            threads.append(threading.Thread(
+                target=_reader_loop,
+                args=(fleet, schedule, plan, start, reader_records[i]),
+                name=f"replay-reader-{i}",
+            ))
+        if scenario.faults:
+            # The threaded harnesses' absolute schedule: a step that comes
+            # around only after the deadline is a missed window, not late.
+            steps = [fault_step(f)
+                     for f in sorted(scenario.faults, key=lambda f: f.at)]
+            threads.append(threading.Thread(
+                target=_fault_loop,
+                args=(steps, start, scenario.duration, stop, problems),
+                name="replay-fault-controller",
+            ))
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            stop.set()
         elapsed = time.time() - start
         recovered = None
-        restarted = any(
-            e["action"].startswith("restart") for e in fault_record["events"]
-        )
-        if restarted:
+        if any(e["action"].startswith("restart") for e in events):
             # Prove recovery explicitly: a synced fleet must answer again.
             recovered = True
             try:
@@ -318,49 +289,18 @@ def run_replay_scenario(scenario, seed=0, duration=None, corpus_kwargs=None,
                 problems.append(f"post-restart read failed: {exc}")
         else:
             fleet.quiesce(timeout=30.0)
-        if not auditor.drain(timeout=drain_timeout):
-            problems.append(
-                f"auditor failed to drain within {drain_timeout} s "
-                f"(pending {auditor.stats()['pending']})"
-            )
-        sampler_stats = sampler.stats()
-        auditor_stats = auditor.stats()
-        report = auditor.report
-        if registry is not None:
-            from repro.obs.export import write_files
-
-            telemetry_paths = write_files(
-                registry, telemetry, tracer=tracer,
-                stem=f"replay-{scenario.name}",
-            )
-        try:
-            auditor.close()
-        except ServeError as exc:
-            problems.append(f"auditor died: {exc}")
-    except BaseException:
-        try:
-            auditor.close()
-        except ServeError:
-            pass
-        fleet.close()
-        if own_dir:
-            shutil.rmtree(state_dir, ignore_errors=True)
-        raise
-    fleet.close()
-    if own_dir:
-        shutil.rmtree(state_dir, ignore_errors=True)
+        audit.drain(problems, drain_timeout)
+        telemetry_paths = h.write_telemetry(f"replay-{scenario.name}")
+        audit.close(problems)
 
     problems.extend(writer_record.get("problems", []))
     for rec in reader_records:
         problems.extend(rec.get("problems", []))
-    problems.extend(fault_record.get("problems", []))
 
     refusals = sum(rec.get("refusals", 0) for rec in reader_records)
     answered = sum(rec.get("answered", 0) for rec in reader_records)
     issued = sum(rec.get("issued", 0) for rec in reader_records)
-    killed = any(
-        e["action"].startswith("kill") for e in fault_record["events"]
-    )
+    killed = any(e["action"].startswith("kill") for e in events)
     if strict:
         if writer_record.get("submitted", 0) != plan.events_to_replay:
             problems.append(
@@ -372,16 +312,7 @@ def run_replay_scenario(scenario, seed=0, duration=None, corpus_kwargs=None,
                 f"readers issued {issued} of {len(plan.queries)} planned "
                 f"queries"
             )
-        if report.total:
-            problems.append(
-                f"shadow audit diverged {report.total} time(s): "
-                f"{report.divergences[0].describe()}"
-            )
-        if auditor_stats["audited"] == 0:
-            problems.append(
-                "auditor audited zero answers — the run proves nothing "
-                "(raise duration, query_rate or sample_rate)"
-            )
+        audit.judge(problems)
         if killed and not refusals:
             problems.append(
                 "a shard was killed but no reader observed a refusal — "
@@ -409,21 +340,18 @@ def run_replay_scenario(scenario, seed=0, duration=None, corpus_kwargs=None,
         "refusals": refusals,
         "read_qps": round(answered / elapsed) if elapsed else 0,
         "read_latency_ms": _latency_ms(latencies),
-        "sampler": sampler_stats,
-        "auditor": auditor_stats,
-        "divergences": report.total,
-        "fault_injection": fault_record["events"],
+        "sampler": audit.sampler_stats,
+        "auditor": audit.auditor_stats,
+        "divergences": audit.report.total,
+        "fault_injection": events,
         "recovered": recovered,
-        "telemetry": list(telemetry_paths) if registry is not None else None,
+        "telemetry": telemetry_paths,
         "replay_problems": problems,
     }
     if strict and problems:
         preview = "; ".join(str(p) for p in problems[:5])
-        first = report.divergences[0] if report.divergences else None
-        raise AuditDivergenceError(
+        raise audit.report.error(
             f"replay scenario {scenario.name!r} observed {len(problems)} "
-            f"problem(s): {preview}",
-            seq=first.seq if first else None,
-            divergences=report.divergences,
+            f"problem(s): {preview}"
         )
     return result

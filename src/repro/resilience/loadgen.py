@@ -39,17 +39,12 @@ Wired into the benchmark CLI as ``repro-bench chaos``.
 """
 
 import os
-import shutil
-import tempfile
 import time
 
-from repro.audit.comparator import DivergenceReport
-from repro.audit.sampler import AuditSampler
-from repro.audit.shadow import ShadowAuditor
+from repro.audit.shadow import AuditSession
 from repro.cluster.cluster import SPCCluster
 from repro.engine import EngineConfig, SPCEngine
 from repro.exceptions import (
-    AuditDivergenceError,
     ClusterError,
     ReproError,
     ServeError,
@@ -63,8 +58,8 @@ from repro.resilience.chaos import (
 )
 from repro.resilience.supervisor import Supervisor
 from repro.serve.loadgen import (
-    _close_quietly,
-    _latency_ms,
+    _Harness,
+    _load_report,
     _Reader,
     _run_load,
     make_workload,
@@ -174,57 +169,9 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
         )
     graph, cycle, pairs = make_workload(backend, n, m, seed=seed, churn=churn)
     engine = SPCEngine(graph, config=EngineConfig(backend=backend))
-    own_dir = state_dir is None
-    state_dir = state_dir or tempfile.mkdtemp(prefix="repro-chaos-")
     serve_config = ServeConfig(queue_capacity=4096)
-    fleet_obj = None
-    auditor = None
-    supervisor = None
-    try:
-        if fleet == "cluster":
-            size = dict(replicas=replicas)
-            fleet_type = SPCCluster
-        else:
-            size = dict(shards=shards, ring_size=ring_size)
-            fleet_type = ShardedCluster
-        fleet_obj = fleet_type(
-            engine, state_dir, serve_config=serve_config, overwrite=True,
-            wait_timeout=wait_timeout, degraded=degraded,
-            degraded_max_lag=degraded_max_lag, stall_budget=stall_budget,
-            **size,
-        )
-        sampler = AuditSampler(
-            rate=sample_rate, capacity=reservoir, seed=seed + 5
-        )
-        fleet_obj.set_answer_tap(sampler)
-        # The auditor outlives the poisoned-stream window on a raised
-        # stall budget: it keeps re-bootstrapping until the supervisor's
-        # repair rewrites the stream, then catches up and verifies the
-        # backlog.
-        auditor = ShadowAuditor(
-            sampler, state_dir,
-            report=DivergenceReport(),
-            history=history,
-            stall_budget=1 << 20,
-        )
-        supervisor = Supervisor(
-            fleet_obj,
-            poll_interval=supervisor_poll,
-            backoff_initial=0.02,
-            backoff_max=0.25,
-            restart_budget=restart_budget,
-            budget_window=budget_window,
-            seed=seed + 11,
-        )
-    except BaseException:
-        _close_quietly([supervisor, auditor, fleet_obj],
-                       state_dir if own_dir else None)
-        raise
-
-    stream_path = os.path.join(
-        state_dir, WAL_FILENAME if fleet == "cluster" else JOURNAL_FILENAME
-    )
-    snapshot_path = os.path.join(state_dir, SNAPSHOT_FILENAME)
+    # The phases below run on the fleet, supervisor and stream paths set
+    # up inside the harness further down.
     phases = []
     problems = []
     failed_members = set()
@@ -457,8 +404,42 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
                         "the budget-exhausted member"
                     )
 
-    chaos_readers = [_ChaosReader(fleet_obj) for _ in range(readers)]
-    try:
+    if fleet == "cluster":
+        fleet_type, size = SPCCluster, dict(replicas=replicas)
+    else:
+        fleet_type, size = ShardedCluster, dict(shards=shards,
+                                                ring_size=ring_size)
+    with _Harness("chaos", state_dir) as h:
+        fleet_obj = h.own(fleet_type(
+            engine, h.state_dir, serve_config=serve_config, overwrite=True,
+            wait_timeout=wait_timeout, degraded=degraded,
+            degraded_max_lag=degraded_max_lag, stall_budget=stall_budget,
+            **size,
+        ))
+        # The auditor outlives the poisoned-stream window on a raised
+        # stall budget: it keeps re-bootstrapping until the supervisor's
+        # repair rewrites the stream, then catches up and verifies the
+        # backlog.
+        audit = h.own(AuditSession(
+            fleet_obj, h.state_dir, sample_rate, reservoir, seed + 5,
+            history, stall_budget=1 << 20,
+        ))
+        supervisor = h.own(Supervisor(
+            fleet_obj,
+            poll_interval=supervisor_poll,
+            backoff_initial=0.02,
+            backoff_max=0.25,
+            restart_budget=restart_budget,
+            budget_window=budget_window,
+            seed=seed + 11,
+        ))
+        stream_path = os.path.join(
+            h.state_dir,
+            WAL_FILENAME if fleet == "cluster" else JOURNAL_FILENAME,
+        )
+        snapshot_path = os.path.join(h.state_dir, SNAPSHOT_FILENAME)
+
+        chaos_readers = [_ChaosReader(fleet_obj) for _ in range(readers)]
         run = _run_load(
             "chaos", chaos_readers, pairs, seed + 30, fleet_obj.submit_many,
             cycle, batch_size, pause, duration, refusal=_REFUSALS,
@@ -479,65 +460,30 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
                 "fleet did not converge to the primary's seq after the "
                 "last phase"
             )
-        if not auditor.drain(timeout=drain_timeout):
-            problems.append(
-                f"auditor failed to drain within {drain_timeout} s "
-                f"(pending {auditor.stats()['pending']})"
-            )
-        elapsed = run["ended"] - run["started"]
-        sampler_stats = sampler.stats()
-        auditor_stats = auditor.stats()
+        audit.drain(problems, drain_timeout)
         router_stats = fleet_obj.router.stats()
         supervisor_stats = supervisor.stats()
         incidents = [i.as_dict() for i in supervisor.incidents]
         events = [e.as_dict() for e in supervisor.events]
-        try:
-            auditor.close()
-        except ServeError as exc:
-            problems.append(f"auditor died: {exc}")
+        audit.close(problems)
         supervisor.close()
-    except BaseException:
-        _close_quietly([supervisor, auditor, fleet_obj],
-                       state_dir if own_dir else None)
-        raise
-    try:
-        fleet_obj.close()
-    except _REFUSALS as exc:
-        # The crash-loop victim died by design; its shutdown complaint is
-        # expected.  Anything else is a real shutdown failure.
-        if not failed_members:
-            problems.append(f"shutdown failure: {exc}")
-    if own_dir:
-        shutil.rmtree(state_dir, ignore_errors=True)
+        # The crash-loop victim died by design, so with one its shutdown
+        # complaint is expected; otherwise it is a real failure.
+        h.close(fleet_obj, [] if failed_members else problems, _REFUSALS)
 
     problems.extend(run["problems"])
 
-    report = auditor.report
     healed_mttrs = [p["mttr_s"] for p in phases if p["mttr_s"] is not None]
     if strict:
-        if auditor_stats["audited"] == 0:
-            problems.append(
-                "auditor audited zero routed answers — the run proves "
-                "nothing (raise duration, sample_rate or reservoir)"
-            )
-        if report.total:
-            problems.append(
-                f"shadow audit diverged {report.total} time(s) under "
-                f"chaos: {report.divergences[0].describe()}"
-            )
+        audit.judge(problems)
 
-    reads = run["reads"]
     result = {
         "backend": backend,
         "fleet": fleet,
         "members": replicas if fleet == "cluster" else shards,
         "readers": readers,
-        "duration_s": round(elapsed, 3),
         "graph": {"n": n, "m": m},
-        "reads": reads,
-        "read_qps": round(reads / elapsed) if elapsed else 0,
-        "read_latency_ms": _latency_ms(run["latencies"]),
-        "updates_submitted": run["submitted"],
+        **_load_report(run),
         "refusals": run["refusals"],
         "degraded_reads": sum(r.degraded_reads for r in chaos_readers),
         "degraded_mode": degraded,
@@ -552,8 +498,8 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
         "supervisor": supervisor_stats,
         "incidents": incidents,
         "health_events": len(events),
-        "sampler": sampler_stats,
-        "auditor": auditor_stats,
+        "sampler": audit.sampler_stats,
+        "auditor": audit.auditor_stats,
         "router": {
             k: router_stats.get(k)
             for k in ("routed", "refusals", "fast_refusals", "waits",
@@ -564,11 +510,8 @@ def run_chaos_loadgen(backend="core", fleet="cluster", replicas=2, shards=4,
     }
     if strict and problems:
         preview = "; ".join(str(p) for p in problems[:5])
-        first = report.divergences[0] if report.divergences else None
-        raise AuditDivergenceError(
+        raise audit.report.error(
             f"chaos loadgen observed {len(problems)} problem(s) "
-            f"({backend} backend, {fleet} fleet): {preview}",
-            seq=first.seq if first else None,
-            divergences=report.divergences,
+            f"({backend} backend, {fleet} fleet): {preview}"
         )
     return result

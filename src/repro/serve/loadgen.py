@@ -28,12 +28,15 @@ Wired into the benchmark CLI as ``repro-bench serve`` (results land in
 
 This module also holds the one load driver that every threaded harness
 (serve, cluster, audit, shard, chaos) runs on: :func:`_run_load` with its
-reader, submitter and absolute fault-schedule loops.  DESIGN.md §10
-states its contract.
+reader, submitter and absolute fault-schedule loops.  The lifecycle
+around it is here too, shared with replay: :class:`_Harness` (state
+dir, telemetry, teardown) and :func:`_load_report` (the report fields
+over the read window).  DESIGN.md §10 states their contract.
 """
 
 import random
 import shutil
+import tempfile
 import threading
 import time
 
@@ -333,23 +336,96 @@ def _run_load(name, readers, pairs, seed, submit, cycle, batch_size, pause,
     }
 
 
-def _close_quietly(closers, state_dir=None):
-    """Close every non-``None`` closer, then remove ``state_dir`` if given.
+def _load_report(run):
+    """The report fields every ``_run_load`` harness shares.
 
-    The cleanup path of a harness that is already failing: errors from
-    the closes are swallowed so the original failure stays the one
-    reported, but no writer, applier or auditor thread leaks into the
-    caller's process and no state dir the harness created leaks onto
-    disk.
+    All of them cover the read window, ``run["ended"] - run["started"]``:
+    a harness's post-run flush, sync or drain is not load.
     """
-    for closer in closers:
-        if closer is not None:
+    elapsed = run["ended"] - run["started"]
+    reads = run["reads"]
+    return {
+        "duration_s": round(elapsed, 3),
+        "reads": reads,
+        "read_qps": round(reads / elapsed) if elapsed else 0,
+        "read_latency_ms": _latency_ms(run["latencies"]),
+        "updates_submitted": run["submitted"],
+    }
+
+
+class _Harness:
+    """The lifecycle every threaded harness shares around its load.
+
+    A context manager holding the run's state dir, its telemetry and its
+    teardown:
+
+    * ``state_dir``: the given dir, or with ``make_dir`` a fresh
+      ``repro-<name>-*`` temp dir.  Only a dir made here is removed.
+    * ``registry``/``tracer``: live only when ``telemetry`` names a
+      directory; :meth:`instrument` binds them to the fleet and
+      :meth:`write_telemetry` writes them there.
+    * teardown: every closer passed to :meth:`own` is closed, last owned
+      first, on every exit path.  Close errors are swallowed so a failure
+      already raised stays the one reported.  Closers are idempotent, so
+      one the harness closed first on its success path (:meth:`close`
+      records the failure as a problem) closes again as a no-op.
+    """
+
+    def __init__(self, name, state_dir=None, telemetry=None, make_dir=True):
+        self.telemetry = telemetry
+        self.registry = self.tracer = None
+        if telemetry is not None:
+            from repro.obs import MetricsRegistry, Tracer
+
+            self.registry = MetricsRegistry()
+            self.tracer = Tracer()
+        self.own_dir = make_dir and state_dir is None
+        self.state_dir = (tempfile.mkdtemp(prefix=f"repro-{name}-")
+                          if self.own_dir else state_dir)
+        self._closers = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        for closer in reversed(self._closers):
             try:
                 closer.close()
             except (ReproError, OSError):
                 pass
-    if state_dir is not None:
-        shutil.rmtree(state_dir, ignore_errors=True)
+        if self.own_dir:
+            shutil.rmtree(self.state_dir, ignore_errors=True)
+        return False
+
+    def own(self, closer):
+        """Close ``closer`` at teardown; returns it."""
+        self._closers.append(closer)
+        return closer
+
+    def close(self, closer, problems, errors):
+        """Close ``closer`` now; an ``errors`` failure is a problem."""
+        try:
+            closer.close()
+        except errors as exc:
+            problems.append(f"shutdown failure: {exc}")
+
+    def instrument(self, fleet, *parts):
+        """Bind the run's registry and tracer to ``fleet`` and the
+        registry to each of ``parts``; a no-op without telemetry."""
+        if self.registry is not None:
+            fleet.set_metrics(self.registry, tracer=self.tracer)
+            for part in parts:
+                part.set_metrics(self.registry)
+
+    def write_telemetry(self, stem):
+        """Write ``<stem>.prom``/``.json``; their paths, or ``None``
+        without telemetry."""
+        if self.registry is None:
+            return None
+        from repro.obs.export import write_files
+
+        return list(write_files(self.registry, self.telemetry,
+                                tracer=self.tracer, stem=stem))
 
 
 class _ServeReader(_Reader):
@@ -421,25 +497,18 @@ def run_loadgen(backend="core", readers=4, duration=1.0, n=300, m=900,
         queue_capacity=4096,
         durability_dir=durability_dir,
     )
-    service = SPCService(engine, config=config, overwrite=True)
-    registry = tracer = None
-    if telemetry is not None:
-        from repro.obs import MetricsRegistry, Tracer
-
-        registry = MetricsRegistry()
-        tracer = Tracer()
-        service.set_metrics(registry, tracer=tracer)
-        engine.set_metrics(registry)
-
     lag_samples, staleness_samples = [], []
 
-    def sample_lag(deadline):
-        while time.time() < deadline:
-            lag_samples.append(service.lag())
-            staleness_samples.append(service.staleness())
-            time.sleep(0.01)
+    with _Harness("serve", telemetry=telemetry, make_dir=False) as h:
+        service = h.own(SPCService(engine, config=config, overwrite=True))
+        h.instrument(service, engine)
 
-    try:
+        def sample_lag(deadline):
+            while time.time() < deadline:
+                lag_samples.append(service.lag())
+                staleness_samples.append(service.staleness())
+                time.sleep(0.01)
+
         run = _run_load(
             "loadgen", [_ServeReader(service) for _ in range(readers)],
             pairs, seed + 10, service.submit_many, cycle, batch_size, pause,
@@ -457,43 +526,21 @@ def run_loadgen(backend="core", readers=4, duration=1.0, n=300, m=900,
                 break
             time.sleep(0.005)
         service.flush()
-        elapsed = time.time() - run["started"]
         stats = service.stats()
-        if registry is not None:
-            from repro.obs.export import write_files
-
-            telemetry_paths = write_files(
-                registry, telemetry, tracer=tracer,
-                stem=f"serve-{backend}",
-            )
-    except BaseException:
-        _close_quietly([service])
-        raise
-    service.close()
+        telemetry_paths = h.write_telemetry(f"serve-{backend}")
+        service.close()
     engine.check_invariants()
 
     problems = run["problems"]
     latencies = run["latencies"]
-    reads = run["reads"]
     report = {
         "backend": backend,
         "readers": readers,
-        "duration_s": round(elapsed, 3),
         "graph": {"n": n, "m": m},
-        "reads": reads,
-        "read_qps": round(reads / elapsed) if elapsed else 0,
-        "read_latency_ms": dict(
-            _latency_ms(latencies),
-            max=round((latencies[-1] if latencies else 0.0) * 1e3, 4),
-            mean=round(
-                (sum(latencies) / len(latencies) if latencies else 0.0) * 1e3,
-                4,
-            ),
-        ),
+        **_load_report(run),
         # query_many-of-8 timings, kept out of the point-read percentiles
         # so p99 tracks single-read latency, not the batch mix.
         "batch_latency_ms": _latency_ms(run["batch_latencies"]),
-        "updates_submitted": run["submitted"],
         "updates_applied": stats["applied_updates"],
         "updates_cancelled": stats["cancelled_updates"],
         "applied_batches": stats["applied_batches"],
@@ -515,8 +562,14 @@ def run_loadgen(backend="core", readers=4, duration=1.0, n=300, m=900,
         "update_errors": len(service.errors),
         "consistency_problems": problems,
     }
-    if registry is not None:
-        report["telemetry"] = list(telemetry_paths)
+    report["read_latency_ms"].update(
+        max=round((latencies[-1] if latencies else 0.0) * 1e3, 4),
+        mean=round(
+            (sum(latencies) / len(latencies) if latencies else 0.0) * 1e3, 4
+        ),
+    )
+    if telemetry_paths is not None:
+        report["telemetry"] = telemetry_paths
     if service.errors:
         # The cyclic stream is valid by construction; a rejected update
         # means the service lost an edge somewhere — that is a failure.

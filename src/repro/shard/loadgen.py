@@ -23,17 +23,12 @@ unsharded primary's label entries (strict mode fails the run otherwise).
 Wired into the benchmark CLI as ``repro-bench shard``.
 """
 
-import shutil
-import tempfile
-
-from repro.audit.comparator import DivergenceReport
-from repro.audit.sampler import AuditSampler
-from repro.audit.shadow import ShadowAuditor
+from repro.audit.shadow import AuditSession
 from repro.engine import EngineConfig, SPCEngine
-from repro.exceptions import AuditDivergenceError, ShardError, ServeError
+from repro.exceptions import ShardError
 from repro.serve.loadgen import (
-    _close_quietly,
-    _latency_ms,
+    _Harness,
+    _load_report,
     _Reader,
     _run_load,
     make_workload,
@@ -91,42 +86,10 @@ def run_shard_loadgen(backend="core", shards=4, partitioner="balanced",
     """
     graph, cycle, pairs = make_workload(backend, n, m, seed=seed, churn=churn)
     engine = SPCEngine(graph, config=EngineConfig(backend=backend))
-    own_dir = state_dir is None
-    state_dir = state_dir or tempfile.mkdtemp(prefix="repro-shard-")
     serve_config = ServeConfig(queue_capacity=4096)
     shard_config = ShardConfig(shards=shards, partitioner=partitioner)
-    cluster = None
-    auditor = None
-    try:
-        cluster = ShardedCluster(
-            engine, state_dir, config=shard_config,
-            serve_config=serve_config, overwrite=True,
-        )
-        entries_at_start = _primary_entries(engine)
-        sampler = AuditSampler(
-            rate=sample_rate, capacity=reservoir, seed=seed + 5
-        )
-        cluster.set_answer_tap(sampler)
-        auditor = ShadowAuditor(
-            sampler, state_dir,
-            report=DivergenceReport(),
-            history=history,
-        )
-        registry = tracer = None
-        if telemetry is not None:
-            from repro.obs import MetricsRegistry, Tracer
-
-            registry = MetricsRegistry()
-            tracer = Tracer()
-            cluster.set_metrics(registry, tracer=tracer)
-            engine.set_metrics(registry)
-            sampler.set_metrics(registry)
-            auditor.set_metrics(registry)
-    except BaseException:
-        _close_quietly([auditor, cluster], state_dir if own_dir else None)
-        raise
-
     events = {}
+    problems = []
 
     def kill_shard():
         cluster.kill_shard(0)
@@ -142,9 +105,18 @@ def run_shard_loadgen(backend="core", shards=4, partitioner="balanced",
     faults = [(0.35, kill_shard)] if kill else []
     if kill and restart:
         faults.append((0.65, restart_shard))
-    shard_readers = [_ShardReader(cluster, events) for _ in range(readers)]
-    problems = []
-    try:
+
+    with _Harness("shard", state_dir, telemetry) as h:
+        cluster = h.own(ShardedCluster(
+            engine, h.state_dir, config=shard_config,
+            serve_config=serve_config, overwrite=True,
+        ))
+        entries_at_start = _primary_entries(engine)
+        audit = h.own(AuditSession(
+            cluster, h.state_dir, sample_rate, reservoir, seed + 5, history,
+        ))
+        h.instrument(cluster, engine, audit)
+        shard_readers = [_ShardReader(cluster, events) for _ in range(readers)]
         run = _run_load(
             "shard", shard_readers, pairs, seed + 30, cluster.submit_many,
             cycle, batch_size, pause, duration, refusal=ShardError,
@@ -161,37 +133,15 @@ def run_shard_loadgen(backend="core", shards=4, partitioner="balanced",
                 problems.append(f"post-restart read failed: {exc}")
         else:
             cluster.primary.flush(timeout=30.0)
-        if not auditor.drain(timeout=drain_timeout):
-            problems.append(
-                f"auditor failed to drain within {drain_timeout} s "
-                f"(pending {auditor.stats()['pending']})"
-            )
-        elapsed = run["ended"] - run["started"]
+        audit.drain(problems, drain_timeout)
         entries_at_end = _primary_entries(engine)
-        sampler_stats = sampler.stats()
-        auditor_stats = auditor.stats()
         router_stats = cluster.router.stats()
         partitioner_desc = cluster.partitioner.describe()
-        if registry is not None:
-            from repro.obs.export import write_files
-
-            stem = f"shard-{backend}" + ("-kill" if kill else "")
-            telemetry_paths = write_files(
-                registry, telemetry, tracer=tracer, stem=stem,
-            )
-        try:
-            auditor.close()
-        except ServeError as exc:
-            problems.append(f"auditor died: {exc}")
-    except BaseException:
-        _close_quietly([auditor, cluster], state_dir if own_dir else None)
-        raise
-    try:
-        cluster.close()
-    except ShardError as exc:
-        problems.append(f"shutdown failure: {exc}")
-    if own_dir:
-        shutil.rmtree(state_dir, ignore_errors=True)
+        telemetry_paths = h.write_telemetry(
+            f"shard-{backend}" + ("-kill" if kill else "")
+        )
+        audit.close(problems)
+        h.close(cluster, problems, ShardError)
 
     problems.extend(run["problems"])
 
@@ -218,18 +168,8 @@ def run_shard_loadgen(backend="core", shards=4, partitioner="balanced",
     }
 
     refusals = run["refusals"]
-    report = auditor.report
     if strict:
-        if auditor_stats["audited"] == 0:
-            problems.append(
-                "auditor audited zero merged answers — the run proves "
-                "nothing (raise duration, sample_rate or reservoir)"
-            )
-        if report.total:
-            problems.append(
-                f"cross-shard merge diverged {report.total} time(s): "
-                f"{report.divergences[0].describe()}"
-            )
+        audit.judge(problems)
         if "killed" in events and not refusals:
             problems.append(
                 "shard-0 was killed but no reader observed a refusal — "
@@ -244,22 +184,17 @@ def run_shard_loadgen(backend="core", shards=4, partitioner="balanced",
                 f"= {bound:.3f}"
             )
 
-    reads = run["reads"]
     result = {
         "backend": backend,
         "shards": shards,
         "partitioner": partitioner_desc,
         "readers": readers,
-        "duration_s": round(elapsed, 3),
         "graph": {"n": n, "m": m},
-        "reads": reads,
-        "read_qps": round(reads / elapsed) if elapsed else 0,
-        "read_latency_ms": _latency_ms(run["latencies"]),
-        "updates_submitted": run["submitted"],
+        **_load_report(run),
         "refusals": refusals,
         "sample_rate": sample_rate,
-        "sampler": sampler_stats,
-        "auditor": auditor_stats,
+        "sampler": audit.sampler_stats,
+        "auditor": audit.auditor_stats,
         "router": {
             "routed": router_stats["routed"],
             "refusals": router_stats["refusals"],
@@ -267,7 +202,7 @@ def run_shard_loadgen(backend="core", shards=4, partitioner="balanced",
         },
         "shards": router_stats["shards"],
         "memory": memory,
-        "telemetry": list(telemetry_paths) if registry is not None else None,
+        "telemetry": telemetry_paths,
         "fault_injection": dict(
             events,
             post_restart_reads=sum(
@@ -278,11 +213,8 @@ def run_shard_loadgen(backend="core", shards=4, partitioner="balanced",
     }
     if strict and problems:
         preview = "; ".join(str(p) for p in problems[:5])
-        first = report.divergences[0] if report.divergences else None
-        raise AuditDivergenceError(
+        raise audit.report.error(
             f"shard loadgen observed {len(problems)} problem(s) "
-            f"({backend} backend, {shards} shards): {preview}",
-            seq=first.seq if first else None,
-            divergences=report.divergences,
+            f"({backend} backend, {shards} shards): {preview}"
         )
     return result

@@ -78,10 +78,11 @@ class ShardedCluster(Fleet):
     >>> from repro.shard import ShardedCluster
     >>> from repro.workloads import InsertEdge
     >>> engine = repro.open(repro.Graph.from_edges([(0, 1), (1, 2)]))
-    >>> with ShardedCluster(engine, tempfile.mkdtemp(), shards=2) as sc:
-    ...     sc.submit(InsertEdge(0, 2))
-    ...     _ = sc.sync()
-    ...     sc.query(0, 2)
+    >>> with tempfile.TemporaryDirectory() as d:
+    ...     with ShardedCluster(engine, d, shards=2) as sc:
+    ...         sc.submit(InsertEdge(0, 2))
+    ...         _ = sc.sync()
+    ...         sc.query(0, 2)
     (1, 1)
     """
 

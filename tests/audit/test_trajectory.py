@@ -118,6 +118,19 @@ class TestDriftReport:
         assert r["current"] == pytest.approx(30.0)
         assert r["change"] == pytest.approx(2.0)
 
+    def test_higher_is_better_regression(self, tmp_path):
+        # serve's read_qps regresses by falling.
+        path = tmp_path / "hist.jsonl"
+        for qps in (1000, 1000, 400):
+            result = make_result(name="serve", extra={
+                "core": {"read_qps": qps, "read_latency_ms": {"p99": 0.5}},
+            })
+            record_run(path, result)
+        entries, _ = load_history(path)
+        regressions, _, _ = drift_report(entries, tolerance=0.5)
+        assert [r["metric"] for r in regressions] == ["core.read_qps"]
+        assert regressions[0]["change"] == pytest.approx(0.6)
+
     def test_direction_aware_improvement_is_not_a_regression(self, tmp_path):
         # For a lower-is-better metric, dropping is an improvement.
         path = tmp_path / "hist.jsonl"

@@ -1,10 +1,8 @@
-"""The opt-in perf-trajectory gate: repro-bench --compare/--tolerance."""
+"""The tracked-metric extractors and the one regression gate that reads
+them: repro-bench drift over the recorded history."""
 
-import json
-
-import pytest
-
-from repro.bench.compare import METRIC_EXTRACTORS, compare_result
+from repro.audit import record_run
+from repro.bench.compare import METRIC_EXTRACTORS
 from repro.bench.tables import ExperimentResult
 
 
@@ -18,55 +16,14 @@ def micro_result(fast_us=10.0, batched_s=0.01, mean_s=0.001):
     return result
 
 
-def write_baseline(tmp_path, result):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps(result.to_dict()))
+def write_history(tmp_path, *results):
+    path = tmp_path / "history.jsonl"
+    for result in results:
+        record_run(path, result, profile="quick")
     return str(path)
 
 
 class TestCompare:
-    def test_identical_run_passes(self, tmp_path):
-        baseline = write_baseline(tmp_path, micro_result())
-        regressions, lines = compare_result(micro_result(), baseline, 0.5)
-        assert regressions == []
-        assert any("ok" in line for line in lines)
-
-    def test_regression_beyond_tolerance_fails(self, tmp_path):
-        baseline = write_baseline(tmp_path, micro_result(fast_us=10.0))
-        current = micro_result(fast_us=20.0)  # 100% slower, 50% allowed
-        regressions, _ = compare_result(current, baseline, 0.5)
-        assert len(regressions) == 1
-        assert regressions[0]["metric"].startswith("isolated_deletion")
-        assert regressions[0]["change"] == pytest.approx(1.0)
-
-    def test_regression_within_tolerance_passes(self, tmp_path):
-        baseline = write_baseline(tmp_path, micro_result(fast_us=10.0))
-        current = micro_result(fast_us=14.0)  # 40% slower, 50% allowed
-        regressions, _ = compare_result(current, baseline, 0.5)
-        assert regressions == []
-
-    def test_improvement_never_fails(self, tmp_path):
-        baseline = write_baseline(tmp_path, micro_result(fast_us=10.0))
-        current = micro_result(fast_us=1.0)
-        regressions, lines = compare_result(current, baseline, 0.5)
-        assert regressions == []
-        assert any("improved" in line for line in lines)
-
-    def test_name_mismatch_skips(self, tmp_path):
-        baseline = write_baseline(tmp_path, micro_result())
-        other = ExperimentResult(name="fig7", description="test")
-        regressions, lines = compare_result(other, baseline, 0.5)
-        assert regressions == []
-        assert any("skipping" in line for line in lines)
-
-    def test_untracked_experiment_skips(self, tmp_path):
-        result = ExperimentResult(name="fig7", description="test")
-        path = tmp_path / "fig7.json"
-        path.write_text(json.dumps(result.to_dict()))
-        regressions, lines = compare_result(result, str(path), 0.5)
-        assert regressions == []
-        assert any("no tracked metrics" in line for line in lines)
-
     def test_serve_extractor_directions(self):
         extractor = METRIC_EXTRACTORS["serve"]
         metrics = extractor({
@@ -97,45 +54,25 @@ class TestCompare:
         assert metrics["core.catch_up_ms"] == (12.5, "lower")
         assert "sd.catch_up_ms" not in metrics
 
-    def test_higher_is_better_regression(self, tmp_path):
-        baseline = ExperimentResult(name="serve", description="test")
-        baseline.extra = {
-            "core": {"read_qps": 1000, "read_latency_ms": {"p99": 0.5}},
-        }
-        current = ExperimentResult(name="serve", description="test")
-        current.extra = {
-            "core": {"read_qps": 400, "read_latency_ms": {"p99": 0.5}},
-        }
-        path = write_baseline(tmp_path, baseline)
-        regressions, _ = compare_result(current, path, 0.5)
-        assert [r["metric"] for r in regressions] == ["core.read_qps"]
-
 
 class TestCLI:
-    def test_compare_flag_fails_on_regression(self, tmp_path, monkeypatch):
+    def test_drift_fails_on_regression(self, tmp_path, capsys):
         from repro.bench import runner
 
-        baseline = write_baseline(tmp_path, micro_result(fast_us=1.0))
-
-        def fake_run(config):
-            return micro_result(fast_us=100.0)
-
-        monkeypatch.setitem(runner.EXPERIMENTS, "micro", fake_run)
-        code = runner.main(
-            ["micro", "--profile", "quick", "--compare", baseline]
+        history = write_history(
+            tmp_path, micro_result(fast_us=1.0), micro_result(fast_us=100.0)
         )
-        assert code == 1
+        assert runner.main(["drift", "--history", history]) == 1
+        assert "REGRESSION" in capsys.readouterr().out
 
-    def test_compare_flag_passes_within_tolerance(self, tmp_path, monkeypatch):
+    def test_drift_passes_within_tolerance(self, tmp_path):
         from repro.bench import runner
 
-        baseline = write_baseline(tmp_path, micro_result())
-        monkeypatch.setitem(
-            runner.EXPERIMENTS, "micro", lambda config: micro_result()
+        history = write_history(
+            tmp_path, micro_result(fast_us=10.0), micro_result(fast_us=14.0)
         )
         code = runner.main(
-            ["micro", "--profile", "quick", "--compare", baseline,
-             "--tolerance", "0.5"]
+            ["drift", "--history", history, "--tolerance", "0.5"]
         )
         assert code == 0
 

@@ -1,5 +1,7 @@
 """The replay engine end to end: every fleet topology, strict contract."""
 
+import time
+
 import pytest
 
 from repro.exceptions import ServeError
@@ -65,6 +67,33 @@ class TestRunReplayScenario:
     def test_rejects_non_scenario(self):
         with pytest.raises(ServeError, match="scenario"):
             run_replay_scenario(42)
+
+    def test_a_fault_step_past_the_deadline_is_a_missed_window(
+            self, monkeypatch):
+        # The kill step blocks past the run's deadline, so the restart's
+        # turn comes only after the run: a missed injection window,
+        # never a silently late fault.
+        from repro.replay.loadgen import _Fleet
+
+        original = _Fleet.apply_fault
+
+        def blocking(self, fault):
+            if fault.action == "kill_shard":
+                time.sleep(0.8)
+                return
+            original(self, fault)
+
+        monkeypatch.setattr(_Fleet, "apply_fault", blocking)
+        report = run_replay_scenario(
+            "churn-window", seed=0, duration=0.8, corpus_kwargs=TRIM,
+            strict=False,
+        )
+        missed = [p for p in report["replay_problems"]
+                  if "missed its injection window" in p]
+        assert len(missed) == 1
+        assert missed[0].startswith("restart_shard at 0.7·T")
+        actions = [e["action"] for e in report["fault_injection"]]
+        assert actions == ["kill_shard"]
 
     def test_unexplained_fault_action_fails(self):
         scenario = get_scenario("churn-window").replace(

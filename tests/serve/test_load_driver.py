@@ -1,15 +1,20 @@
-"""The shared load driver's absolute fault schedule.
+"""The shared load driver's absolute fault schedule and read window.
 
 Every threaded harness runs its fault steps through
 :func:`repro.serve.loadgen._fault_loop`: each ``(fraction, step)`` fires
 at ``started + fraction·duration`` no matter how long an earlier step
 blocked, and a step that only comes around after the deadline is a
-recorded problem, never a silent skip.
+recorded problem, never a silent skip.  Every ``_run_load`` harness
+times its report over the read window alone.
 """
 
 import threading
 import time
 
+import pytest
+
+from repro.cluster import SPCCluster, run_cluster_loadgen
+from repro.serve import SPCService, run_loadgen
 from repro.serve.loadgen import _fault_loop
 
 
@@ -71,3 +76,28 @@ def test_a_crashing_step_ends_the_schedule():
                 threading.Event(), problems)
     assert fired == []
     assert problems == ["fault controller crashed: OSError('injected')"]
+
+
+@pytest.mark.parametrize("harness", ["serve", "cluster"])
+def test_a_slow_post_run_settle_is_not_load(harness, monkeypatch):
+    # serve flushes and cluster syncs after the readers stop; that wait
+    # must not count towards duration_s or read_qps.
+    fleet_type, settle = {
+        "serve": (SPCService, "flush"),
+        "cluster": (SPCCluster, "sync"),
+    }[harness]
+    original = getattr(fleet_type, settle)
+
+    def slow(self, *args, **kwargs):
+        time.sleep(0.5)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(fleet_type, settle, slow)
+    small = dict(backend="core", readers=1, duration=0.3, n=50, m=120,
+                 churn=8)
+    if harness == "serve":
+        report = run_loadgen(**small)
+    else:
+        report = run_cluster_loadgen(replicas=1, inject_fault=False, **small)
+    assert report["duration_s"] < 0.3 + 0.3
+    assert report["reads"] > 0
