@@ -30,7 +30,6 @@ Package map (see DESIGN.md for the full inventory):
 * :mod:`repro.resilience` — self-healing supervision, circuit breakers
   and the disk-fault chaos harness;
 * :mod:`repro.sd` — distance-only PLL (SD-Index) for comparison;
-* :mod:`repro.baselines` — BFS / BiBFS / reconstruction baselines;
 * :mod:`repro.workloads`, :mod:`repro.datasets` — experiment inputs;
 * :mod:`repro.bench` — the table/figure reproduction harness.
 """

@@ -18,7 +18,11 @@ keeps optimizing, so every PR leaves a perf trajectory in
   insert/delete stream, the end-to-end number the Figure 10 experiments
   report on real datasets, split into the maintenance phases
   ``UpdateStats`` times (SrrSEARCH, BFS, removal pass), with the mean
-  number of region pairs DecUPDATE keeps per delete.
+  number of region pairs DecUPDATE keeps per delete.  A weighted twin
+  runs the weight-aware stream on ``random_weighted`` (weights 1–10): a
+  weight decrease counts as an insert and an increase as a delete, the
+  repair each runs.  Each stream ends with ``engine.check()``, so a wrong
+  maintained index fails the run.
 
 Wired into the CLI as ``repro-bench micro``; CI runs the quick profile as
 a perf-smoke job that fails on crash, never on timing.
@@ -30,7 +34,7 @@ import time
 from repro.bench.tables import ExperimentResult, Table
 from repro.bench.timing import distribution_summary
 from repro.engine import EngineConfig, SPCEngine
-from repro.graph.generators import barabasi_albert, erdos_renyi
+from repro.graph.generators import barabasi_albert, erdos_renyi, random_weighted
 from repro.workloads import hybrid_stream
 
 
@@ -140,46 +144,51 @@ def _bench_batch_queries(config, extra):
 
 
 def _bench_update_latency(config, extra):
-    """Per-update wall clock over a hybrid insert/delete stream."""
+    """Per-update wall clock over hybrid streams, unweighted and weighted."""
     n, m = config.micro_update_graph
-    graph = erdos_renyi(n, m, seed=13)
-    engine = _engine(graph)
-    stream = hybrid_stream(
-        graph.copy(),
-        insertions=config.micro_update_insertions,
-        deletions=config.micro_update_deletions,
-        seed=17,
-    )
-    all_stats = engine.apply_stream(stream)
     table = Table(
         "update latency over a hybrid stream (phases: mean per update)",
         ["kind", "count", "mean_us", "median_us", "max_us", "kept",
          "srr_us", "bfs_us", "removal_us"],
     )
     summaries = {}
-    for kind in ("insert", "delete"):
-        stats = [s for s in all_stats if s.kind == kind]
-        summary = distribution_summary([s.elapsed for s in stats])
-        # SrrSEARCH, the DecUPDATE/IncSPC BFS and the removal pass, as
-        # UpdateStats times them.
-        summary["phases_mean_s"] = {
-            phase: sum(getattr(s, phase) for s in stats) / max(1, len(stats))
-            for phase in ("srr_s", "bfs_s", "removal_s")
-        }
-        # Region pairs DecUPDATE left alone per delete (drop_kept).
-        summary["kept_mean"] = (sum(s.kept for s in stats) / len(stats)
-                                if kind == "delete" and stats else None)
-        summaries[kind] = summary
-        phases = summary["phases_mean_s"]
-        table.add_row(
-            kind, summary["count"],
-            round(summary["mean"] * 1e6, 1),
-            round(summary["median"] * 1e6, 1),
-            round(summary["max"] * 1e6, 1),
-            "—" if summary["kept_mean"] is None else round(summary["kept_mean"], 1),
-            round(phases["srr_s"] * 1e6, 1),
-            round(phases["bfs_s"] * 1e6, 1),
-            round(phases["removal_s"] * 1e6, 1),
+    for family, graph in (
+        ("", erdos_renyi(n, m, seed=13)),
+        ("weighted ", random_weighted(n, m, max_weight=10, seed=13)),
+    ):
+        engine = _engine(graph)
+        stream = hybrid_stream(
+            graph.copy(),
+            insertions=config.micro_update_insertions,
+            deletions=config.micro_update_deletions,
+            seed=17,
         )
+        all_stats = engine.apply_stream(stream)
+        engine.check()  # raises on any wrong answer: CI's perf-smoke gate
+        for kind in ("insert", "delete"):
+            stats = [s for s in all_stats if s.kind == kind]
+            summary = distribution_summary([s.elapsed for s in stats])
+            # SrrSEARCH, the DecUPDATE/IncSPC BFS and the removal pass, as
+            # UpdateStats times them.
+            summary["phases_mean_s"] = {
+                phase: sum(getattr(s, phase) for s in stats) / max(1, len(stats))
+                for phase in ("srr_s", "bfs_s", "removal_s")
+            }
+            # Region pairs DecUPDATE left alone per delete (drop_kept).
+            summary["kept_mean"] = (sum(s.kept for s in stats) / len(stats)
+                                    if kind == "delete" and stats else None)
+            summaries[(family + kind).replace(" ", "_")] = summary
+            phases = summary["phases_mean_s"]
+            table.add_row(
+                family + kind, summary["count"],
+                round(summary["mean"] * 1e6, 1),
+                round(summary["median"] * 1e6, 1),
+                round(summary["max"] * 1e6, 1),
+                "—" if summary["kept_mean"] is None
+                else round(summary["kept_mean"], 1),
+                round(phases["srr_s"] * 1e6, 1),
+                round(phases["bfs_s"] * 1e6, 1),
+                round(phases["removal_s"] * 1e6, 1),
+            )
     extra["update_latency"] = summaries
     return table

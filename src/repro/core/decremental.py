@@ -35,12 +35,18 @@ overestimates.  DecSPC works in two phases:
 The §3.2.3 isolated-vertex optimization short-circuits the whole procedure
 when the deletion strands a degree-1, lower-ranked endpoint: its label set
 collapses to the self-label and no other vertex can hold it as a hub.
+
+On a weighted graph (Appendix C.2) "the conditions for the SR and R sets
+remain applicable" with the edge weight w_ab in place of the +1 hop, and an
+increase of w_ab is repaired like a deletion.  The kernels take the edge
+lengths as one more argument and drain the same distance buckets.
 """
 
 from bisect import bisect_left, bisect_right
-from collections import deque
+from heapq import heapify
 from time import perf_counter
 
+from repro.core.builder import edge_lengths, next_bucket, open_bucket
 from repro.core.labels import prequery_prunes
 from repro.core.stats import UpdateStats
 from repro.exceptions import EdgeNotFound
@@ -48,11 +54,15 @@ from repro.exceptions import EdgeNotFound
 INF = float("inf")
 
 
-def dec_spc(graph, index, a, b, stats=None, use_isolated_fast_path=True):
+def dec_spc(graph, index, a, b, stats=None, use_isolated_fast_path=True,
+            mutate=None):
     """Delete edge (a, b) from ``graph`` and repair ``index`` (Algorithm 4).
 
-    The graph mutation happens here, *after* SrrSEARCH probes G_i.  Returns
-    an :class:`UpdateStats` whose sr_a/sr_b/r_a/r_b fields feed Table 5.
+    The graph mutation happens here, *after* SrrSEARCH probes G_i.
+    ``mutate`` replaces the edge removal: ``increase_weight`` passes one
+    that raises the edge's weight, and the isolated-vertex fast path, which
+    strands an endpoint, is then skipped.  Returns an :class:`UpdateStats`
+    whose sr_a/sr_b/r_a/r_b fields feed Table 5.
     """
     if stats is None:
         stats = UpdateStats(kind="delete", edge=(a, b))
@@ -60,25 +70,31 @@ def dec_spc(graph, index, a, b, stats=None, use_isolated_fast_path=True):
     if not graph.has_edge(a, b):
         raise EdgeNotFound(a, b)
 
-    if use_isolated_fast_path and try_isolated_fast_path(graph, index, a, b, stats):
+    if (mutate is None and use_isolated_fast_path
+            and try_isolated_fast_path(graph, index, a, b, stats)):
         return stats
 
     order = index.order
     rank = order.rank_map()
     label_of = index.label_set
     step = graph.neighbors
+    lengths = edge_lengths(graph)
+    w_ab = 1 if lengths is None else lengths(a)[b]
     la = label_of(a)
     lb = label_of(b)
     lab = set(la.hubs) & set(lb.hubs)  # common hubs of a and b (rank numbers)
 
     t0 = perf_counter()
-    sr_a, r_a, dist_a = srr_search(step, a, b, lab, rank)
-    sr_b, r_b, dist_b = srr_search(step, b, a, lab, rank)
+    sr_a, r_a, dist_a = srr_search(step, a, b, lab, rank, lengths)
+    sr_b, r_b, dist_b = srr_search(step, b, a, lab, rank, lengths)
     stats.srr_s += perf_counter() - t0
     stats.sr_a, stats.sr_b = len(sr_a), len(sr_b)
     stats.r_a, stats.r_b = len(r_a), len(r_b)
 
-    graph.remove_edge(a, b)
+    if mutate is None:
+        graph.remove_edge(a, b)
+    else:
+        mutate()
 
     below_b = regions_below(sr_b | r_b, rank)  # opposite side for SRa hubs
     below_a = regions_below(sr_a | r_a, rank)
@@ -90,12 +106,12 @@ def dec_spc(graph, index, a, b, stats=None, use_isolated_fast_path=True):
         h = rank[h_vertex]
         if h_vertex in sr_a:
             region = drop_kept(below_b(h), holders(h), label_of, h,
-                               dist_a[h_vertex] + 1, dist_b, stats)
+                               dist_a[h_vertex] + w_ab, dist_b, stats)
         else:
             region = drop_kept(below_a(h), holders(h), label_of, h,
-                               dist_b[h_vertex] + 1, dist_a, stats)
+                               dist_b[h_vertex] + w_ab, dist_a, stats)
         dec_bfs(step, step, label_of, label_of(h_vertex), holders, rank,
-                h_vertex, region, stats)
+                h_vertex, region, stats, lengths)
     return stats
 
 
@@ -146,68 +162,113 @@ def try_isolated_fast_path(graph, index, a, b, stats):
     return True
 
 
-def srr_search(step, start, far, lab, rank):
+def srr_search(step, start, far, lab, rank, lengths=None):
     """Algorithm 5: compute (SR, R) for the side of the edge at ``start``.
 
-    Runs on G_i (edge still present).  Two counting BFSs follow ``step`` in
-    lockstep: the near one from ``start`` gives sd/spc(v, start) and is
-    pruned at unaffected vertices, as the paper's; the far one from ``far``
-    gives sd/spc(v, far end).  Before a vertex at near level dv is judged,
-    the far BFS has expanded every level up to dv, so its distances up to
-    dv + 1 and their counts are final.  The far BFS therefore stops at level
-    max dv + 1.  ``lab`` holds the common hubs of the edge endpoints as rank
-    numbers (Condition A).  The directed SrrSEARCH runs this kernel once per
-    side, with predecessors or successors as ``step``.
+    Runs on G_i (edge still present).  Two counting searches follow
+    ``step`` in lockstep: the near one from ``start`` gives sd/spc(v, start)
+    and is pruned at unaffected vertices, as the paper's; the far one from
+    ``far`` gives sd/spc(v, far end).  With w_ab the length of the edge (1,
+    or ``lengths(start)[far]``), a vertex at near distance dv is judged
+    after the far search has expanded every bucket below dv + w_ab, so its
+    distances up to dv + w_ab and their counts are final; v is affected iff
+    its far distance is dv + w_ab.  ``lab`` holds the common hubs of the
+    edge endpoints as rank numbers (Condition A).  The directed SrrSEARCH
+    runs this kernel once per side, with predecessors or successors as
+    ``step``.
 
-    Returns (SR, R, dist).  ``dist`` is the near BFS's distance map; on
+    Returns (SR, R, dist).  ``dist`` is the near search's distance map; on
     every affected vertex it is exact, sd(v, start) on G_i, because a
     shortest path from an affected vertex to ``start`` runs through
     affected vertices only.  DecUPDATE reads the hubs' and the targets'
     distances from it (:func:`drop_kept`).
     """
+    w_ab = 1 if lengths is None else lengths(start)[far]
     sr, r = set(), set()
     dist = {start: 0}
     count = {start: 1}
-    queue = deque([start])
-    fdist = {far: 0}
-    fcount = {far: 1}
-    frontier = [far]
-    expanded = -1  # deepest far level whose neighbours are all counted
-    while queue:
-        v = queue.popleft()
-        dv = dist[v]
-        while expanded < dv and frontier:
-            expanded += 1
-            fnext = expanded + 1
-            nxt = []
-            for u in frontier:
-                cu = fcount[u]
-                for w in step(u):
-                    dw = fdist.get(w)
-                    if dw is None:
-                        fdist[w] = fnext
-                        fcount[w] = cu
-                        nxt.append(w)
-                    elif dw == fnext:
-                        fcount[w] += cu
-            frontier = nxt
+    buckets = {}
+    heap = []
+    fdist, fcount, fbuckets, fheap = {far: 0}, {far: 1}, {}, []
+    ffrontier, fd = [far], 0
+    frontier, dv = [start], 0
+    while frontier:
         dnext = dv + 1
-        if fdist.get(v) != dnext:
-            continue  # unaffected: no shortest path to the far end crosses the edge
-        cv = count[v]
-        if rank[v] in lab or cv == fcount[v]:
-            sr.add(v)
+        nxt = []
+        reach = dv + w_ab
+        while ffrontier and fd < reach:
+            ffrontier, fd = _expand_far(step, lengths, ffrontier, fd, fdist,
+                                        fcount, fbuckets, fheap)
+        for v in frontier:
+            if dist[v] != dv:
+                continue  # reached again by a shorter path
+            if fdist.get(v) != reach:
+                continue  # unaffected: no shortest path to the far end crosses the edge
+            cv = count[v]
+            if rank[v] in lab or cv == fcount[v]:
+                sr.add(v)
+            else:
+                r.add(v)
+            if lengths is None:
+                for w in step(v):
+                    dw = dist.get(w)
+                    if dw is None:
+                        dist[w] = dnext
+                        count[w] = cv
+                        nxt.append(w)
+                    elif dw == dnext:
+                        count[w] += cv
+                continue
+            for w, length in lengths(v).items():
+                dw = dist.get(w)
+                dw_new = dv + length
+                if dw is None or dw_new < dw:
+                    dist[w] = dw_new
+                    count[w] = cv
+                    open_bucket(buckets, heap, dw_new).append(w)
+                elif dw_new == dw:
+                    count[w] += cv
+        if lengths is None:
+            frontier, dv = nxt, dnext
         else:
-            r.add(v)
-        for w in step(v):
-            dw = dist.get(w)
-            if dw is None:
-                dist[w] = dnext
-                count[w] = cv
-                queue.append(w)
-            elif dw == dnext:
-                count[w] += cv
+            frontier, dv = next_bucket(buckets, heap)
     return sr, r, dist
+
+
+def _expand_far(step, lengths, frontier, dv, dist, count, buckets, heap):
+    """Expand one bucket of SrrSEARCH's far search; returns the next one.
+
+    The far search is never pruned, so a bucket is expanded whole; the
+    lockstep loop calls this once per bucket, not once per vertex.
+    """
+    if lengths is None:
+        dnext = dv + 1
+        nxt = []
+        for u in frontier:
+            cu = count[u]
+            for w in step(u):
+                dw = dist.get(w)
+                if dw is None:
+                    dist[w] = dnext
+                    count[w] = cu
+                    nxt.append(w)
+                elif dw == dnext:
+                    count[w] += cu
+        return nxt, dnext
+    for u in frontier:
+        if dist[u] != dv:
+            continue
+        cu = count[u]
+        for w, length in lengths(u).items():
+            dw = dist.get(w)
+            dw_new = dv + length
+            if dw is None or dw_new < dw:
+                dist[w] = dw_new
+                count[w] = cu
+                open_bucket(buckets, heap, dw_new).append(w)
+            elif dw_new == dw:
+                count[w] += cu
+    return next_bucket(buckets, heap)
 
 
 def regions_below(targets, rank):
@@ -226,11 +287,12 @@ def regions_below(targets, rank):
 def drop_kept(region, held, labels_of, h, reach, far_dist, stats):
     """Return the vertices of ``region`` whose (h, ·, ·) entry may change.
 
-    ``reach`` is sd(h, near end) + 1 and ``far_dist`` maps each target u to
-    sd(far end, u), both on G_i (:func:`srr_search`), so every h–u path
-    over the deleted edge is at least ``reach + far_dist[u]`` long.  A
-    holder u of (h, d, ·) with d below that bound has shortest h–u paths
-    that avoid the edge: they, and so its entry, survive the delete.  It
+    ``reach`` is sd(h, near end) + w_ab, the edge's length on G_i (1
+    unweighted), and ``far_dist`` maps each target u to sd(far end, u), both
+    on G_i (:func:`srr_search`), so every h–u path over the edge is at least
+    ``reach + far_dist[u]`` long, before the delete or weight increase and
+    after.  A holder u of (h, d, ·) with d below that bound has shortest
+    h–u paths that avoid the edge: they, and so its entry, survive.  It
     is *kept*: left out of the region, it seeds its region neighbours as a
     non-target does, and the removal pass leaves it alone (DESIGN.md §4).
     ``held`` is the reverse hub map's holders(h).  Its time counts in
@@ -245,19 +307,21 @@ def drop_kept(region, held, labels_of, h, reach, far_dist, stats):
 
 
 def dec_bfs(step, back, labels_of, root_labels, holders, rank, h_vertex, region,
-            stats):
+            stats, lengths=None):
     """Algorithm 6: repair the (h, ·, ·) labels of ``region`` from its boundary.
 
     ``region`` lists the opposite-side targets ranked strictly below h.
     Every other vertex's (h, ·, ·) entry survives the delete unchanged, so
     a region vertex starts from its neighbours outside the region that hold
     h: ``back`` (the reverse of ``step``) finds them, and their stored
-    entries seed the minimum distance d_w + 1 with the summed counts of the
-    seeds at that minimum.  A distance-bucketed BFS along ``step`` then
-    relaxes the region and never leaves it.  ``labels_of`` gives the label
-    sets the BFS probes and writes, ``root_labels`` the hub's own label set
-    on the opposite side (the PreQUERY array), and ``holders`` the reverse
-    hub map of the side being repaired.  The undirected DecSPC passes
+    entries seed the minimum distance d_w + l(w, u) with the summed counts
+    of the seeds at that minimum.  A distance-bucketed search along
+    ``step`` then relaxes the region and never leaves it.  ``labels_of``
+    gives the label sets the search probes and writes, ``root_labels`` the
+    hub's own label set on the opposite side (the PreQUERY array), and
+    ``holders`` the reverse hub map of the side being repaired.
+    ``lengths`` is None for unit-length edges, or maps v to
+    ``{w: l(v, w)}`` on an undirected weighted graph.  The undirected DecSPC passes
     ``graph.neighbors`` as both ``step`` and ``back``; the directed one
     passes successors and predecessors, or the mirror pair.  DESIGN.md §4
     argues soundness: seeds are not PreQUERY-checked, because a stale seed
@@ -279,13 +343,14 @@ def dec_bfs(step, back, labels_of, root_labels, holders, rank, h_vertex, region,
     for u in region:
         best = INF
         cu = 0
-        for w in back(u):
+        near = back(u) if lengths is None else lengths(u)
+        for w in near:
             if w in held and w not in inside:
                 e = entry_of.get(w)
                 if e is None:
                     e = entry_of[w] = labels_of(w).get(h)
                 dw, cw = e
-                dw += 1
+                dw += 1 if lengths is None else near[w]
                 if dw < best:
                     best = dw
                     cu = cw
@@ -297,14 +362,12 @@ def dec_bfs(step, back, labels_of, root_labels, holders, rank, h_vertex, region,
             buckets.setdefault(best, []).append(u)
 
     updated = set()  # U[v] = True
-    frontier = []
-    dv = 0
-    while frontier or buckets:
-        if not frontier:
-            dv = min(buckets)
-            frontier = buckets.pop(dv)
+    heap = list(buckets)
+    heapify(heap)
+    frontier, dv = next_bucket(buckets, heap)
+    while frontier:
         dnext = dv + 1
-        nxt = buckets.pop(dnext, [])
+        nxt = buckets.pop(dnext, []) if lengths is None else None
         for v in frontier:
             if dist[v] != dv:
                 continue  # a seed the region reached by a shorter path
@@ -330,17 +393,31 @@ def dec_bfs(step, back, labels_of, root_labels, holders, rank, h_vertex, region,
                 stats.renew_count += 1
             updated.add(v)
 
-            for w in step(v):
+            if lengths is None:
+                for w in step(v):
+                    if w in inside:
+                        dw = dist.get(w)
+                        if dw is None or dw > dnext:
+                            dist[w] = dnext
+                            count[w] = cv
+                            nxt.append(w)
+                        elif dw == dnext:
+                            count[w] += cv
+                continue
+            for w, length in lengths(v).items():
                 if w in inside:
                     dw = dist.get(w)
-                    if dw is None or dw > dnext:
-                        dist[w] = dnext
+                    dw_new = dv + length
+                    if dw is None or dw > dw_new:
+                        dist[w] = dw_new
                         count[w] = cv
-                        nxt.append(w)
-                    elif dw == dnext:
+                        open_bucket(buckets, heap, dw_new).append(w)
+                    elif dw == dw_new:
                         count[w] += cv
-        frontier = nxt
-        dv = dnext
+        if nxt:
+            frontier, dv = nxt, dnext
+        else:  # weighted, or a unit gap up to the next seeded distance
+            frontier, dv = next_bucket(buckets, heap)
     t1 = perf_counter()
     stats.bfs_s += t1 - t0
 

@@ -20,22 +20,29 @@ unchanged, replaced when it shrank) or freshly inserted.
 Per Lemma 3.1, stale labels whose distances became overestimates are left in
 place: SpcQUERY takes a minimum over hubs, so they can never surface, and
 skipping their removal is part of what makes IncSPC fast.
+
+On a weighted graph (Appendix C.2) the search starts at b with
+D[b] = d + w_ab, "a partial Dijkstra-like execution", over the same
+distance buckets; decreasing an edge's weight is the same repair with the
+new weight, because it too only creates shorter paths through (a, b).
 """
 
 from bisect import bisect_left
-from collections import deque
 from time import perf_counter
 
+from repro.core.builder import edge_lengths, next_bucket, open_bucket
 from repro.core.labels import prequery_prunes
 from repro.core.stats import UpdateStats
 
 
-def inc_spc(graph, index, a, b, stats=None):
+def inc_spc(graph, index, a, b, stats=None, mutate=None):
     """Insert edge (a, b) into ``graph`` and repair ``index`` (Algorithm 2).
 
     The graph mutation is performed here (line 1 of the algorithm); both
     endpoints must already exist — the dynamic facade handles new-vertex
-    bookkeeping.  Returns an :class:`UpdateStats`.
+    bookkeeping.  ``mutate`` replaces the unit edge insertion: the weighted
+    entry points pass one that adds a weighted edge or lowers a weight.
+    Returns an :class:`UpdateStats`.
     """
     if stats is None:
         stats = UpdateStats(kind="insert", edge=(a, b))
@@ -52,11 +59,15 @@ def inc_spc(graph, index, a, b, stats=None):
     aff = sorted(set(aff_a) | set(aff_b))
     stats.affected_hubs = len(aff)
 
-    graph.add_edge(a, b)
+    if mutate is None:
+        graph.add_edge(a, b)
+    else:
+        mutate()
 
     in_a = set(aff_a)
     in_b = set(aff_b)
     step = graph.neighbors
+    lengths = edge_lengths(graph)
     label_of = index.label_set
     rank = order.rank_map()  # read-only hot-loop access
     vertex = order.vertex
@@ -64,72 +75,98 @@ def inc_spc(graph, index, a, b, stats=None):
     for h in aff:  # ascending rank number == descending order of rank
         hub_labels = label_of(vertex(h))
         if h in in_a and h <= rank_b:
-            inc_bfs(step, label_of, hub_labels, rank, h, la.get(h), b, stats)
+            inc_bfs(step, label_of, hub_labels, rank, h, a, b, stats, lengths)
         if h in in_b and h <= rank_a:
-            inc_bfs(step, label_of, hub_labels, rank, h, lb.get(h), a, stats)
+            inc_bfs(step, label_of, hub_labels, rank, h, b, a, stats, lengths)
     stats.bfs_s += perf_counter() - t0
     return stats
 
 
-def inc_bfs(step, labels_of, root_labels, rank, h, entry, vb, stats):
-    """Pruned BFS rooted at hub ``h`` entering the new edge at vb (Algorithm 3).
+def inc_bfs(step, labels_of, root_labels, rank, h, va, vb, stats, lengths=None):
+    """Pruned search rooted at hub ``h`` entering the new edge va → vb (Algorithm 3).
 
-    ``entry`` is the (h, d, c) entry of the edge's near endpoint va, read
-    just before this call, so the BFS starts at vb with D = d + 1 and C = c.
-    It follows ``step`` and repairs ``labels_of(v)``; ``root_labels`` is the
-    hub's own label set on the opposite side, the PreQUERY array.  The
-    directed IncSPC runs this kernel too, once with in-labels and once with
-    out-labels; here both sides are L.
+    The search starts at vb from va's (h, d, c) entry, read here, with
+    D = d + l(va, vb) and C = c.  It follows ``step`` and repairs
+    ``labels_of(v)``; ``root_labels`` is the hub's own label set on the
+    opposite side, the PreQUERY array.  ``lengths`` is None for unit-length
+    edges, or maps v to ``{w: l(v, w)}``
+    (:func:`repro.core.builder.edge_lengths`).  The directed IncSPC runs
+    this kernel too, once with in-labels and once with out-labels; here
+    both sides are L.
     """
+    entry = labels_of(va).get(h)
     if entry is None:
         # The (h, ·, ·) entry vanished since the AFF snapshot — cannot happen
         # for insertions (labels are never removed), but guard for safety.
         return
     d0, c0 = entry
+    d0 += 1 if lengths is None else lengths(va)[vb]
     root_get = root_labels.root_get()
 
-    dist = {vb: d0 + 1}
+    dist = {vb: d0}
     count = {vb: c0}
-    queue = deque([vb])
-
-    while queue:
-        v = queue.popleft()
-        dv = dist[v]
-        stats.bfs_visits += 1
-
-        # Prune when d_L = SpcQUERY(h, v), via the root-label array, is
-        # below D[v].  The probe must see the up-to-date index, including
-        # labels renewed earlier in this same update.  The witness x = h
-        # comes first: the root holds its self-label (h, 0, 1), so it is
-        # v's own (h, ·, ·) entry alone, found by the visit's one bisect.
-        ls = labels_of(v)
-        hubs = ls.hubs
-        dists = ls.dists
-        i = bisect_left(hubs, h)
-        own = i < len(hubs) and hubs[i] == h
-        if own and dists[i] < dv:
-            continue
-        if prequery_prunes(hubs, dists, i, root_get, dv):
-            continue
-
-        cv = count[v]
-        if not own:
-            ls.set(h, dv, cv)
-            stats.inserted += 1
-        elif dv == dists[i]:
-            ls.set(h, dv, cv + ls.counts[i])
-            stats.renew_count += 1
-        else:
-            ls.set(h, dv, cv)
-            stats.renew_dist += 1
-
+    buckets = {}
+    heap = []
+    frontier, dv = [vb], d0
+    while frontier:
         dnext = dv + 1
-        for w in step(v):
-            dw = dist.get(w)
-            if dw is None:
-                if h <= rank[w]:
-                    dist[w] = dnext
-                    count[w] = cv
-                    queue.append(w)
-            elif dw == dnext:
-                count[w] += cv
+        nxt = []
+        for v in frontier:
+            if dist[v] != dv:
+                continue  # reached again by a shorter path
+            stats.bfs_visits += 1
+
+            # Prune when d_L = SpcQUERY(h, v), via the root-label array, is
+            # below D[v].  The probe must see the up-to-date index, including
+            # labels renewed earlier in this same update.  The witness x = h
+            # comes first: the root holds its self-label (h, 0, 1), so it is
+            # v's own (h, ·, ·) entry alone, found by the visit's one bisect.
+            ls = labels_of(v)
+            hubs = ls.hubs
+            dists = ls.dists
+            i = bisect_left(hubs, h)
+            own = i < len(hubs) and hubs[i] == h
+            if own and dists[i] < dv:
+                continue
+            if prequery_prunes(hubs, dists, i, root_get, dv):
+                continue
+
+            cv = count[v]
+            if not own:
+                ls.set(h, dv, cv)
+                stats.inserted += 1
+            elif dv == dists[i]:
+                ls.set(h, dv, cv + ls.counts[i])
+                stats.renew_count += 1
+            else:
+                ls.set(h, dv, cv)
+                stats.renew_dist += 1
+
+            if lengths is None:
+                for w in step(v):
+                    dw = dist.get(w)
+                    if dw is None:
+                        if h <= rank[w]:
+                            dist[w] = dnext
+                            count[w] = cv
+                            nxt.append(w)
+                    elif dw == dnext:
+                        count[w] += cv
+                continue
+            for w, length in lengths(v).items():
+                dw = dist.get(w)
+                dw_new = dv + length
+                if dw is None:
+                    if h > rank[w]:
+                        continue
+                elif dw_new >= dw:
+                    if dw_new == dw:
+                        count[w] += cv
+                    continue
+                dist[w] = dw_new
+                count[w] = cv
+                open_bucket(buckets, heap, dw_new).append(w)
+        if lengths is None:
+            frontier, dv = nxt, dnext
+        else:
+            frontier, dv = next_bucket(buckets, heap)

@@ -40,10 +40,10 @@ def inc_spc_directed(graph, index, a, b, stats=None):
     for h in sorted(in_a | out_b):
         hub_vertex = vertex(h)
         if h in in_a and h <= rank[b]:
-            inc_bfs(graph.successors, lin, lout(hub_vertex), rank, h,
-                    lin_a.get(h), b, stats)
+            inc_bfs(graph.successors, lin, lout(hub_vertex), rank, h, a, b,
+                    stats)
         if h in out_b and h <= rank[a]:
-            inc_bfs(graph.predecessors, lout, lin(hub_vertex), rank, h,
-                    lout_b.get(h), a, stats)
+            inc_bfs(graph.predecessors, lout, lin(hub_vertex), rank, h, b, a,
+                    stats)
     stats.bfs_s += perf_counter() - t0
     return stats

@@ -30,15 +30,12 @@ over live ``stats()``.  Wired into the benchmark CLI as
 """
 
 import random
-import shutil
-import tempfile
 import time
 
 from repro.engine import EngineConfig, SPCEngine
-from repro.audit.sampler import AuditSampler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.serve.loadgen import make_workload
+from repro.serve.loadgen import _Harness, make_workload
 from repro.serve.service import ServeConfig
 from repro.shard.shardcluster import ShardConfig, ShardedCluster
 
@@ -68,15 +65,11 @@ def run_obs_loadgen(backend="core", n=400, m=1200, shards=3, churn=48,
     """
     graph, cycle, pairs = make_workload(backend, n, m, seed=seed, churn=churn)
     engine = SPCEngine(graph, config=EngineConfig(backend=backend))
-    own_dir = state_dir is None
-    state_dir = state_dir or tempfile.mkdtemp(prefix="repro-obs-")
     # publish_every=1: every applied batch publishes synchronously inside
     # the writer, so the publish count is pinned to the batch count (the
     # publish-on-idle path never finds the writer dirty).
     serve_config = ServeConfig(publish_every=1, queue_capacity=4096)
     shard_config = ShardConfig(shards=shards, seed=seed)
-    sampler = AuditSampler(rate=tap_rate, capacity=tap_capacity,
-                           seed=seed + 5)
     if instrument:
         if registry is None:
             registry = MetricsRegistry()
@@ -85,18 +78,14 @@ def run_obs_loadgen(backend="core", n=400, m=1200, shards=3, churn=48,
     else:
         registry = tracer = None
 
-    cluster = None
     started = time.perf_counter()
-    try:
-        cluster = ShardedCluster(
-            engine, state_dir, config=shard_config,
+    with _Harness("obs", state_dir, registry=registry, tracer=tracer) as h:
+        cluster = h.own(ShardedCluster(
+            engine, h.state_dir, config=shard_config,
             serve_config=serve_config, overwrite=True,
-        )
-        cluster.set_answer_tap(sampler)
-        if instrument:
-            cluster.set_metrics(registry, tracer=tracer)
-            cluster.primary.engine.set_metrics(registry)
-            sampler.set_metrics(registry)
+        ))
+        sampler = h.tap(cluster, tap_rate, tap_capacity, seed + 5)
+        h.instrument(cluster, cluster.primary.engine, sampler)
 
         rng = random.Random(seed + 11)
         reads = batch_reads = submitted = 0
@@ -140,11 +129,6 @@ def run_obs_loadgen(backend="core", n=400, m=1200, shards=3, churn=48,
             ),
         }
         return report
-    finally:
-        if cluster is not None:
-            cluster.close()
-        if own_dir:
-            shutil.rmtree(state_dir, ignore_errors=True)
 
 
 def run_overhead_probe(backend="core", n=400, m=1200, shards=3,
@@ -167,17 +151,15 @@ def run_overhead_probe(backend="core", n=400, m=1200, shards=3,
     """
     graph, cycle, pairs = make_workload(backend, n, m, seed=seed, churn=16)
     engine = SPCEngine(graph, config=EngineConfig(backend=backend))
-    state_dir = tempfile.mkdtemp(prefix="repro-obs-ovh-")
     rng = random.Random(seed + 3)
     batch_pairs = [pairs[rng.randrange(len(pairs))] for _ in range(batch)]
-    cluster = None
-    try:
-        cluster = ShardedCluster(
-            engine, state_dir, shards=shards, seed=seed,
+    with _Harness("obs-ovh") as h:
+        cluster = h.own(ShardedCluster(
+            engine, h.state_dir, shards=shards, seed=seed,
             parallel_threshold=batch + 1,
             serve_config=ServeConfig(queue_capacity=4096),
             overwrite=True,
-        )
+        ))
         cluster.sync()
 
         def window_seconds():
@@ -224,7 +206,3 @@ def run_overhead_probe(backend="core", n=400, m=1200, shards=3,
             ),
             "overhead_pct": round(overhead_pct, 2),
         }
-    finally:
-        if cluster is not None:
-            cluster.close()
-        shutil.rmtree(state_dir, ignore_errors=True)

@@ -361,9 +361,10 @@ class _Harness:
 
     * ``state_dir``: the given dir, or with ``make_dir`` a fresh
       ``repro-<name>-*`` temp dir.  Only a dir made here is removed.
-    * ``registry``/``tracer``: live only when ``telemetry`` names a
-      directory; :meth:`instrument` binds them to the fleet and
-      :meth:`write_telemetry` writes them there.
+    * ``registry``/``tracer``: fresh ones when ``telemetry`` names a
+      directory, else the ones given (obs brings its own, and writes no
+      files); :meth:`instrument` binds them to the fleet and
+      :meth:`write_telemetry` writes them to ``telemetry``.
     * teardown: every closer passed to :meth:`own` is closed, last owned
       first, on every exit path.  Close errors are swallowed so a failure
       already raised stays the one reported.  Closers are idempotent, so
@@ -371,9 +372,10 @@ class _Harness:
       records the failure as a problem) closes again as a no-op.
     """
 
-    def __init__(self, name, state_dir=None, telemetry=None, make_dir=True):
+    def __init__(self, name, state_dir=None, telemetry=None, make_dir=True,
+                 registry=None, tracer=None):
         self.telemetry = telemetry
-        self.registry = self.tracer = None
+        self.registry, self.tracer = registry, tracer
         if telemetry is not None:
             from repro.obs import MetricsRegistry, Tracer
 
@@ -408,6 +410,16 @@ class _Harness:
             closer.close()
         except errors as exc:
             problems.append(f"shutdown failure: {exc}")
+
+    def tap(self, fleet, rate, capacity, seed):
+        """Tap a seeded :class:`~repro.audit.AuditSampler` into
+        ``fleet``'s answers and return it; pass it to :meth:`instrument`
+        to promote its counters."""
+        from repro.audit.sampler import AuditSampler
+
+        sampler = AuditSampler(rate=rate, capacity=capacity, seed=seed)
+        fleet.set_answer_tap(sampler)
+        return sampler
 
     def instrument(self, fleet, *parts):
         """Bind the run's registry and tracer to ``fleet`` and the

@@ -1,11 +1,15 @@
-"""Weighted extension (Appendix C.2): Dijkstra-based labeling and updates.
+"""Weighted extension (Appendix C.2): the public entry points.
 
 "For weighted graphs, the labels store the sum of weights along the
-shortest paths instead of the number of hops."  Only what a label stores
-changes, so the weighted backend keeps its labels in the undirected
-:class:`repro.core.index.SPCIndex`; this package holds the Dijkstra-based
-builder and the maintenance algorithms, including weight updates.  Open
-an engine over a :class:`repro.graph.WeightedGraph` with ``repro.open``.
+shortest paths instead of the number of hops", and "the main difference ...
+is the use of a Dijkstra-like search".  Both live in ``repro.core``: the
+weighted index is the undirected :class:`repro.core.index.SPCIndex`, and
+core's builder and IncSPC/DecSPC drivers and kernels read the edge lengths
+of a :class:`repro.graph.WeightedGraph` (DESIGN.md §4).  This package keeps
+only the weighted entry points and their weight checks: an insertion or
+weight decrease is IncSPC with the new weight, a deletion or weight
+increase DecSPC with the old one.  Open an engine over a ``WeightedGraph``
+with ``repro.open``.
 
 Note on float weights: shortest-path *counting* relies on exact distance
 ties; floating-point sums make ties numerically fragile.  Use integer (or

@@ -83,3 +83,19 @@ class TestResultShape:
         rows = {row[0]: row for row in table.rows}
         assert rows["delete"][kept] == round(lat["delete"]["kept_mean"], 1)
         assert rows["insert"][kept] == "—"
+
+    def test_weighted_rows_share_the_columns(self):
+        result = run(tiny_config())
+        lat = result.extra["update_latency"]
+        assert set(lat) == {"insert", "delete", "weighted_insert",
+                            "weighted_delete"}
+        # Five weighted insertions, plus the weight decreases among the
+        # stream's weight changes.
+        assert lat["weighted_insert"]["count"] >= 5
+        assert lat["weighted_delete"]["count"] >= 2
+        assert lat["weighted_delete"]["kept_mean"] >= 0
+        rows = {row[0]: row for row in result.tables[2].rows}
+        assert set(rows) == {"insert", "delete", "weighted insert",
+                             "weighted delete"}
+        assert all(len(row) == len(result.tables[2].columns)
+                   for row in rows.values())

@@ -6,16 +6,24 @@ d < sd(h, near end) + 1 + sd(far end, u).  No h–u path over the deleted edge
 is that short, so u's shortest h-paths survive the delete, and so does its
 entry (DESIGN.md §4, "Kept holders").  This module keeps the drivers as
 they were before the drop, every target below h repaired, as the reference.
-On mixed insert/delete streams, undirected and directed, after every update:
+On a weighted graph the bound reads sd(h, near end) + w_ab + sd(far end, u),
+and the reference is the full-Dijkstra weighted maintenance the shared
+kernels replaced: IncSPC's partial Dijkstra, a SrrSEARCH that queries the
+index, and a rank-pruned Dijkstra from every affected hub over all its
+targets.  On mixed insert/delete streams, undirected and directed, and on
+insert/delete/weight-change streams, weighted, after every update:
 
 * both indexes hold the same exact entries, those with d = sd(h, u);
 * every entry only the maintained index holds is stale, d > sd(h, u): a
   kept entry never undercuts or equals the true distance;
-* every query equals BFS, and the structural invariants hold;
-* no region vertex is adjacent to its hub, so the hub's self-label never
-  seeds (a neighbour u of h ranked below h holds (h, 1, 1), which is kept).
+* every query equals BFS or Dijkstra, and the structural invariants hold;
+* on unit-length graphs no region vertex is adjacent to its hub, so the
+  hub's self-label never seeds (a neighbour u of h ranked below h holds
+  (h, 1, 1), which is kept).  A weighted edge to h need not be a shortest
+  path, so there the self-label may seed, as any exact entry does.
 """
 
+import heapq
 from contextlib import ExitStack
 from typing import Callable, NamedTuple
 from unittest import mock
@@ -36,15 +44,27 @@ from repro.core.decremental import (
 from repro.core.stats import UpdateStats
 from repro.directed import build_directed_spc_index, dec_spc_directed, inc_spc_directed
 from repro.exceptions import EdgeNotFound
-from repro.graph import Graph, erdos_renyi
+from repro.graph import Graph, erdos_renyi, random_weighted
 from repro.order import VertexOrder
 from repro.traversal.bfs import bfs_counting_sssp, directed_bfs_counting_sssp
+from repro.traversal.dijkstra import dijkstra_counting_sssp
 from repro.verify import (
     check_invariants,
     check_invariants_directed,
     verify_espc,
 )
-from tests.property.strategies import small_digraphs, small_graphs
+from repro.weighted import (
+    build_weighted_spc_index,
+    dec_spc_weighted,
+    decrease_weight,
+    inc_spc_weighted,
+    increase_weight,
+)
+from tests.property.strategies import (
+    small_digraphs,
+    small_graphs,
+    small_weighted_graphs,
+)
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -101,14 +121,164 @@ def reference_dec_spc_directed(graph, index, a, b):
     return stats
 
 
+def reference_inc_weighted(graph, index, a, b, mutate):
+    """Weighted IncSPC before the shared kernels: a partial Dijkstra per
+    affected hub, entering the edge from either end."""
+    aff_a = set(index.label_set(a).hubs)
+    aff_b = set(index.label_set(b).hubs)
+    mutate()
+    rank = index.order.rank_map()
+    w_ab = graph.weight(a, b)
+    for h in sorted(aff_a | aff_b):
+        if h in aff_a and h <= rank[b]:
+            _inc_update_dijkstra(graph, index, h, a, b, w_ab)
+        if h in aff_b and h <= rank[a]:
+            _inc_update_dijkstra(graph, index, h, b, a, w_ab)
+
+
+def _inc_update_dijkstra(graph, index, h, va, vb, w_ab):
+    rank = index.order.rank_map()
+    label_of = index.label_set
+    entry = label_of(va).get(h)
+    if entry is None:
+        return
+    d0, c0 = entry
+    root_labels = label_of(index.order.vertex(h))
+    root_dist = dict(zip(root_labels.hubs, root_labels.dists))
+    dist = {vb: d0 + w_ab}
+    count = {vb: c0}
+    settled = set()
+    heap = [(d0 + w_ab, rank[vb], vb)]
+    while heap:
+        dv, _, v = heapq.heappop(heap)
+        if v in settled or dv > dist[v]:
+            continue
+        settled.add(v)
+        ls = label_of(v)
+        if any(root_dist.get(hub, INF) + d < dv for hub, d, _ in ls):
+            continue  # the witness x = h counts here
+        own = ls.get(h)
+        cv = count[v]
+        ls.set(h, dv, cv + own[1] if own and own[0] == dv else cv)
+        for w, weight in graph.neighbors(v).items():
+            if w in settled or h > rank[w]:
+                continue
+            cand = dv + weight
+            dw = dist.get(w)
+            if dw is None or cand < dw:
+                dist[w] = cand
+                count[w] = cv
+                heapq.heappush(heap, (cand, rank[w], w))
+            elif cand == dw:
+                count[w] += cv
+
+
+def reference_dec_weighted(graph, index, a, b, mutate=None):
+    """Weighted DecSPC before the shared kernels: SrrSEARCH by Dijkstra
+    and label queries, then a full rank-pruned Dijkstra from every
+    affected hub that repairs all its targets."""
+    stats = UpdateStats(kind="delete", edge=(a, b))
+    if not graph.has_edge(a, b):
+        raise EdgeNotFound(a, b)
+    if mutate is None and try_isolated_fast_path(graph, index, a, b, stats):
+        return stats
+    rank = index.order.rank_map()
+    w_ab = graph.weight(a, b)
+    lab = set(index.label_set(a).hubs) & set(index.label_set(b).hubs)
+    sr_a, r_a = _srr_search_dijkstra(graph, index, a, b, w_ab, lab)
+    sr_b, r_b = _srr_search_dijkstra(graph, index, b, a, w_ab, lab)
+    if mutate is None:
+        graph.remove_edge(a, b)
+    else:
+        mutate()
+    for h_vertex in sorted(sr_a | sr_b, key=lambda v: rank[v]):
+        targets = sr_b | r_b if h_vertex in sr_a else sr_a | r_a
+        _dec_update_dijkstra(graph, index, h_vertex, targets)
+    return stats
+
+
+def _srr_search_dijkstra(graph, index, a, b, w_ab, lab):
+    rank = index.order.rank_map()
+    sr, r = set(), set()
+    dist = {a: 0}
+    count = {a: 1}
+    settled = set()
+    heap = [(0, rank[a], a)]
+    while heap:
+        dv, _, v = heapq.heappop(heap)
+        if v in settled or dv > dist[v]:
+            continue
+        settled.add(v)
+        d_q, c_q = index.query(v, b)
+        if dv + w_ab != d_q:
+            continue
+        if rank[v] in lab or count[v] == c_q:
+            sr.add(v)
+        else:
+            r.add(v)
+        cv = count[v]
+        for w, weight in graph.neighbors(v).items():
+            if w in settled:
+                continue
+            cand = dv + weight
+            dw = dist.get(w)
+            if dw is None or cand < dw:
+                dist[w] = cand
+                count[w] = cv
+                heapq.heappush(heap, (cand, rank[w], w))
+            elif cand == dw:
+                count[w] += cv
+    return sr, r
+
+
+def _dec_update_dijkstra(graph, index, h_vertex, targets):
+    rank = index.order.rank_map()
+    label_of = index.label_set
+    h = rank[h_vertex]
+    root_dist = {hr: d for hr, d, _ in label_of(h_vertex) if hr != h}
+    updated = set()
+    dist = {h_vertex: 0}
+    count = {h_vertex: 1}
+    settled = set()
+    heap = [(0, h, h_vertex)]
+    while heap:
+        dv, _, v = heapq.heappop(heap)
+        if v in settled or dv > dist[v]:
+            continue
+        settled.add(v)
+        ls = label_of(v)
+        if any(root_dist.get(hub, INF) + d < dv for hub, d, _ in ls):
+            continue
+        cv = count[v]
+        if v in targets:
+            ls.set(h, dv, cv)
+            updated.add(v)
+        for w, weight in graph.neighbors(v).items():
+            if w in settled or h > rank[w]:
+                continue
+            cand = dv + weight
+            dw = dist.get(w)
+            if dw is None or cand < dw:
+                dist[w] = cand
+                count[w] = cv
+                heapq.heappush(heap, (cand, rank[w], w))
+            elif cand == dw:
+                count[w] += cv
+    for u in index.holders(h) & targets:
+        if u not in updated:
+            label_of(u).remove(h)
+
+
 def no_self_seed_dec_bfs(step, back, labels_of, root_labels, holders, rank,
-                         h_vertex, region, stats):
-    """``dec_bfs``, after asserting that no region vertex has its hub among
-    its seed candidates."""
-    for u in region:
-        assert h_vertex not in back(u), f"region vertex {u} neighbours hub {h_vertex}"
+                         h_vertex, region, stats, lengths=None):
+    """``dec_bfs``, after asserting, on a unit-length graph, that no region
+    vertex has its hub among its seed candidates."""
+    if lengths is None:
+        for u in region:
+            assert h_vertex not in back(u), (
+                f"region vertex {u} neighbours hub {h_vertex}")
     dec_bfs(step, back, labels_of, root_labels, holders, rank, h_vertex,
-            region, stats)
+            region, stats, lengths)
 
 
 def checked_delete(delete, *args):
@@ -121,11 +291,15 @@ def checked_delete(delete, *args):
 
 
 class Family(NamedTuple):
-    """One graph family: its drivers, label sides and ground truth."""
+    """One graph family: its drivers, label sides and ground truth.
+
+    ``update`` and ``reference`` apply one update ``(graph, index, kind, a,
+    b, w)``: kind "ins" inserts (a, b), of weight w on a weighted graph,
+    "del" deletes it, and "setw" sets its weight to w.
+    """
 
     build: Callable
-    insert: Callable
-    delete: Callable
+    update: Callable
     reference: Callable
     pairs: Callable
     sides: Callable
@@ -133,9 +307,43 @@ class Family(NamedTuple):
     invariants: Callable
 
 
+def _unit_updates(insert, delete):
+    """``Family.update`` over an unweighted insert and delete driver."""
+    def update(graph, index, kind, a, b, w):
+        return (insert if kind == "ins" else delete)(graph, index, a, b)
+    return update
+
+
+def weighted_update(graph, index, kind, a, b, w):
+    if kind == "ins":
+        return inc_spc_weighted(graph, index, a, b, w)
+    if kind == "del":
+        return dec_spc_weighted(graph, index, a, b)
+    change = decrease_weight if w < graph.weight(a, b) else increase_weight
+    return change(graph, index, a, b, w)
+
+
+def reference_weighted_update(graph, index, kind, a, b, w):
+    if kind == "ins":
+        return reference_inc_weighted(graph, index, a, b,
+                                      lambda: graph.add_edge(a, b, w))
+    if kind == "del":
+        return reference_dec_weighted(graph, index, a, b)
+    reweight = lambda: graph.set_weight(a, b, w)  # noqa: E731
+    if w < graph.weight(a, b):
+        return reference_inc_weighted(graph, index, a, b, reweight)
+    return reference_dec_weighted(graph, index, a, b, reweight)
+
+
 def _undirected_sides(graph, index):
     """[(label sets, sd(h, u) lookup)] for the one side of an undirected index."""
     dist = {h: bfs_counting_sssp(graph, h)[0] for h in graph.vertices()}
+    return [(index.label_set, lambda h, u: dist[h].get(u, INF))]
+
+
+def _weighted_sides(graph, index):
+    """As ``_undirected_sides``, with Dijkstra distances."""
+    dist = {h: dijkstra_counting_sssp(graph, h)[0] for h in graph.vertices()}
     return [(index.label_set, lambda h, u: dist[h].get(u, INF))]
 
 
@@ -148,16 +356,24 @@ def _directed_sides(graph, index):
     ]
 
 
+def _undirected_pairs(vs):
+    return [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]]
+
+
 UNDIRECTED = Family(
-    build_spc_index, inc_spc, dec_spc, reference_dec_spc,
-    lambda vs: [(u, v) for i, u in enumerate(vs) for v in vs[i + 1:]],
+    build_spc_index, _unit_updates(inc_spc, dec_spc),
+    _unit_updates(inc_spc, reference_dec_spc), _undirected_pairs,
     _undirected_sides, verify_espc, check_invariants,
 )
 DIRECTED = Family(
-    build_directed_spc_index, inc_spc_directed, dec_spc_directed,
-    reference_dec_spc_directed,
+    build_directed_spc_index, _unit_updates(inc_spc_directed, dec_spc_directed),
+    _unit_updates(inc_spc_directed, reference_dec_spc_directed),
     lambda vs: [(u, v) for u in vs for v in vs if u != v],
     _directed_sides, verify_espc, check_invariants_directed,
+)
+WEIGHTED = Family(
+    build_weighted_spc_index, weighted_update, reference_weighted_update,
+    _undirected_pairs, _weighted_sides, verify_espc, check_invariants,
 )
 
 
@@ -193,28 +409,32 @@ def run_stream(family, graph, ops):
     g_live, g_ref = graph.copy(), graph.copy()
     live, ref = family.build(g_live), family.build(g_ref)
     kept = 0
-    for kind, idx in ops:
-        if kind == "del":
-            edges = sorted(g_live.edges())
-            if not edges:
-                continue
-            a, b = edges[idx % len(edges)]
-            kept += checked_delete(family.delete, g_live, live, a, b).kept
-            family.reference(g_ref, ref, a, b)
+    for kind, idx, w in ops:
+        if kind == "ins":
+            choices = [(u, v) for u, v in family.pairs(sorted(g_live.vertices()))
+                       if not g_live.has_edge(u, v)]
         else:
-            free = [(u, v) for u, v in family.pairs(sorted(g_live.vertices()))
-                    if not g_live.has_edge(u, v)]
-            if not free:
-                continue
-            a, b = free[idx % len(free)]
-            family.insert(g_live, live, a, b)
-            family.insert(g_ref, ref, a, b)
+            choices = [edge[:2] for edge in sorted(g_live.edges())]
+        if not choices:
+            continue
+        a, b = choices[idx % len(choices)]
+        if kind == "setw" and w == g_live.weight(a, b):
+            continue
+        kept += checked_delete(family.update, g_live, live, kind, a, b, w).kept
+        family.reference(g_ref, ref, kind, a, b, w)
         assert_kept_sound(family, g_live, live, ref)
     return kept
 
 
 ops_lists = st.lists(
-    st.tuples(st.sampled_from(["ins", "del", "del"]), st.integers(0, 10_000)),
+    st.tuples(st.sampled_from(["ins", "del", "del"]), st.integers(0, 10_000),
+              st.just(1)),
+    max_size=12,
+)
+weighted_ops = st.lists(
+    st.tuples(st.sampled_from(["ins", "del", "setw", "setw"]),
+              st.integers(0, 10_000),
+              st.sampled_from([1, 2, 3, 4, 0.5, 1.5, 2.5])),
     max_size=12,
 )
 
@@ -230,13 +450,28 @@ class TestStreamsAgainstRepairAll:
     def test_directed(self, g, ops):
         run_stream(DIRECTED, g, ops)
 
+    @settings(max_examples=300, **COMMON)
+    @given(g=small_weighted_graphs(max_vertices=9), ops=weighted_ops)
+    def test_weighted(self, g, ops):
+        run_stream(WEIGHTED, g, ops)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_random_graph_churn(self, seed):
         """Longer insert-heavy streams than hypothesis draws, so stale
         entries pile up before the deletes meet them."""
-        ops = [("del" if i % 3 == 0 else "ins", seed * 7919 + i * 104729)
+        ops = [("del" if i % 3 == 0 else "ins", seed * 7919 + i * 104729, 1)
                for i in range(36)]
         assert run_stream(UNDIRECTED, erdos_renyi(30, 60, seed=seed), ops) > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_weighted_churn(self, seed):
+        """The weighted twin: inserts and weight decreases leave stale
+        entries that later deletes and increases meet."""
+        kinds = ["ins", "setw", "del", "ins", "setw", "setw"]
+        ops = [(kinds[i % 6], seed * 7919 + i * 104729, 1 + (i * 7 + seed) % 4)
+               for i in range(36)]
+        graph = random_weighted(24, 50, max_weight=4, seed=seed)
+        assert run_stream(WEIGHTED, graph, ops) > 0
 
 
 def _twin(edges, order):

@@ -106,14 +106,16 @@ def full_bfs_dec_bfs(step, labels_of, root_labels, holders, rank, h_vertex,
 
 
 def reference_dec_bfs(step, back, labels_of, root_labels, holders, rank,
-                      h_vertex, region, stats):
+                      h_vertex, region, stats, lengths=None):
     """The drivers' call, answered by the full-BFS kernel.
 
     The region stands in for the old target set.  The targets it leaves out
     rank at or above h: the full BFS never reaches them, and none can hold
     h except h itself, whose self-label a visit at distance 0 rewrote
-    unchanged.
+    unchanged.  The streams here are unit-length
+    (``test_property_dec_kept.py`` covers the weighted family).
     """
+    assert lengths is None
     del back  # the full BFS starts at h and needs no seeds
     full_bfs_dec_bfs(step, labels_of, root_labels, holders, rank, h_vertex,
                      set(region), stats)
@@ -135,7 +137,7 @@ class Recorder:
         self.calls = []
 
     def __call__(self, step, back, labels_of, root_labels, holders, rank,
-                 h_vertex, region, stats):
+                 h_vertex, region, stats, lengths=None):
         inside = set(region)
         self.calls.append((h_vertex, inside, back, stats.bfs_visits))
 
@@ -144,7 +146,7 @@ class Recorder:
             return step(v)
 
         SEEDED(region_step, back, labels_of, root_labels, holders, rank,
-               h_vertex, region, stats)
+               h_vertex, region, stats, lengths)
         assert stats.bfs_visits - self.calls[-1][3] <= len(inside)
 
 

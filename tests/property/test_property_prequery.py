@@ -22,8 +22,6 @@ from hypothesis import strategies as st
 
 import repro.core.decremental
 import repro.core.incremental
-import repro.weighted.decremental
-import repro.weighted.incremental
 from repro.core import build_spc_index, dec_spc, inc_spc
 from repro.core.labels import LabelSet, prequery_prunes
 from repro.directed import build_directed_spc_index, dec_spc_directed, inc_spc_directed
@@ -40,11 +38,9 @@ from tests.property.strategies import small_digraphs, small_graphs
 INF = float("inf")
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
-# The directed backend runs the core kernels, so patching core covers it.
-KERNEL_MODULES = (
-    repro.core.decremental, repro.core.incremental,
-    repro.weighted.decremental, repro.weighted.incremental,
-)
+# The directed and weighted backends run the core kernels, so patching
+# core covers them.
+KERNEL_MODULES = (repro.core.decremental, repro.core.incremental)
 
 
 def full_minimum_prunes(hubs, dists, end, root_get, dist):

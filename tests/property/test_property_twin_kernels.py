@@ -1,12 +1,15 @@
 """The maintenance kernels against the versions that built their own root map.
 
-Every maintenance BFS takes its PreQUERY root map from the root's
+Every maintenance search takes its PreQUERY root map from the root's
 ``LabelSet.root_get`` cache and bisects L(v) once per visit; IncSPC tests
-v's own (h, ·, ·) entry before it scans the hubs above h.  The kernels
-below are the ones they replaced, kept as they were less their timers and
-comments: each rebuilds the root map per BFS, scans up to a rank bound
-and looks the own entry up again with ``get``.  The drivers did not change, so the reference runs them with
-these kernels patched in under their module names.
+v's own (h, ·, ·) entry before it scans the hubs above h.  The reference
+kernels below do what the kernels they replaced did: each rebuilds the
+root map per search, scans up to a rank bound and looks the own entry up
+again with ``get``.  They take the kernels' ``lengths`` argument and run
+one Dijkstra loop for every family, over a (distance, tie-break) heap, so
+they also check that the kernels' distance buckets visit what a heap
+settles.  The drivers are the same, so the reference runs them with these
+kernels patched in under their module names.
 
 On hypothesis insert/delete/weight streams on the undirected, directed
 and weighted backends, every label set must equal the reference's after
@@ -17,8 +20,8 @@ its map, and the delete's DecUPDATE then roots a BFS at h again.
 """
 
 import heapq
+import itertools
 from bisect import bisect_right
-from collections import deque
 from contextlib import ExitStack
 from unittest import mock
 
@@ -29,8 +32,6 @@ import repro.core.decremental
 import repro.core.incremental
 import repro.directed.decremental
 import repro.directed.incremental
-import repro.weighted.decremental
-import repro.weighted.incremental
 from repro.core import build_spc_index, dec_spc, inc_spc
 from repro.directed import build_directed_spc_index, dec_spc_directed, inc_spc_directed
 from repro.graph import Graph, WeightedGraph
@@ -63,20 +64,33 @@ def ref_prequery_prunes(labels, root_get, bound, dist):
     return False
 
 
-def ref_inc_bfs(step, labels_of, root_labels, rank, h, entry, vb, stats):
-    """``repro.core.incremental.inc_bfs`` with a per-BFS root map."""
+def unit_lengths(step):
+    """``lengths`` for a unit-length graph: every edge of ``step`` is 1."""
+    return lambda v: dict.fromkeys(step(v), 1)
+
+
+def ref_inc_bfs(step, labels_of, root_labels, rank, h, va, vb, stats,
+                lengths=None):
+    """``repro.core.incremental.inc_bfs`` with a per-BFS root map, on a
+    (distance, tie-break) heap."""
+    entry = labels_of(va).get(h)
     if entry is None:
         return
     d0, c0 = entry
+    edges = lengths or unit_lengths(step)
+    d0 += edges(va)[vb]
     root_get = dict(zip(root_labels.hubs, root_labels.dists)).get
 
-    dist = {vb: d0 + 1}
+    dist = {vb: d0}
     count = {vb: c0}
-    queue = deque([vb])
-
-    while queue:
-        v = queue.popleft()
-        dv = dist[v]
+    settled = set()
+    heap = [(d0, 0, vb)]
+    pushes = itertools.count(1)
+    while heap:
+        dv, _, v = heapq.heappop(heap)
+        if v in settled or dv > dist[v]:
+            continue
+        settled.add(v)
         stats.bfs_visits += 1
 
         ls = labels_of(v)
@@ -97,42 +111,43 @@ def ref_inc_bfs(step, labels_of, root_labels, rank, h, entry, vb, stats):
             stats.inserted += 1
 
         cv = count[v]
-        dnext = dv + 1
-        for w in step(v):
+        for w, length in edges(v).items():
+            if w in settled or h > rank[w]:
+                continue
+            cand = dv + length
             dw = dist.get(w)
-            if dw is None:
-                if h <= rank[w]:
-                    dist[w] = dnext
-                    count[w] = cv
-                    queue.append(w)
-            elif dw == dnext:
+            if dw is None or cand < dw:
+                dist[w] = cand
+                count[w] = cv
+                heapq.heappush(heap, (cand, next(pushes), w))
+            elif cand == dw:
                 count[w] += cv
 
 
 def ref_dec_bfs(step, back, labels_of, root_labels, holders, rank, h_vertex,
-                region, stats):
-    """``repro.core.decremental.dec_bfs`` with a per-BFS root map."""
+                region, stats, lengths=None):
+    """``repro.core.decremental.dec_bfs`` with a per-BFS root map, on a
+    (distance, tie-break) heap."""
     h = rank[h_vertex]
 
     root_get = {hr: d for hr, d, _ in root_labels if hr != h}.get
     above_h = h - 1
     inside = set(region)
     held = holders(h)
+    forward = lengths or unit_lengths(step)
+    backward = lengths or unit_lengths(back)
 
     dist = {}
     count = {}
-    buckets = {}
-    entry_of = {}
+    heap = []
+    pushes = itertools.count()
     for u in region:
         best = INF
         cu = 0
-        for w in back(u):
+        for w, length in backward(u).items():
             if w in held and w not in inside:
-                e = entry_of.get(w)
-                if e is None:
-                    e = entry_of[w] = labels_of(w).get(h)
-                dw, cw = e
-                dw += 1
+                dw, cw = labels_of(w).get(h)
+                dw += length
                 if dw < best:
                     best = dw
                     cu = cw
@@ -141,166 +156,50 @@ def ref_dec_bfs(step, back, labels_of, root_labels, holders, rank, h_vertex,
         if cu:
             dist[u] = best
             count[u] = cu
-            buckets.setdefault(best, []).append(u)
+            heapq.heappush(heap, (best, next(pushes), u))
 
     updated = set()
-    frontier = []
-    dv = 0
-    while frontier or buckets:
-        if not frontier:
-            dv = min(buckets)
-            frontier = buckets.pop(dv)
-        dnext = dv + 1
-        nxt = buckets.pop(dnext, [])
-        for v in frontier:
-            if dist[v] != dv:
-                continue
-            stats.bfs_visits += 1
+    settled = set()
+    while heap:
+        dv, _, v = heapq.heappop(heap)
+        if v in settled or dv > dist[v]:
+            continue
+        settled.add(v)
+        stats.bfs_visits += 1
 
-            ls = labels_of(v)
-            if ref_prequery_prunes(ls, root_get, above_h, dv):
-                continue
+        ls = labels_of(v)
+        if ref_prequery_prunes(ls, root_get, above_h, dv):
+            continue
 
-            cv = count[v]
-            existing = ls.get(h)
-            if existing is None:
+        cv = count[v]
+        existing = ls.get(h)
+        if existing is None:
+            ls.set(h, dv, cv)
+            stats.inserted += 1
+        else:
+            d_i, c_i = existing
+            if d_i != dv:
                 ls.set(h, dv, cv)
-                stats.inserted += 1
-            else:
-                d_i, c_i = existing
-                if d_i != dv:
-                    ls.set(h, dv, cv)
-                    stats.renew_dist += 1
-                elif c_i != cv:
-                    ls.set(h, dv, cv)
-                    stats.renew_count += 1
-            updated.add(v)
+                stats.renew_dist += 1
+            elif c_i != cv:
+                ls.set(h, dv, cv)
+                stats.renew_count += 1
+        updated.add(v)
 
-            for w in step(v):
-                if w in inside:
-                    dw = dist.get(w)
-                    if dw is None or dw > dnext:
-                        dist[w] = dnext
-                        count[w] = cv
-                        nxt.append(w)
-                    elif dw == dnext:
-                        count[w] += cv
-        frontier = nxt
-        dv = dnext
+        for w, length in forward(v).items():
+            if w in inside and w not in settled:
+                cand = dv + length
+                dw = dist.get(w)
+                if dw is None or cand < dw:
+                    dist[w] = cand
+                    count[w] = cv
+                    heapq.heappush(heap, (cand, next(pushes), w))
+                elif cand == dw:
+                    count[w] += cv
 
     for u in held & inside:
         if u not in updated:
             labels_of(u).remove(h)
-            stats.removed += 1
-
-
-def ref_inc_update_dijkstra(graph, index, h, va, vb, w_ab, stats):
-    """``repro.weighted.incremental._inc_update_dijkstra``, per-BFS root map."""
-    order = index.order
-    rank = order.rank_map()
-    label_of = index.label_set
-    entry = label_of(va).get(h)
-    if entry is None:
-        return
-    d0, c0 = entry
-
-    hub_vertex = order.vertex(h)
-    hub_labels = label_of(hub_vertex)
-    root_get = dict(zip(hub_labels.hubs, hub_labels.dists)).get
-
-    dist = {vb: d0 + w_ab}
-    count = {vb: c0}
-    settled = set()
-    heap = [(d0 + w_ab, rank[vb], vb)]
-    while heap:
-        dv, _, v = heapq.heappop(heap)
-        if v in settled or dv > dist[v]:
-            continue
-        settled.add(v)
-        stats.bfs_visits += 1
-        ls = label_of(v)
-        if ref_prequery_prunes(ls, root_get, h, dv):
-            continue
-        existing = ls.get(h)
-        if existing is not None:
-            d_i, c_i = existing
-            if dv == d_i:
-                ls.set(h, dv, count[v] + c_i)
-                stats.renew_count += 1
-            else:
-                ls.set(h, dv, count[v])
-                stats.renew_dist += 1
-        else:
-            ls.set(h, dv, count[v])
-            stats.inserted += 1
-        cv = count[v]
-        for w, weight in graph.neighbors(v).items():
-            if w in settled or h > rank[w]:
-                continue
-            cand = dv + weight
-            dw = dist.get(w)
-            if dw is None or cand < dw:
-                dist[w] = cand
-                count[w] = cv
-                heapq.heappush(heap, (cand, rank[w], w))
-            elif cand == dw:
-                count[w] += cv
-
-
-def ref_dec_update_dijkstra(graph, index, h_vertex, targets, stats):
-    """``repro.weighted.decremental._dec_update_dijkstra``, per-BFS root map."""
-    order = index.order
-    rank = order.rank_map()
-    label_of = index.label_set
-    h = rank[h_vertex]
-    hub_labels = label_of(h_vertex)
-    root_get = {hr: d for hr, d, _ in hub_labels if hr != h}.get
-    above_h = h - 1
-
-    updated = set()
-    dist = {h_vertex: 0}
-    count = {h_vertex: 1}
-    settled = set()
-    heap = [(0, h, h_vertex)]
-    while heap:
-        dv, _, v = heapq.heappop(heap)
-        if v in settled or dv > dist[v]:
-            continue
-        settled.add(v)
-        stats.bfs_visits += 1
-        ls = label_of(v)
-        if ref_prequery_prunes(ls, root_get, above_h, dv):
-            continue
-        if v in targets:
-            existing = ls.get(h)
-            if existing is None:
-                ls.set(h, dv, count[v])
-                stats.inserted += 1
-            else:
-                d_i, c_i = existing
-                if d_i != dv:
-                    ls.set(h, dv, count[v])
-                    stats.renew_dist += 1
-                elif c_i != count[v]:
-                    ls.set(h, dv, count[v])
-                    stats.renew_count += 1
-            updated.add(v)
-        cv = count[v]
-        for w, weight in graph.neighbors(v).items():
-            if w in settled or h > rank[w]:
-                continue
-            cand = dv + weight
-            dw = dist.get(w)
-            if dw is None or cand < dw:
-                dist[w] = cand
-                count[w] = cv
-                heapq.heappush(heap, (cand, rank[w], w))
-            elif cand == dw:
-                count[w] += cv
-
-    for u in index.holders(h) & targets:
-        if u not in updated:
-            label_of(u).remove(h)
             stats.removed += 1
 
 
@@ -310,8 +209,6 @@ REFERENCES = (
     (repro.directed.incremental, "inc_bfs", ref_inc_bfs),
     (repro.core.decremental, "dec_bfs", ref_dec_bfs),
     (repro.directed.decremental, "dec_bfs", ref_dec_bfs),
-    (repro.weighted.incremental, "_inc_update_dijkstra", ref_inc_update_dijkstra),
-    (repro.weighted.decremental, "_dec_update_dijkstra", ref_dec_update_dijkstra),
 )
 
 

@@ -30,7 +30,6 @@ class TestPublicApi:
         assert engine.check()
 
     def test_subpackages_importable(self):
-        import repro.baselines
         import repro.bench
         import repro.datasets
         import repro.directed

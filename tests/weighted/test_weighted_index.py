@@ -1,12 +1,86 @@
 """Unit tests for the weighted SPC-Index construction and queries."""
 
-import pytest
+import heapq
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.index import SPCIndex
 from repro.graph import WeightedGraph, random_weighted
+from repro.order import make_order
 from repro.verify import verify_espc
 from repro.weighted import build_weighted_spc_index
+from tests.property.strategies import small_weighted_graphs
 
 INF = float("inf")
+
+
+def dijkstra_builder(graph, order):
+    """The weighted builder before core's ``hub_push`` took edge lengths:
+    one pruned Dijkstra per hub over a (distance, rank) heap."""
+    index = SPCIndex(order, with_self_labels=False)
+    rank = order.rank_map()
+    for root in order:
+        r = rank[root]
+        root_labels = index.label_set(root)
+        root_labels.set(r, 0, 1)
+        root_dist = dict(zip(root_labels.hubs, root_labels.dists))
+        dist = {root: 0}
+        count = {root: 1}
+        settled = {root}
+        heap = []
+        for w, weight in graph.neighbors(root).items():
+            if rank[w] > r:
+                dist[w] = weight
+                count[w] = 1
+                heapq.heappush(heap, (weight, rank[w], w))
+        while heap:
+            dv, _, v = heapq.heappop(heap)
+            if v in settled or dv > dist[v]:
+                continue
+            settled.add(v)
+            ls = index.label_set(v)
+            if any(root_dist.get(hub, INF) + d < dv for hub, d, _ in ls):
+                continue
+            ls.set(r, dv, count[v])
+            for w, weight in graph.neighbors(v).items():
+                if rank[w] <= r or w in settled:
+                    continue
+                cand = dv + weight
+                dw = dist.get(w)
+                if dw is None or cand < dw:
+                    dist[w] = cand
+                    count[w] = count[v]
+                    heapq.heappush(heap, (cand, rank[w], w))
+                elif cand == dw:
+                    count[w] += count[v]
+    return index
+
+
+class TestSharedBuilderMatchesDijkstra:
+    """Core's distance-bucketed ``hub_push`` builds, on a weighted graph,
+    the label sets the per-hub Dijkstra builder built."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(g=small_weighted_graphs(max_vertices=10),
+           halves=st.lists(st.booleans(), max_size=45))
+    def test_label_sets_equal(self, g, halves):
+        # Halve some weights so float and int lengths tie across buckets.
+        for (u, v, w), half in zip(sorted(g.edges()), halves):
+            if half:
+                g.set_weight(u, v, w / 2)
+        order = make_order(g, "degree")
+        assert (build_weighted_spc_index(g, order=order).to_dict()
+                == dijkstra_builder(g, order).to_dict())
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_weighted(self, seed):
+        g = random_weighted(60, 150, max_weight=10, seed=seed)
+        order = make_order(g, "degree")
+        assert (build_weighted_spc_index(g, order=order).to_dict()
+                == dijkstra_builder(g, order).to_dict())
 
 
 class TestWeightedConstruction:
