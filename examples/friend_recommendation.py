@@ -12,25 +12,8 @@ Run with:  python examples/friend_recommendation.py
 import random
 
 import repro
+from repro.applications import recommend_friends
 from repro.graph import powerlaw_cluster
-
-
-def recommend(dyn, user, k=5):
-    """Top-k friend recommendations for ``user``.
-
-    Candidates are non-neighbors at distance 2, ranked by the number of
-    shortest paths (= mutual friends), ties broken by id for determinism.
-    """
-    graph = dyn.graph
-    candidates = []
-    for other in graph.vertices():
-        if other == user or graph.has_edge(user, other):
-            continue
-        d, c = dyn.query(user, other)
-        if d == 2:
-            candidates.append((-c, other))
-    candidates.sort()
-    return [(other, -neg_c) for neg_c, other in candidates[:k]]
 
 
 def main():
@@ -41,11 +24,11 @@ def main():
     user = max(graph.vertices(), key=graph.degree)
     print(f"user {user} has {graph.degree(user)} friends")
     print("top recommendations (candidate, mutual friends):")
-    for other, mutual in recommend(dyn, user):
+    for other, mutual in recommend_friends(dyn.graph, dyn, user):
         print(f"  {other}: {mutual}")
 
     # The user accepts the top recommendation; the index updates in-place.
-    top, _ = recommend(dyn, user)[0]
+    top, _ = recommend_friends(dyn.graph, dyn, user)[0]
     stats = dyn.insert_edge(user, top)
     print(f"\nuser {user} befriends {top} "
           f"({stats.elapsed * 1e3:.2f} ms index update)")
@@ -57,13 +40,13 @@ def main():
           f"({stats.elapsed * 1e3:.2f} ms index update)")
 
     print("\nrefreshed recommendations:")
-    for other, mutual in recommend(dyn, user):
+    for other, mutual in recommend_friends(dyn.graph, dyn, user):
         print(f"  {other}: {mutual}")
 
     # Consistency check: ranking by counts matches online BFS counting.
     from repro import bfs_counting_pair
 
-    for other, mutual in recommend(dyn, user):
+    for other, mutual in recommend_friends(dyn.graph, dyn, user):
         assert bfs_counting_pair(dyn.graph, user, other) == (2, mutual)
     print("\nrecommendations verified against BFS ground truth")
 

@@ -12,34 +12,9 @@ just a few SPCEngine.delete_vertex calls, no rebuild.
 Run with:  python examples/group_betweenness.py
 """
 
-import itertools
-
 import repro
+from repro.applications import group_betweenness
 from repro.graph import watts_strogatz
-
-INF = float("inf")
-
-
-def group_betweenness(dyn_full, group, vertices):
-    """B(group) computed from two SPC oracles.
-
-    ``dyn_full`` answers counts on G; a scratch oracle with ``group``
-    removed answers counts on G \\ group.
-    """
-    scratch = repro.open(dyn_full.graph.copy())
-    for v in group:
-        scratch.delete_vertex(v)
-
-    total = 0.0
-    outside = [v for v in vertices if v not in group]
-    for s, t in itertools.combinations(outside, 2):
-        d_full, c_full = dyn_full.query(s, t)
-        if c_full == 0:
-            continue
-        d_cut, c_cut = scratch.query(s, t)
-        surviving = c_cut if d_cut == d_full else 0
-        total += (c_full - surviving) / c_full
-    return total
 
 
 def main():
@@ -47,10 +22,13 @@ def main():
     dyn = repro.open(graph)
     vertices = sorted(graph.vertices())
 
+    def betweenness(group):
+        return group_betweenness(dyn.graph, dyn.index, group)
+
     # Rank single vertices by group betweenness (classic betweenness).
     scored = []
     for v in vertices[:20]:
-        scored.append((group_betweenness(dyn, [v], vertices), v))
+        scored.append((betweenness([v]), v))
     scored.sort(reverse=True)
     print("top-5 single-vertex betweenness:")
     for score, v in scored[:5]:
@@ -59,8 +37,7 @@ def main():
     # Greedy group of size 3: extend the best singleton.
     best_single = scored[0][1]
     best_pair = max(
-        ((group_betweenness(dyn, [best_single, v], vertices), v)
-         for _, v in scored[1:8]),
+        ((betweenness([best_single, v]), v) for _, v in scored[1:8]),
     )
     group = [best_single, best_pair[1]]
     print(f"\ngreedy group of 2: {group} with B = {best_pair[0]:.1f}")
@@ -69,7 +46,7 @@ def main():
     u, v = next(iter(sorted(dyn.graph.edges())))
     dyn.delete_edge(u, v)
     print(f"\nafter deleting edge ({u}, {v}):")
-    print(f"  B({group}) = {group_betweenness(dyn, group, vertices):.1f}")
+    print(f"  B({group}) = {betweenness(group):.1f}")
 
 
 if __name__ == "__main__":

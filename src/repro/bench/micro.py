@@ -18,11 +18,13 @@ keeps optimizing, so every PR leaves a perf trajectory in
   insert/delete stream, the end-to-end number the Figure 10 experiments
   report on real datasets, split into the maintenance phases
   ``UpdateStats`` times (SrrSEARCH, BFS, removal pass), with the mean
-  number of region pairs DecUPDATE keeps per delete.  A weighted twin
-  runs the weight-aware stream on ``random_weighted`` (weights 1–10): a
-  weight decrease counts as an insert and an increase as a delete, the
-  repair each runs.  Each stream ends with ``engine.check()``, so a wrong
-  maintained index fails the run.
+  number of region pairs DecUPDATE keeps per delete.  A directed twin runs
+  the arc stream on ``random_directed``, through the same core drivers
+  over L_in and L_out.  A weighted twin runs the weight-aware stream on
+  ``random_weighted`` (weights 1–10): a weight decrease counts as an
+  insert and an increase as a delete, the repair each runs.  Each stream
+  ends with ``engine.check()``, so a wrong maintained index of any family
+  fails the run.
 
 Wired into the CLI as ``repro-bench micro``; CI runs the quick profile as
 a perf-smoke job that fails on crash, never on timing.
@@ -34,7 +36,12 @@ import time
 from repro.bench.tables import ExperimentResult, Table
 from repro.bench.timing import distribution_summary
 from repro.engine import EngineConfig, SPCEngine
-from repro.graph.generators import barabasi_albert, erdos_renyi, random_weighted
+from repro.graph.generators import (
+    barabasi_albert,
+    erdos_renyi,
+    random_directed,
+    random_weighted,
+)
 from repro.workloads import hybrid_stream
 
 
@@ -144,7 +151,8 @@ def _bench_batch_queries(config, extra):
 
 
 def _bench_update_latency(config, extra):
-    """Per-update wall clock over hybrid streams, unweighted and weighted."""
+    """Per-update wall clock over hybrid streams: undirected, directed and
+    weighted."""
     n, m = config.micro_update_graph
     table = Table(
         "update latency over a hybrid stream (phases: mean per update)",
@@ -154,6 +162,7 @@ def _bench_update_latency(config, extra):
     summaries = {}
     for family, graph in (
         ("", erdos_renyi(n, m, seed=13)),
+        ("directed ", random_directed(n, m, seed=13)),
         ("weighted ", random_weighted(n, m, max_weight=10, seed=13)),
     ):
         engine = _engine(graph)

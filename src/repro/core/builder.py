@@ -17,13 +17,21 @@ distance at a time: the next BFS level as a plain list on unit lengths,
 else the nearest distance bucket (:func:`open_bucket`, :func:`next_bucket`),
 so both are one loop.
 
+On a directed graph (Appendix C.1) "the index construction involves
+performing two BFSs from each hub, one in each direction, to generate labels
+for the L_in and L_out sets of other vertices": the forward search from root
+r follows out-arcs and pushes (r, D, C) into L_in(w), the backward search
+follows in-arcs and pushes into L_out(w).  On a one-sided index the backward
+search would repeat the forward one, so it runs only on a second side.
+
 The pruning probe uses the standard PLL engineering trick: the root's label
 set is loaded into a dict once per BFS, making each probe O(|L(w)|).
 """
 
 from heapq import heappop, heappush
 
-from repro.core.index import SPCIndex
+from repro.core.index import DirectedSPCIndex, SPCIndex
+from repro.graph.directed import DiGraph
 from repro.graph.weighted import WeightedGraph
 from repro.order import VertexOrder, make_order
 
@@ -35,6 +43,18 @@ def edge_lengths(graph):
     passes its ``neighbors``, which maps v to ``{w: l(v, w)}``.
     """
     return graph.neighbors if isinstance(graph, WeightedGraph) else None
+
+
+def edge_steps(graph):
+    """The drivers' (forward, backward) steps over ``graph``.
+
+    A :class:`DiGraph` steps forward along out-arcs (``successors``) and
+    backward along in-arcs (``predecessors``); any other graph steps along
+    ``neighbors`` both ways.
+    """
+    if isinstance(graph, DiGraph):
+        return graph.successors, graph.predecessors
+    return graph.neighbors, graph.neighbors
 
 
 def open_bucket(buckets, heap, d):
@@ -73,9 +93,10 @@ def build_spc_index(graph, order=None, strategy="degree"):
     Parameters
     ----------
     graph:
-        A :class:`repro.graph.Graph` (undirected, simple), or a
+        A :class:`repro.graph.Graph` (undirected, simple), a
         :class:`repro.graph.WeightedGraph`, whose labels then store path
-        lengths instead of hop counts.
+        lengths instead of hop counts, or a :class:`repro.graph.DiGraph`,
+        whose index has two sides, L_in and L_out (Appendix C.1).
     order:
         A :class:`repro.order.VertexOrder`, or None to derive one.
     strategy:
@@ -86,38 +107,48 @@ def build_spc_index(graph, order=None, strategy="degree"):
     -------
     SPCIndex
         An index satisfying the Exact Shortest Paths Covering constraint:
-        for every pair (s, t), SpcQUERY(s, t) = (sd(s,t), spc(s,t)).
+        for every pair (s, t), SpcQUERY(s, t) = (sd(s,t), spc(s,t)).  A
+        :class:`DirectedSPCIndex` for a ``DiGraph``.
     """
     if order is None:
         order = make_order(graph, strategy)
     elif not isinstance(order, VertexOrder):
         order = VertexOrder(order)
-    index = SPCIndex(order, with_self_labels=False)
+    index_type = DirectedSPCIndex if isinstance(graph, DiGraph) else SPCIndex
+    index = index_type(order, with_self_labels=False)
+    two_sided = index.two_sided
     rank = order.rank_map()
+    forward, backward = edge_steps(graph)
     lengths = edge_lengths(graph)
+    lin, lout = index.in_label_set, index.out_label_set
 
     for root in order:  # live vertices, highest rank first
         r = rank[root]
-        root_labels = index.label_set(root)
-        root_labels.set(r, 0, 1)  # self label (v, 0, 1)
+        root_in, root_out = lin(root), lout(root)
+        root_in.set(r, 0, 1)  # self label (v, 0, 1)
+        if two_sided:
+            root_out.set(r, 0, 1)
         # Vertices may exist in the order but not the graph only if the
         # caller passed a stale order; they stay isolated.
-        if root in graph:
-            hub_push(graph.neighbors, root_labels, index.label_set, rank, root,
-                     r, lengths)
+        if root not in graph:
+            continue
+        # Forward: paths root -> w, pruned via L_out(root) x L_in(w).
+        hub_push(forward, root_out, lin, rank, root, r, lengths)
+        if two_sided:
+            # Backward: paths w -> root, pruned via L_out(w) x L_in(root).
+            hub_push(backward, root_in, lout, rank, root, r, lengths)
     return index
 
 
 def hub_push(step, root_labels, labels_of, rank, root, r, lengths=None):
     """One pruned search rooted at ``root`` (rank ``r``), pushing hub-``r`` labels.
 
-    The search follows ``step`` (``graph.neighbors`` here; ``successors``
-    or ``predecessors`` in the directed builder) and writes into
-    ``labels_of(w)``.  The pruning probe pairs each visited label set with
-    ``root_labels``, the root's opposite-side label set, which must already
-    hold the root's self label.  An undirected graph is the directed case
-    with both sides equal to L.  ``lengths`` is None for unit-length edges,
-    or maps v to ``{w: l(v, w)}`` (:func:`edge_lengths`).
+    The search follows ``step`` (a step of :func:`edge_steps`) and writes
+    into ``labels_of(w)``.  The pruning probe pairs each visited label set
+    with ``root_labels``, the root's opposite-side label set, which must
+    already hold the root's self label.  On a one-sided index both sides
+    are L.  ``lengths`` is None for unit-length edges, or maps v to
+    ``{w: l(v, w)}`` (:func:`edge_lengths`).
 
     Distances are drained in increasing order; within one distance the
     order does not matter (DESIGN.md §4).  The root is the first visit:

@@ -40,13 +40,26 @@ On a weighted graph (Appendix C.2) "the conditions for the SR and R sets
 remain applicable" with the edge weight w_ab in place of the +1 hop, and an
 increase of w_ab is repaired like a deletion.  The kernels take the edge
 lengths as one more argument and drain the same distance buckets.
+
+On a directed graph (Appendix C.1) deleting the arc a → b splits the
+affected vertices by side of the arc.  On a's side (SRa ∪ Ra) are the v
+with sd(v, a) + 1 = sd(v, b), found by walking in-arcs back from a and b,
+with Condition A over L_in(a) ∩ L_in(b); their paths v → a → b lose the
+arc.  On b's side (SRb ∪ Rb) are the v with sd(b, v) + 1 = sd(a, v),
+found by walking out-arcs forward, with Condition A over
+L_out(a) ∩ L_out(b).  An SRa hub repairs in-labels on b's side by a
+forward search, an SRb hub out-labels on a's side by a backward one.  The
+undirected case is the same loop on one side: L_in = L_out = L, both
+walks follow ``neighbors``, and SRa and SRb are disjoint, since
+sd(v, a) + w_ab = sd(v, b) and sd(v, b) + w_ab = sd(v, a) cannot both hold.
+On a directed cycle a hub can sit on both sides and gets both repairs.
 """
 
 from bisect import bisect_left, bisect_right
 from heapq import heapify
 from time import perf_counter
 
-from repro.core.builder import edge_lengths, next_bucket, open_bucket
+from repro.core.builder import edge_lengths, edge_steps, next_bucket, open_bucket
 from repro.core.labels import prequery_prunes
 from repro.core.stats import UpdateStats
 from repro.exceptions import EdgeNotFound
@@ -61,8 +74,11 @@ def dec_spc(graph, index, a, b, stats=None, use_isolated_fast_path=True,
     The graph mutation happens here, *after* SrrSEARCH probes G_i.
     ``mutate`` replaces the edge removal: ``increase_weight`` passes one
     that raises the edge's weight, and the isolated-vertex fast path, which
-    strands an endpoint, is then skipped.  Returns an :class:`UpdateStats`
-    whose sr_a/sr_b/r_a/r_b fields feed Table 5.
+    strands an endpoint, is then skipped.  On a directed graph (a, b) is
+    the arc a → b, and the directed family passes
+    ``use_isolated_fast_path=False``: the fast path reads one degree and
+    one side.  Returns an :class:`UpdateStats` whose sr_a/sr_b/r_a/r_b
+    fields feed Table 5.
     """
     if stats is None:
         stats = UpdateStats(kind="delete", edge=(a, b))
@@ -74,19 +90,20 @@ def dec_spc(graph, index, a, b, stats=None, use_isolated_fast_path=True,
             and try_isolated_fast_path(graph, index, a, b, stats)):
         return stats
 
-    order = index.order
-    rank = order.rank_map()
-    label_of = index.label_set
-    step = graph.neighbors
+    rank = index.order.rank_map()
+    lin, lout = index.in_label_set, index.out_label_set
+    forward, backward = edge_steps(graph)
     lengths = edge_lengths(graph)
     w_ab = 1 if lengths is None else lengths(a)[b]
-    la = label_of(a)
-    lb = label_of(b)
-    lab = set(la.hubs) & set(lb.hubs)  # common hubs of a and b (rank numbers)
+    # Common hubs of a and b (rank numbers), Condition A of each side.
+    lab_in = set(lin(a).hubs) & set(lin(b).hubs)
+    lab_out = set(lout(a).hubs) & set(lout(b).hubs)
 
     t0 = perf_counter()
-    sr_a, r_a, dist_a = srr_search(step, a, b, lab, rank, lengths)
-    sr_b, r_b, dist_b = srr_search(step, b, a, lab, rank, lengths)
+    # a's side, paths v -> a: walk back from a and from b.
+    sr_a, r_a, dist_a = srr_search(backward, a, b, lab_in, rank, lengths)
+    # b's side, paths b -> v: walk forward from b and from a.
+    sr_b, r_b, dist_b = srr_search(forward, b, a, lab_out, rank, lengths)
     stats.srr_s += perf_counter() - t0
     stats.sr_a, stats.sr_b = len(sr_a), len(sr_b)
     stats.r_a, stats.r_b = len(r_a), len(r_b)
@@ -101,17 +118,22 @@ def dec_spc(graph, index, a, b, stats=None, use_isolated_fast_path=True,
 
     affected_hubs = sorted(sr_a | sr_b, key=lambda v: rank[v])
     stats.affected_hubs = len(affected_hubs)
-    holders = index.holders
+    in_holders, out_holders = index.in_holders, index.out_holders
     for h_vertex in affected_hubs:  # descending order of rank
         h = rank[h_vertex]
+        # dist_a holds sd(v, a), dist_b sd(b, v): an h -> u path over the
+        # edge is at least sd(h, a) + w_ab + sd(b, u) long, a u -> h one
+        # sd(u, a) + w_ab + sd(b, h).  One side: SRa and SRb are disjoint.
         if h_vertex in sr_a:
-            region = drop_kept(below_b(h), holders(h), label_of, h,
+            region = drop_kept(below_b(h), in_holders(h), lin, h,
                                dist_a[h_vertex] + w_ab, dist_b, stats)
-        else:
-            region = drop_kept(below_a(h), holders(h), label_of, h,
+            dec_bfs(forward, backward, lin, lout(h_vertex), in_holders, rank,
+                    h_vertex, region, stats, lengths)
+        if h_vertex in sr_b:
+            region = drop_kept(below_a(h), out_holders(h), lout, h,
                                dist_b[h_vertex] + w_ab, dist_a, stats)
-        dec_bfs(step, step, label_of, label_of(h_vertex), holders, rank,
-                h_vertex, region, stats, lengths)
+            dec_bfs(backward, forward, lout, lin(h_vertex), out_holders, rank,
+                    h_vertex, region, stats, lengths)
     return stats
 
 
@@ -173,9 +195,8 @@ def srr_search(step, start, far, lab, rank, lengths=None):
     after the far search has expanded every bucket below dv + w_ab, so its
     distances up to dv + w_ab and their counts are final; v is affected iff
     its far distance is dv + w_ab.  ``lab`` holds the common hubs of the
-    edge endpoints as rank numbers (Condition A).  The directed SrrSEARCH
-    runs this kernel once per side, with predecessors or successors as
-    ``step``.
+    edge endpoints as rank numbers (Condition A).  :func:`dec_spc` runs it
+    once per side: backward from a, forward from b.
 
     Returns (SR, R, dist).  ``dist`` is the near search's distance map; on
     every affected vertex it is exact, sd(v, start) on G_i, because a
@@ -321,11 +342,12 @@ def dec_bfs(step, back, labels_of, root_labels, holders, rank, h_vertex, region,
     hub's own label set on the opposite side (the PreQUERY array), and
     ``holders`` the reverse hub map of the side being repaired.
     ``lengths`` is None for unit-length edges, or maps v to
-    ``{w: l(v, w)}`` on an undirected weighted graph.  The undirected DecSPC passes
-    ``graph.neighbors`` as both ``step`` and ``back``; the directed one
-    passes successors and predecessors, or the mirror pair.  DESIGN.md §4
-    argues soundness: seeds are not PreQUERY-checked, because a stale seed
-    only ever offers a distance that the visit's own PreQUERY prunes.
+    ``{w: l(v, w)}`` on an undirected weighted graph.  :func:`dec_spc`
+    passes the two steps of :func:`repro.core.builder.edge_steps`, forward
+    then backward for an SRa hub and the mirror pair for an SRb hub; on an
+    undirected graph both are ``neighbors``.  DESIGN.md §4 argues
+    soundness: seeds are not PreQUERY-checked, because a stale seed only
+    ever offers a distance that the visit's own PreQUERY prunes.
     """
     t0 = perf_counter()
     h = rank[h_vertex]

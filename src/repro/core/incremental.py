@@ -25,12 +25,20 @@ On a weighted graph (Appendix C.2) the search starts at b with
 D[b] = d + w_ab, "a partial Dijkstra-like execution", over the same
 distance buckets; decreasing an edge's weight is the same repair with the
 new weight, because it too only creates shorter paths through (a, b).
+
+On a directed graph (Appendix C.1) "the affected hubs can be replaced by the
+hubs from L_in(a) ∪ L_out(b)" for the new arc a → b.  A hub h ∈ L_in(a)
+witnesses paths h → a, which the arc extends to h → a → b → ..., so a
+forward search from b repairs in-labels; a hub h ∈ L_out(b) witnesses
+paths b → h, extended to ... → a → b → h, so a backward search from a
+repairs out-labels.  The undirected case is the same loop on one side:
+L_in = L_out = L, and both searches follow ``neighbors``.
 """
 
 from bisect import bisect_left
 from time import perf_counter
 
-from repro.core.builder import edge_lengths, next_bucket, open_bucket
+from repro.core.builder import edge_lengths, edge_steps, next_bucket, open_bucket
 from repro.core.labels import prequery_prunes
 from repro.core.stats import UpdateStats
 
@@ -42,21 +50,21 @@ def inc_spc(graph, index, a, b, stats=None, mutate=None):
     endpoints must already exist — the dynamic facade handles new-vertex
     bookkeeping.  ``mutate`` replaces the unit edge insertion: the weighted
     entry points pass one that adds a weighted edge or lowers a weight.
-    Returns an :class:`UpdateStats`.
+    On a directed graph (a, b) is the arc a → b.  Returns an
+    :class:`UpdateStats`.
     """
     if stats is None:
         stats = UpdateStats(kind="insert", edge=(a, b))
     order = index.order
-    la = index.label_set(a)
-    lb = index.label_set(b)
+    lin, lout = index.in_label_set, index.out_label_set
     rank_a = order.rank(a)
     rank_b = order.rank(b)
 
     # Snapshot AFF before any label changes; updates only ever touch hubs
     # already in AFF, so the snapshot is complete.
-    aff_a = list(la.hubs)
-    aff_b = list(lb.hubs)
-    aff = sorted(set(aff_a) | set(aff_b))
+    in_a = set(lin(a).hubs)
+    out_b = set(lout(b).hubs)
+    aff = sorted(in_a | out_b)
     stats.affected_hubs = len(aff)
 
     if mutate is None:
@@ -64,20 +72,18 @@ def inc_spc(graph, index, a, b, stats=None, mutate=None):
     else:
         mutate()
 
-    in_a = set(aff_a)
-    in_b = set(aff_b)
-    step = graph.neighbors
+    forward, backward = edge_steps(graph)
     lengths = edge_lengths(graph)
-    label_of = index.label_set
     rank = order.rank_map()  # read-only hot-loop access
     vertex = order.vertex
     t0 = perf_counter()
     for h in aff:  # ascending rank number == descending order of rank
-        hub_labels = label_of(vertex(h))
         if h in in_a and h <= rank_b:
-            inc_bfs(step, label_of, hub_labels, rank, h, a, b, stats, lengths)
-        if h in in_b and h <= rank_a:
-            inc_bfs(step, label_of, hub_labels, rank, h, b, a, stats, lengths)
+            inc_bfs(forward, lin, lout(vertex(h)), rank, h, a, b, stats,
+                    lengths)
+        if h in out_b and h <= rank_a:
+            inc_bfs(backward, lout, lin(vertex(h)), rank, h, b, a, stats,
+                    lengths)
     stats.bfs_s += perf_counter() - t0
     return stats
 
@@ -90,9 +96,8 @@ def inc_bfs(step, labels_of, root_labels, rank, h, va, vb, stats, lengths=None):
     ``labels_of(v)``; ``root_labels`` is the hub's own label set on the
     opposite side, the PreQUERY array.  ``lengths`` is None for unit-length
     edges, or maps v to ``{w: l(v, w)}``
-    (:func:`repro.core.builder.edge_lengths`).  The directed IncSPC runs
-    this kernel too, once with in-labels and once with out-labels; here
-    both sides are L.
+    (:func:`repro.core.builder.edge_lengths`).  :func:`inc_spc` runs it
+    once per side: forward into L_in, backward into L_out.
     """
     entry = labels_of(va).get(h)
     if entry is None:

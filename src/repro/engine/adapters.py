@@ -19,10 +19,12 @@ from repro.core.decremental import dec_spc
 from repro.core.incremental import inc_spc
 from repro.core.index import SPCIndex
 from repro.core.stats import UpdateStats
-from repro.directed.builder import build_directed_spc_index
-from repro.directed.decremental import dec_spc_directed
-from repro.directed.incremental import inc_spc_directed
-from repro.directed.index import DirectedSPCIndex
+from repro.directed import (
+    DirectedSPCIndex,
+    build_directed_spc_index,
+    dec_spc_directed,
+    inc_spc_directed,
+)
 from repro.engine.backends import SPCBackend, register_backend
 from repro.exceptions import EngineError
 from repro.graph.directed import DiGraph
@@ -101,11 +103,6 @@ class DirectedBackend(SPCBackend):
                 "in": entries,
                 "out": out_labels.get(key, []),
             }
-
-    def check_invariants(self):
-        from repro.verify import check_invariants_directed
-
-        return check_invariants_directed(self.index)
 
 
 @register_backend

@@ -271,8 +271,8 @@ class SPCBackend(abc.ABC):
         Unlike :meth:`verify` this never touches the graph: it checks
         sortedness, self-labels, the rank constraint and the reverse hub
         map's consistency with the label sets.  The default suits any
-        backend whose index mirrors :class:`repro.core.index.SPCIndex`;
-        directed/SD-shaped indexes override.
+        backend whose index is a :class:`repro.core.index.SPCIndex`, one
+        side or two; the SD backend overrides.
         """
         from repro.verify import check_invariants
 

@@ -12,10 +12,10 @@ SPC-Index must satisfy regardless of the graph: per-vertex self-labels,
 rank-sorted hub arrays, the rank constraint (hubs rank at least as high as
 the label owner), positive counts and non-negative distances — plus the
 reverse-hub-map consistency rule: every (v, h) label entry appears in
-holders(h), and every holders entry is backed by a label.
-``check_invariants_directed`` applies the same rules to both label
-families of a directed index; ``check_sd_invariants`` / ``verify_sd`` are
-the distance-only siblings for the SD backend.
+holders(h), and every holders entry is backed by a label.  It applies the
+same rules to each side of the index: L, or L_in and L_out of a directed
+one.  ``check_sd_invariants`` / ``verify_sd`` are the distance-only
+siblings for the SD backend.
 """
 
 import random
@@ -102,20 +102,21 @@ def verify_espc(graph, index, sample_pairs=None, seed=0):
 
 
 def check_invariants(index):
-    """Validate structural invariants of an SPC-Index.
+    """Validate structural invariants of an SPC-Index, side by side.
 
-    Also verifies the reverse hub map when the index maintains one: the
-    map and the label sets must describe exactly the same (holder, hub)
-    relation.
+    Walks each of the index's sides (``SPCIndex.sides``): L on a one-sided
+    index, L_in and L_out on a directed one.  Each side's label family is
+    checked, and so is its reverse hub map when the index maintains one:
+    the map and the label sets must describe exactly the same
+    (holder, hub) relation.
     """
-    _check_label_family(
-        index.order, index.vertices(), index.label_set, "L"
-    )
-    holders_map = getattr(index, "holders_map", None)
-    if holders_map is not None:
-        _check_holders_consistency(
-            holders_map(), {v: index.label_set(v) for v in index.vertices()}, "L"
-        )
+    sides = index.sides()
+    families = ("L_in", "L_out") if len(sides) == 2 else ("L",)
+    for family, (labels, holders) in zip(families, sides):
+        _check_label_family(index.order, index.vertices(), labels.__getitem__,
+                            family)
+        if holders is not None:
+            _check_holders_consistency(holders, labels, family)
     return True
 
 
@@ -181,20 +182,6 @@ def _check_holders_consistency(holders, label_sets, family):
                     f"reverse hub map claims {v} holds hub rank {h} in "
                     f"{family}, but no such label exists"
                 )
-    return True
-
-
-def check_invariants_directed(index):
-    """Directed-index structural invariants: both families, both maps."""
-    sides = (
-        ("L_in", index.in_label_set, index.in_holders_map),
-        ("L_out", index.out_label_set, index.out_holders_map),
-    )
-    for family, label_of, holders_map in sides:
-        _check_label_family(index.order, index.vertices(), label_of, family)
-        _check_holders_consistency(
-            holders_map(), {v: label_of(v) for v in index.vertices()}, family
-        )
     return True
 
 

@@ -87,15 +87,20 @@ class TestResultShape:
     def test_weighted_rows_share_the_columns(self):
         result = run(tiny_config())
         lat = result.extra["update_latency"]
-        assert set(lat) == {"insert", "delete", "weighted_insert",
+        assert set(lat) == {"insert", "delete", "directed_insert",
+                            "directed_delete", "weighted_insert",
                             "weighted_delete"}
         # Five weighted insertions, plus the weight decreases among the
         # stream's weight changes.
         assert lat["weighted_insert"]["count"] >= 5
         assert lat["weighted_delete"]["count"] >= 2
         assert lat["weighted_delete"]["kept_mean"] >= 0
+        assert lat["directed_insert"]["count"] == lat["insert"]["count"]
+        assert lat["directed_delete"]["count"] == lat["delete"]["count"]
+        assert lat["directed_delete"]["kept_mean"] >= 0
         rows = {row[0]: row for row in result.tables[2].rows}
-        assert set(rows) == {"insert", "delete", "weighted insert",
+        assert set(rows) == {"insert", "delete", "directed insert",
+                             "directed delete", "weighted insert",
                              "weighted delete"}
         assert all(len(row) == len(result.tables[2].columns)
                    for row in rows.values())

@@ -8,15 +8,33 @@ Table 2 verbatim, in vertex-id space.
 ``no_leaked_spc_threads`` (autouse) fails any test that leaves a thread
 it started — one whose name begins ``spc-``: a service writer, replica,
 shard or auditor — still running after a 1 s grace.
+
+The suite runs with ``-W error::DeprecationWarning``.  When a hypothesis
+test fails, hypothesis imports ``hypothesis.extra._patching`` to print an
+explicit-example patch; with libcst installed that import warns
+``mypy_extensions.TypedDict is deprecated``, and the error turns the
+report into an INTERNALERROR with no test name or falsifying example.  The
+module is imported once here with only that warning ignored, so the later
+import is cached and silent.  Without libcst there is nothing to import.
 """
 
 import threading
 import time
+import warnings
 
 import pytest
 
 from repro.graph import Graph
 from repro.order import VertexOrder
+
+with warnings.catch_warnings():
+    warnings.filterwarnings(
+        "ignore", message="mypy_extensions.TypedDict is deprecated",
+        category=DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 # Figure 2 example graph: v0..v11 with the ordering v0 <= v1 <= ... <= v11.
 PAPER_EDGES = [

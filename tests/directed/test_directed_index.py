@@ -76,6 +76,6 @@ class TestDirectedIndexApi:
         g = DiGraph.from_edges([(0, 1), (1, 2), (0, 2)])
         index = build_directed_spc_index(g, strategy="natural")
         # Forward pre-query from the top-ranked hub sees no higher hubs.
-        assert index.pre_query_forward(0, 2) == (INF, 0)
-        d, _ = index.pre_query_forward(1, 2)
+        assert index.pre_query(0, 2) == (INF, 0)
+        d, _ = index.pre_query(1, 2)
         assert d >= index.distance(1, 2)

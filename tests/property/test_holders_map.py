@@ -11,9 +11,13 @@ from hypothesis import strategies as st
 
 from repro.core import build_spc_index, dec_spc, inc_spc
 from repro.core.index import SPCIndex
-from repro.directed import build_directed_spc_index, dec_spc_directed, inc_spc_directed
-from repro.directed.index import DirectedSPCIndex
-from repro.verify import check_invariants, check_invariants_directed
+from repro.directed import (
+    DirectedSPCIndex,
+    build_directed_spc_index,
+    dec_spc_directed,
+    inc_spc_directed,
+)
+from repro.verify import check_invariants
 from repro.weighted import (
     build_weighted_spc_index,
     dec_spc_weighted,
@@ -40,18 +44,10 @@ def recompute_holders(label_sets):
 
 
 def assert_holders_exact(index):
-    label_of = (
-        {v: index.label_set(v) for v in index.vertices()}
-        if hasattr(index, "label_set")
-        else None
-    )
-    if label_of is not None:
-        assert index.holders_map() == recompute_holders(label_of)
-    else:
-        lin = {v: index.in_label_set(v) for v in index.vertices()}
-        lout = {v: index.out_label_set(v) for v in index.vertices()}
-        assert index.in_holders_map() == recompute_holders(lin)
-        assert index.out_holders_map() == recompute_holders(lout)
+    lin = {v: index.in_label_set(v) for v in index.vertices()}
+    lout = {v: index.out_label_set(v) for v in index.vertices()}
+    assert index.in_holders_map() == recompute_holders(lin)
+    assert index.out_holders_map() == recompute_holders(lout)
 
 
 class TestCoreHoldersMap:
@@ -120,7 +116,7 @@ class TestDirectedHoldersMap:
                     continue
                 dec_spc_directed(g, index, *arcs[idx % len(arcs)])
             assert_holders_exact(index)
-        assert check_invariants_directed(index)
+        assert check_invariants(index)
 
     @settings(max_examples=15, **COMMON)
     @given(g=small_digraphs())

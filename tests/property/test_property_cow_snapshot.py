@@ -47,12 +47,10 @@ def label_state(index, name, v):
 
 def label_objects(index, name):
     """Every mutable label object the index holds, by identity."""
-    if name == "directed":
-        sets = [*index._lin.values(), *index._lout.values()]
-    elif name == "sd":
+    if name == "sd":
         sets = [arrays[0] for arrays in index._labels.values()]
     else:
-        sets = list(index._labels.values())
+        sets = [ls for labels, _ in index.sides() for ls in labels.values()]
     return {id(x) for x in sets}
 
 

@@ -24,7 +24,6 @@ insert/delete/weight-change streams, weighted, after every update:
 """
 
 import heapq
-from contextlib import ExitStack
 from typing import Callable, NamedTuple
 from unittest import mock
 
@@ -33,7 +32,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.decremental
-import repro.directed.decremental
 from repro.core import build_spc_index, dec_spc, inc_spc
 from repro.core.decremental import (
     dec_bfs,
@@ -48,11 +46,7 @@ from repro.graph import Graph, erdos_renyi, random_weighted
 from repro.order import VertexOrder
 from repro.traversal.bfs import bfs_counting_sssp, directed_bfs_counting_sssp
 from repro.traversal.dijkstra import dijkstra_counting_sssp
-from repro.verify import (
-    check_invariants,
-    check_invariants_directed,
-    verify_espc,
-)
+from repro.verify import check_invariants, verify_espc
 from repro.weighted import (
     build_weighted_spc_index,
     dec_spc_weighted,
@@ -283,10 +277,8 @@ def no_self_seed_dec_bfs(step, back, labels_of, root_labels, holders, rank,
 
 def checked_delete(delete, *args):
     """Run the maintained driver with the self-seed assertion in place."""
-    with ExitStack() as stack:
-        for module in (repro.core.decremental, repro.directed.decremental):
-            stack.enter_context(
-                mock.patch.object(module, "dec_bfs", no_self_seed_dec_bfs))
+    with mock.patch.object(repro.core.decremental, "dec_bfs",
+                           no_self_seed_dec_bfs):
         return delete(*args)
 
 
@@ -369,7 +361,7 @@ DIRECTED = Family(
     build_directed_spc_index, _unit_updates(inc_spc_directed, dec_spc_directed),
     _unit_updates(inc_spc_directed, reference_dec_spc_directed),
     lambda vs: [(u, v) for u in vs for v in vs if u != v],
-    _directed_sides, verify_espc, check_invariants_directed,
+    _directed_sides, verify_espc, check_invariants,
 )
 WEIGHTED = Family(
     build_weighted_spc_index, weighted_update, reference_weighted_update,

@@ -31,20 +31,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import repro.core.decremental
-import repro.directed.decremental
 from repro.core import build_spc_index, dec_spc, inc_spc
 from repro.core.labels import prequery_prunes
 from repro.core.stats import UpdateStats
 from repro.directed import build_directed_spc_index, dec_spc_directed, inc_spc_directed
 from repro.graph import DiGraph, Graph, erdos_renyi, path_graph
 from repro.order import VertexOrder
-from repro.verify import check_invariants, check_invariants_directed, verify_espc
+from repro.verify import check_invariants, verify_espc
 from tests.property.strategies import small_digraphs, small_graphs
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
-#: The drivers call ``dec_bfs`` through these module globals.
-DRIVER_MODULES = (repro.core.decremental, repro.directed.decremental)
+#: The drivers of every family call ``dec_bfs`` through these module globals.
+DRIVER_MODULES = (repro.core.decremental,)
 
 #: The kernel under test, bound before any patching.
 SEEDED = repro.core.decremental.dec_bfs
@@ -226,7 +225,7 @@ class TestStreamsMatchFullBfs:
         _, index = _run_stream(g, build_directed_spc_index,
                                inc_spc_directed, dec_spc_directed, ops,
                                _directed_pairs)
-        assert check_invariants_directed(index)
+        assert check_invariants(index)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_graph_churn(self, seed):
@@ -307,6 +306,6 @@ class TestNamedCases:
         rank_2 = index.order.rank_map()[2]
         assert index.in_label_set(2).get(rank_2) == (0, 1)
         assert index.out_label_set(2).get(rank_2) == (0, 1)
-        assert check_invariants_directed(index)
+        assert check_invariants(index)
         assert index.query(2, 1) == (float("inf"), 0)
         assert index.query(1, 0) == (2, 1)

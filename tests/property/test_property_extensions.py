@@ -75,7 +75,7 @@ class TestDirectedProperty:
     @settings(max_examples=30, **COMMON)
     @given(g=small_graphs())
     def test_symmetric_digraph_matches_undirected(self, g):
-        """The directed builder runs the undirected kernel once per side, so
+        """On a directed index the builder pushes each hub forward and back, so
         on the symmetric digraph of G both sides equal G's labels."""
         order = list(make_order(g, "degree"))
         dg = DiGraph()

@@ -38,8 +38,8 @@ from tests.property.strategies import small_digraphs, small_graphs
 INF = float("inf")
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
-# The directed and weighted backends run the core kernels, so patching
-# core covers them.
+# The directed and weighted families run core's drivers and kernels, so
+# patching core covers them.
 KERNEL_MODULES = (repro.core.decremental, repro.core.incremental)
 
 

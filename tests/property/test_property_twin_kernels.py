@@ -30,8 +30,6 @@ from hypothesis import strategies as st
 
 import repro.core.decremental
 import repro.core.incremental
-import repro.directed.decremental
-import repro.directed.incremental
 from repro.core import build_spc_index, dec_spc, inc_spc
 from repro.directed import build_directed_spc_index, dec_spc_directed, inc_spc_directed
 from repro.graph import Graph, WeightedGraph
@@ -203,12 +201,11 @@ def ref_dec_bfs(step, back, labels_of, root_labels, holders, rank, h_vertex,
             stats.removed += 1
 
 
-#: (module, name, reference): every place a driver looks a kernel up.
+#: (module, name, reference): every place a driver looks a kernel up.  The
+#: drivers of all three families are core's.
 REFERENCES = (
     (repro.core.incremental, "inc_bfs", ref_inc_bfs),
-    (repro.directed.incremental, "inc_bfs", ref_inc_bfs),
     (repro.core.decremental, "dec_bfs", ref_dec_bfs),
-    (repro.directed.decremental, "dec_bfs", ref_dec_bfs),
 )
 
 
