@@ -20,8 +20,8 @@ path counting on every graph family.
 Package map (see DESIGN.md for the full inventory):
 
 * :mod:`repro.graph` — graph substrates and generators;
-* :mod:`repro.core` — SPC-Index, HP-SPC builder, IncSPC / DecSPC;
-* :mod:`repro.directed` / :mod:`repro.weighted` — the appendix extensions;
+* :mod:`repro.core` — SPC-Index, HP-SPC builder, IncSPC / DecSPC, for
+  undirected, directed (Appendix C.1) and weighted (Appendix C.2) graphs;
 * :mod:`repro.engine` — the backend-agnostic serving engine (``repro.open``);
 * :mod:`repro.serve` — snapshot-isolated concurrent serving + WAL durability;
 * :mod:`repro.cluster` — WAL-replicated multi-replica serving + query router;

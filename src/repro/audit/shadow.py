@@ -154,8 +154,6 @@ class ShadowAuditor(StreamFollower):
         """(Re)build the shadow graph from the primary's checkpoint payload."""
         backend_cls = get_backend(payload["backend"])
         self._backend_name = backend_cls.name
-        self._directed = backend_cls.directed
-        self._weighted = backend_cls.weighted
         self._counts = backend_cls.counts
         graph = graph_from_payload(payload["graph"], backend_cls.graph_type)
         base_seq = payload.get("applied_seq", 0)
@@ -204,10 +202,7 @@ class ShadowAuditor(StreamFollower):
             expected = self._replayer.answer_at(
                 sample.seq,
                 lambda graph: baseline_answer(
-                    graph, sample.s, sample.t,
-                    directed=self._directed,
-                    weighted=self._weighted,
-                    counts=self._counts,
+                    graph, sample.s, sample.t, counts=self._counts
                 ),
             )
         except LookupError:

@@ -1,9 +1,10 @@
-"""Core: the SPC-Index, HP-SPC construction, and the DSPC update algorithms."""
+"""Core: the SPC-Index, HP-SPC construction, and the DSPC update algorithms,
+for undirected, directed (Appendix C.1) and weighted (Appendix C.2) graphs."""
 
 from repro.core.builder import build_spc_index
 from repro.core.decremental import dec_spc
 from repro.core.incremental import inc_spc
-from repro.core.index import SPCIndex
+from repro.core.index import DirectedSPCIndex, SPCIndex
 from repro.core.labels import ENTRY_BYTES, LabelSet, pack_entry, unpack_entry
 from repro.core.paths import (
     count_paths_through,
@@ -15,6 +16,7 @@ from repro.core.stats import StreamStats, UpdateStats
 
 __all__ = [
     "SPCIndex",
+    "DirectedSPCIndex",
     "LabelSet",
     "build_spc_index",
     "inc_spc",

@@ -72,13 +72,13 @@ def dec_spc(graph, index, a, b, stats=None, use_isolated_fast_path=True,
     """Delete edge (a, b) from ``graph`` and repair ``index`` (Algorithm 4).
 
     The graph mutation happens here, *after* SrrSEARCH probes G_i.
-    ``mutate`` replaces the edge removal: ``increase_weight`` passes one
-    that raises the edge's weight, and the isolated-vertex fast path, which
+    ``mutate`` replaces the edge removal: a weight increase passes one that
+    raises the edge's weight, and the isolated-vertex fast path, which
     strands an endpoint, is then skipped.  On a directed graph (a, b) is
-    the arc a → b, and the directed family passes
-    ``use_isolated_fast_path=False``: the fast path reads one degree and
-    one side.  Returns an :class:`UpdateStats` whose sr_a/sr_b/r_a/r_b
-    fields feed Table 5.
+    the arc a → b, and the fast path is never taken: it reads one degree
+    and one side.  ``use_isolated_fast_path=False`` turns it off on the
+    other families too (the ablation).  Returns an :class:`UpdateStats`
+    whose sr_a/sr_b/r_a/r_b fields feed Table 5.
     """
     if stats is None:
         stats = UpdateStats(kind="delete", edge=(a, b))
@@ -86,13 +86,14 @@ def dec_spc(graph, index, a, b, stats=None, use_isolated_fast_path=True,
     if not graph.has_edge(a, b):
         raise EdgeNotFound(a, b)
 
-    if (mutate is None and use_isolated_fast_path
+    forward, backward = edge_steps(graph)
+    # Steps that differ mean a directed graph: no fast path (DESIGN.md §4).
+    if (mutate is None and use_isolated_fast_path and forward == backward
             and try_isolated_fast_path(graph, index, a, b, stats)):
         return stats
 
     rank = index.order.rank_map()
     lin, lout = index.in_label_set, index.out_label_set
-    forward, backward = edge_steps(graph)
     lengths = edge_lengths(graph)
     w_ab = 1 if lengths is None else lengths(a)[b]
     # Common hubs of a and b (rank numbers), Condition A of each side.

@@ -49,7 +49,7 @@ def inc_spc(graph, index, a, b, stats=None, mutate=None):
     The graph mutation is performed here (line 1 of the algorithm); both
     endpoints must already exist — the dynamic facade handles new-vertex
     bookkeeping.  ``mutate`` replaces the unit edge insertion: the weighted
-    entry points pass one that adds a weighted edge or lowers a weight.
+    backend passes one that adds a weighted edge or lowers a weight.
     On a directed graph (a, b) is the arc a → b.  Returns an
     :class:`UpdateStats`.
     """

@@ -1,12 +1,17 @@
-"""The built-in backends: core (undirected), directed, weighted, sd.
+"""The built-in backends: core, directed and weighted counting, and sd.
 
-Each adapter is a thin, stateful wrapper over the corresponding function
-stack (``repro.core`` / ``repro.directed`` / ``repro.weighted`` /
-``repro.sd``) — no algorithmic logic lives here.  What the adapters buy is
-*uniformity*: the engine drives every family through the same five verbs
-(build / inc / dec / query / verify), which is what makes rebuild policies,
-streaming stats and batch coalescing graph-type-agnostic instead of
-core-only.
+Exact counting runs one backend class, :class:`CountingBackend`, over
+every graph family: core's builder and its IncSPC/DecSPC drivers read the
+steps and edge lengths from the graph (DESIGN.md §4), and the base
+class's shape hooks read weights and in-edges from the graph's type and
+the label payload's shape from the index's sides.  The registry keeps a
+name per family — ``core`` (:class:`Graph`), ``directed``
+(:class:`DiGraph`, Appendix C.1) and ``weighted`` (:class:`WeightedGraph`,
+Appendix C.2) — because checkpoints, ``config.backend`` and the shard and
+shadow lookups carry it; each name sets class attributes only.  No
+algorithmic logic lives here: what the backends buy is *uniformity*, the
+engine driving every family through the same five verbs (build / inc /
+dec / query / verify).
 
 The ``sd`` backend is never auto-selected (core wins the ``Graph`` match);
 request it explicitly — ``repro.open(g, backend="sd")`` — to serve
@@ -17,30 +22,17 @@ distance-only traffic from the lighter SD-Index.  Its queries answer
 from repro.core.builder import build_spc_index
 from repro.core.decremental import dec_spc
 from repro.core.incremental import inc_spc
-from repro.core.index import SPCIndex
+from repro.core.index import DirectedSPCIndex, SPCIndex
 from repro.core.stats import UpdateStats
-from repro.directed import (
-    DirectedSPCIndex,
-    build_directed_spc_index,
-    dec_spc_directed,
-    inc_spc_directed,
-)
 from repro.engine.backends import SPCBackend, register_backend
-from repro.exceptions import EngineError
 from repro.graph.directed import DiGraph
 from repro.graph.undirected import Graph
 from repro.graph.weighted import WeightedGraph
-from repro.weighted.builder import build_weighted_spc_index
-from repro.weighted.decremental import dec_spc_weighted, increase_weight
-from repro.weighted.incremental import decrease_weight, inc_spc_weighted
 
 
-@register_backend
-class CoreBackend(SPCBackend):
-    """Undirected, unweighted SPC over :class:`repro.graph.Graph` (§3)."""
+class CountingBackend(SPCBackend):
+    """Exact shortest-path counting over any graph family (§3, Appendix C)."""
 
-    name = "core"
-    graph_type = Graph
     index_type = SPCIndex
 
     def build_index(self):
@@ -48,17 +40,40 @@ class CoreBackend(SPCBackend):
 
     def insert_edge(self, a, b, weight=None):
         self.check_weight(weight)
-        return inc_spc(self.graph, self.index, a, b)
+        graph = self.graph
+        if weight is None:
+            return inc_spc(graph, self.index, a, b)
+        return inc_spc(graph, self.index, a, b,
+                       mutate=lambda: graph.add_edge(a, b, weight))
 
     def delete_edge(self, a, b):
-        return dec_spc(
-            self.graph, self.index, a, b,
-            use_isolated_fast_path=self.config.use_isolated_fast_path,
-        )
+        return dec_spc(self.graph, self.index, a, b)
+
+    def set_weight(self, a, b, new_weight):
+        graph = self.graph
+        if not isinstance(graph, WeightedGraph):
+            return super().set_weight(a, b, new_weight)
+        old = graph.weight(a, b)
+        if new_weight == old:
+            return UpdateStats(kind="noop", edge=(a, b))
+        # A decrease can only add shortest paths over (a, b): IncSPC with
+        # the new weight.  An increase can only lose some: DecSPC with the
+        # old one, which SrrSEARCH reads before the mutation.
+        repair = inc_spc if new_weight < old else dec_spc
+        return repair(graph, self.index, a, b,
+                      mutate=lambda: graph.set_weight(a, b, new_weight))
 
 
 @register_backend
-class DirectedBackend(SPCBackend):
+class CoreBackend(CountingBackend):
+    """Undirected, unweighted SPC over :class:`repro.graph.Graph` (§3)."""
+
+    name = "core"
+    graph_type = Graph
+
+
+@register_backend
+class DirectedBackend(CountingBackend):
     """Directed SPC over :class:`repro.graph.DiGraph` (Appendix C.1)."""
 
     name = "directed"
@@ -66,86 +81,13 @@ class DirectedBackend(SPCBackend):
     index_type = DirectedSPCIndex
     directed = True
 
-    def build_index(self):
-        return build_directed_spc_index(self.graph, strategy=self.config.strategy)
-
-    def insert_edge(self, a, b, weight=None):
-        self.check_weight(weight)
-        return inc_spc_directed(self.graph, self.index, a, b)
-
-    def delete_edge(self, a, b):
-        return dec_spc_directed(self.graph, self.index, a, b)
-
-    def initial_edges(self, v, edges, in_edges=()):
-        # ``edges`` are out-arcs v -> u; ``in_edges`` are in-arcs u -> v.
-        return [(v, u, None) for u in edges] + [(u, v, None) for u in in_edges]
-
-    def incident_edges(self, v):
-        return [(v, w) for w in self.graph.successors(v)] + [
-            (u, v) for u in self.graph.predecessors(v)
-        ]
-
-    def label_payload(self, v):
-        # Both families travel together: the shard query path needs
-        # L_out(s) and L_in(t) of the *same* vertex state.
-        if v not in self.index:
-            return None
-        return {
-            "in": [[h, d, c] for h, d, c in self.index.in_label_set(v)],
-            "out": [[h, d, c] for h, d, c in self.index.out_label_set(v)],
-        }
-
-    @classmethod
-    def iter_label_payloads(cls, index_payload, vertex_type=int):
-        out_labels = index_payload["out_labels"]
-        for key, entries in index_payload["in_labels"].items():
-            yield vertex_type(key), {
-                "in": entries,
-                "out": out_labels.get(key, []),
-            }
-
 
 @register_backend
-class WeightedBackend(SPCBackend):
+class WeightedBackend(CountingBackend):
     """Weighted SPC over :class:`repro.graph.WeightedGraph` (Appendix C.2)."""
 
     name = "weighted"
     graph_type = WeightedGraph
-    index_type = SPCIndex
-    weighted = True
-
-    def check_weight(self, weight):
-        if weight is None:
-            raise EngineError(
-                "the weighted backend requires a weight for edge insertion"
-            )
-
-    def build_index(self):
-        return build_weighted_spc_index(self.graph, strategy=self.config.strategy)
-
-    def insert_edge(self, a, b, weight=None):
-        self.check_weight(weight)
-        return inc_spc_weighted(self.graph, self.index, a, b, weight)
-
-    def delete_edge(self, a, b):
-        return dec_spc_weighted(
-            self.graph, self.index, a, b,
-            use_isolated_fast_path=self.config.use_isolated_fast_path,
-        )
-
-    def set_weight(self, a, b, new_weight):
-        old = self.graph.weight(a, b)
-        if new_weight == old:
-            return UpdateStats(kind="noop", edge=(a, b))
-        if new_weight < old:
-            return decrease_weight(self.graph, self.index, a, b, new_weight)
-        return increase_weight(self.graph, self.index, a, b, new_weight)
-
-    def initial_edges(self, v, edges, in_edges=()):
-        if in_edges:
-            raise EngineError("the weighted backend has no in-edges")
-        # ``edges`` are (neighbor, weight) pairs.
-        return [(v, u, w) for u, w in edges]
 
 
 @register_backend
@@ -160,10 +102,10 @@ class SDBackend(SPCBackend):
     decremental repair, so deletions rebuild the index — cheap relative to
     the SPC build, and honest about the trade-off.
 
-    Inside an update batch (``config.sd_defer_rebuilds``) consecutive
-    deletions coalesce: each one only removes its edge from the graph, and
-    the rebuild runs once — at the end of the batch, or earlier if an
-    insertion needs a current index to repair incrementally.  Deferral is
+    Inside an update batch consecutive deletions coalesce: each one only
+    removes its edge from the graph, and the rebuild runs once — at the
+    end of the batch, or earlier if an insertion needs a current index to
+    repair incrementally.  Deferral is
     confined to the engine's batch hooks, so queries never see a stale
     index.
     """
@@ -194,8 +136,7 @@ class SDBackend(SPCBackend):
         return build_sd_index(self.graph, strategy=self.config.strategy)
 
     def begin_update_batch(self):
-        if self.config.sd_defer_rebuilds:
-            self._in_batch = True
+        self._in_batch = True
 
     def end_update_batch(self):
         self._in_batch = False

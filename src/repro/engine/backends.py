@@ -18,6 +18,8 @@ one) without touching the engine, as long as it implements
 import abc
 
 from repro.exceptions import EngineError
+from repro.graph.directed import DiGraph
+from repro.graph.weighted import WeightedGraph
 
 _REGISTRY = {}
 
@@ -25,14 +27,17 @@ _REGISTRY = {}
 class SPCBackend(abc.ABC):
     """One graph family's build / inc / dec / query implementation.
 
-    Subclasses set three class attributes —
+    Subclasses set their class attributes —
 
     * ``name`` — the registry key (``config.backend`` selects by it);
     * ``graph_type`` — the graph class auto-selection matches on;
-    * ``weighted`` / ``directed`` — capability flags the engine consults
-      (query-key symmetry, weight handling, vertex-op shapes).
+    * ``directed`` — whether answers are ordered pairs (the engine's
+      query-cache key, the shard store's label shape).
 
     Instances hold ``graph``, ``index`` and the :class:`EngineConfig`.
+    The shape hooks below (weights, in-edges, label payloads) read the
+    graph's type and the index's sides, so one implementation serves
+    every family.
     """
 
     name = None
@@ -41,7 +46,6 @@ class SPCBackend(abc.ABC):
     #: rehydrate checkpoints (see :meth:`index_from_dict`).
     index_type = None
     directed = False
-    weighted = False
     #: whether queries answer exact path counts; distance-only families
     #: (the sd backend) serve ``(sd, None)``, and auditors must compare
     #: only the distance half of their answers.
@@ -149,27 +153,37 @@ class SPCBackend(abc.ABC):
     def label_payload(self, v):
         """JSON-safe label state of one vertex, or ``None`` if it is gone.
 
-        The default suits any index mirroring ``SPCIndex`` (one label set
-        per vertex, hub ranks): a ``[[hub_rank, dist, count], ...]`` list.
-        Directed/SD-shaped indexes override with their own shape; shards
-        rehydrate through :meth:`iter_label_payloads`-compatible filters.
+        The default suits any index mirroring ``SPCIndex`` (hub ranks,
+        ``sides()``): one side is a ``[[hub_rank, dist, count], ...]``
+        list; two sides travel together as ``{"in": ..., "out": ...}``,
+        since the shard query path needs L_out(s) and L_in(t) of the
+        *same* vertex state.  SD-shaped indexes override; shards rehydrate
+        through :meth:`iter_label_payloads`-compatible filters.
         """
-        from repro.exceptions import VertexNotFound
-
-        try:
-            ls = self.index.label_set(v)
-        except VertexNotFound:
+        index = self.index
+        if v not in index:
             return None
-        return [[h, d, c] for h, d, c in ls]
+        sides = [[[h, d, c] for h, d, c in labels[v]]
+                 for labels, _ in index.sides()]
+        return sides[0] if len(sides) == 1 else dict(zip(("in", "out"), sides))
 
     @classmethod
     def iter_label_payloads(cls, index_payload, vertex_type=int):
         """Yield ``(vertex, label_payload)`` for every vertex in a
         checkpointed index payload — the slice-restricted-restore seam:
         shards filter each payload to their hub range instead of
-        materializing the full index."""
-        for key, entries in index_payload["labels"].items():
-            yield vertex_type(key), entries
+        materializing the full index.  A one-sided payload holds
+        ``labels``, a two-sided one ``in_labels`` and ``out_labels``."""
+        if "labels" in index_payload:
+            for key, entries in index_payload["labels"].items():
+                yield vertex_type(key), entries
+            return
+        out_labels = index_payload["out_labels"]
+        for key, entries in index_payload["in_labels"].items():
+            yield vertex_type(key), {
+                "in": entries,
+                "out": out_labels.get(key, []),
+            }
 
     @classmethod
     def index_from_dict(cls, payload):
@@ -201,10 +215,17 @@ class SPCBackend(abc.ABC):
     def check_weight(self, weight):
         """Validate an insert_edge weight *before* any mutation happens.
 
-        The engine calls this ahead of endpoint auto-creation so a doomed
-        insertion cannot leave half-registered vertices behind.
+        A :class:`WeightedGraph` requires one; every other graph refuses
+        one.  The engine calls this ahead of endpoint auto-creation so a
+        doomed insertion cannot leave half-registered vertices behind.
         """
-        if weight is not None:
+        if isinstance(self.graph, WeightedGraph):
+            if weight is None:
+                raise EngineError(
+                    f"the {self.name} backend requires a weight for edge "
+                    f"insertion"
+                )
+        elif weight is not None:
             raise EngineError(
                 f"the {self.name} backend takes no edge weights"
             )
@@ -238,16 +259,32 @@ class SPCBackend(abc.ABC):
     # ------------------------------------------------------------------
 
     def initial_edges(self, v, edges, in_edges=()):
-        """Normalize an insert_vertex edge spec to (a, b, weight) triples."""
+        """Normalize an insert_vertex edge spec to (a, b, weight) triples.
+
+        ``edges`` are neighbors — out-arcs v -> u on a :class:`DiGraph`,
+        (neighbor, weight) pairs on a :class:`WeightedGraph`; ``in_edges``
+        are the in-arcs u -> v only a DiGraph has.
+        """
+        graph = self.graph
+        if isinstance(graph, DiGraph):
+            return ([(v, u, None) for u in edges]
+                    + [(u, v, None) for u in in_edges])
         if in_edges:
             raise EngineError(
                 f"backend {self.name!r} has no in-edges; pass edges= only"
             )
+        if isinstance(graph, WeightedGraph):
+            return [(v, u, w) for u, w in edges]
         return [(v, u, None) for u in edges]
 
     def incident_edges(self, v):
         """Every edge a delete_vertex must remove, as (a, b) pairs."""
-        return [(v, u) for u in self.graph.neighbors(v)]
+        graph = self.graph
+        if isinstance(graph, DiGraph):
+            return [(v, w) for w in graph.successors(v)] + [
+                (u, v) for u in graph.predecessors(v)
+            ]
+        return [(v, u) for u in graph.neighbors(v)]
 
     # ------------------------------------------------------------------
     # Verification

@@ -1,11 +1,12 @@
 """Engine configuration: one validated dataclass instead of kwarg sprawl.
 
-The three legacy facades each accepted a different, partially-overlapping
-set of keyword arguments (``strategy``, ``rebuild_every``,
-``rebuild_drift_threshold``, ``use_isolated_fast_path``, ...).
 :class:`EngineConfig` collects every serving- and maintenance-path knob in
 one frozen, validated object that any backend can consume; unknown or
 nonsensical settings fail at construction time, not deep inside an update.
+
+Two behaviours are not knobs: DecSPC takes the §3.2.3 isolated-vertex
+fast path wherever it applies (never on a directed graph), and the SD
+backend folds the deletions of one update batch into a single rebuild.
 """
 
 import dataclasses
@@ -21,8 +22,9 @@ class EngineConfig:
     Parameters
     ----------
     backend:
-        Explicit backend name (``"core"``, ``"directed"``, ``"weighted"``).
-        ``None`` (the default) auto-selects from the graph type.
+        Explicit backend name (``"core"``, ``"directed"``, ``"weighted"``,
+        ``"sd"``).  ``None`` (the default) auto-selects from the graph
+        type.
     strategy:
         Vertex-ordering strategy handed to the index builder (§2.2).
     rebuild_every:
@@ -33,24 +35,12 @@ class EngineConfig:
         this value (see :mod:`repro.order.drift`); ``None`` disables.
     drift_check_every:
         How often (in updates) the drift threshold is evaluated.
-    use_isolated_fast_path:
-        Enable the decremental fast path for edges whose deletion isolates
-        an endpoint: it skips the SrrSEARCH/hub-repair machinery, paying
-        only an O(n) sweep that clears the stranded vertex's hub from
-        other label sets (see repro/core/decremental.py).
     coalesce_batches:
         Net-effect coalescing in :meth:`SPCEngine.apply_batch` — churn that
         cancels out inside a batch is never applied to the index.
     cache_size:
         Capacity of the epoch-invalidated LRU query cache; ``0`` disables
         caching entirely.
-    sd_defer_rebuilds:
-        SD backend only: inside an update batch (``apply_stream`` /
-        ``apply_batch``, bracketed by the backend batch hooks), coalesce
-        the rebuild-on-delete policy into a single rebuild per batch
-        instead of one per deletion.  Queries never observe the deferred
-        state — the engine rebuilds before the batch call returns — so
-        this is purely a cost knob for delete-heavy SD traffic.
 
     Example
     -------
@@ -65,10 +55,8 @@ class EngineConfig:
     rebuild_every: int = None
     rebuild_drift_threshold: float = None
     drift_check_every: int = 50
-    use_isolated_fast_path: bool = True
     coalesce_batches: bool = True
     cache_size: int = 1024
-    sd_defer_rebuilds: bool = True
 
     def __post_init__(self):
         if self.rebuild_every is not None and self.rebuild_every < 1:

@@ -30,6 +30,7 @@ from repro.engine.backends import backend_for_graph, get_backend
 from repro.engine.cache import QueryCache
 from repro.engine.config import EngineConfig
 from repro.exceptions import EngineError
+from repro.traversal import ground_truth
 
 
 def source_probe_or_merge(index, s, group_size):
@@ -48,32 +49,24 @@ def source_probe_or_merge(index, s, group_size):
     return lambda t: index.query(s, t)
 
 
-def baseline_answer(graph, s, t, directed=False, weighted=False, counts=True):
+def baseline_answer(graph, s, t, counts=True):
     """Recompute (sd, spc) for one pair by direct traversal — no index.
 
     The trusted-baseline primitive of the audit subsystem
-    (:mod:`repro.audit`): answers come from the reference traversals in
-    :mod:`repro.traversal`, so they are correct by construction whatever
-    state the maintained labels are in.  ``counts=False`` mirrors the
+    (:mod:`repro.audit`): answers come from the reference traversal for
+    the graph's type (:func:`repro.traversal.ground_truth`: BFS, directed
+    BFS or Dijkstra), so they are correct by construction whatever state
+    the maintained labels are in.  ``counts=False`` mirrors the
     distance-only families and answers ``(sd, None)``.
 
     Endpoints absent from the graph answer ``(inf, 0)`` — the same
     convention the indexes use for unreachable pairs.
     """
-    from repro.traversal import (
-        bfs_counting_pair,
-        dijkstra_counting_pair,
-        directed_bfs_counting_pair,
-    )
-
     if not (graph.has_vertex(s) and graph.has_vertex(t)):
         d, c = float("inf"), 0
-    elif directed:
-        d, c = directed_bfs_counting_pair(graph, s, t)
-    elif weighted:
-        d, c = dijkstra_counting_pair(graph, s, t)
     else:
-        d, c = bfs_counting_pair(graph, s, t)
+        _, pair_search, _ = ground_truth(graph)
+        d, c = pair_search(graph, s, t)
     if not counts:
         return d, None
     return d, c
@@ -289,12 +282,7 @@ class SPCEngine:
         is corrupt.
         """
         backend = self._backend
-        return baseline_answer(
-            backend.graph, s, t,
-            directed=backend.directed,
-            weighted=backend.weighted,
-            counts=backend.counts,
-        )
+        return baseline_answer(backend.graph, s, t, counts=backend.counts)
 
     def cache_info(self):
         """Query-cache counters, or ``None`` when caching is disabled."""

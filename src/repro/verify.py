@@ -21,25 +21,9 @@ siblings for the SD backend.
 import random
 
 from repro.exceptions import IndexCorruption
-from repro.graph.directed import DiGraph
-from repro.graph.weighted import WeightedGraph
-from repro.traversal.bfs import bfs_counting_sssp, directed_bfs_counting_sssp
-from repro.traversal.dijkstra import dijkstra_counting_sssp
+from repro.traversal import bfs_counting_sssp, ground_truth
 
 INF = float("inf")
-
-
-def _ground_truth(graph):
-    """Return (counting SSSP, exhaustive threshold) for ``graph``'s family.
-
-    A Dijkstra source costs more than a BFS one, so weighted graphs switch
-    to a pair sample sooner.
-    """
-    if isinstance(graph, WeightedGraph):
-        return dijkstra_counting_sssp, 200
-    if isinstance(graph, DiGraph):
-        return directed_bfs_counting_sssp, 300
-    return bfs_counting_sssp, 400
 
 
 def _pairs_by_source(vertices, sample_pairs, seed, exhaustive_threshold):
@@ -84,7 +68,7 @@ def verify_espc(graph, index, sample_pairs=None, seed=0):
         requests that many sampled pairs (drawn with ``seed``); an
         iterable of (s, t) pairs is used verbatim.
     """
-    sssp, exhaustive_threshold = _ground_truth(graph)
+    sssp, _, exhaustive_threshold = ground_truth(graph)
     vertices = sorted(graph.vertices())
     by_source = _pairs_by_source(vertices, sample_pairs, seed, exhaustive_threshold)
     for s, ts in by_source.items():

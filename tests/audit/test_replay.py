@@ -166,5 +166,5 @@ class TestReplayer:
                     apply_graph_update(fresh, update)
             for s, t in [(vs[0], vs[-1]), (vs[1], vs[2])]:
                 assert replayer.answer_at(
-                    seq, lambda graph: baseline_answer(graph, s, t, **flags)
-                ) == baseline_answer(fresh, s, t, **flags)
+                    seq, lambda graph: baseline_answer(graph, s, t)
+                ) == baseline_answer(fresh, s, t)

@@ -18,14 +18,15 @@ import random
 from repro.core import build_spc_index, dec_spc, inc_spc
 from repro.graph import random_weighted
 from repro.verify import verify_espc
-from repro.weighted import build_weighted_spc_index, decrease_weight, increase_weight
+
+from tests.weighted.updates import decrease_weight, increase_weight
 
 
 class TestWeightedRegression:
     def test_original_failing_sequence(self):
         """The exact weight-churn sequence that exposed the H_ab gate hole."""
         g = random_weighted(12, 24, max_weight=5, seed=3)
-        index = build_weighted_spc_index(g)
+        index = build_spc_index(g)
         ops = [
             (6, 10, 2), (7, 9, 4), (7, 9, 5), (2, 10, 6), (3, 9, 6),
             (0, 1, 1), (1, 10, 3), (7, 10, 2), (2, 7, 6), (0, 4, 2),

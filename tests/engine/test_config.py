@@ -14,7 +14,6 @@ class TestDefaults:
         assert cfg.rebuild_every is None
         assert cfg.rebuild_drift_threshold is None
         assert cfg.drift_check_every == 50
-        assert cfg.use_isolated_fast_path is True
         assert cfg.coalesce_batches is True
         assert cfg.cache_size == 1024
 

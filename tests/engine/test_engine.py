@@ -5,7 +5,7 @@ import random
 import pytest
 
 import repro
-from repro.engine import EngineConfig, SPCEngine
+from repro.engine import EngineConfig, SPCEngine, baseline_answer
 from repro.exceptions import EngineError
 from repro.graph import DiGraph, Graph, WeightedGraph, erdos_renyi, path_graph
 from repro.traversal.bfs import bfs_counting_sssp, directed_bfs_counting_sssp
@@ -426,3 +426,26 @@ class TestEngineMisc:
 
     def test_repr_names_backend(self):
         assert "backend='core'" in repr(repro.open(path_graph(3)))
+
+
+class TestBaselineAnswer:
+    """``baseline_answer`` picks its traversal from the graph's type."""
+
+    def test_weighted_graph_counts_by_length(self):
+        # The hop count would answer (1, 1): the direct edge is longest.
+        g = WeightedGraph.from_edges([(0, 1, 5), (1, 2, 1), (0, 2, 1)])
+        assert baseline_answer(g, 0, 1) == (2, 1)
+
+    def test_directed_graph_follows_arcs(self):
+        g = DiGraph.from_edges([(0, 1), (1, 2)])
+        assert baseline_answer(g, 0, 2) == (2, 1)
+        assert baseline_answer(g, 2, 0) == (INF, 0)
+
+    def test_engine_recompute_matches_query_on_every_family(self):
+        graphs = [path_graph(4), DiGraph.from_edges([(0, 1), (1, 2), (2, 0)]),
+                  WeightedGraph.from_edges([(0, 1, 5), (1, 2, 1), (0, 2, 1)])]
+        for g in graphs:
+            engine = repro.open(g)
+            for s in g.vertices():
+                for t in g.vertices():
+                    assert engine.recompute(s, t) == engine.query(s, t)

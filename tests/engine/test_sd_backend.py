@@ -141,7 +141,7 @@ class TestInvariants:
 
 
 class TestBatchedRebuild:
-    """config.sd_defer_rebuilds: one rebuild per drained batch of deletes."""
+    """One rebuild per drained batch of deletes."""
 
     def test_delete_batch_rebuilds_once(self):
         engine = repro.open(erdos_renyi(20, 40, seed=2), backend="sd")
@@ -165,17 +165,6 @@ class TestBatchedRebuild:
                            coalesce=False)
         assert engine.backend.rebuild_count == before + 1
         assert engine.query(2, 3) == (5, None)  # 2-1-0-5-4-3
-        assert engine.check()
-
-    def test_knob_off_rebuilds_per_delete(self):
-        engine = repro.open(erdos_renyi(20, 40, seed=2), backend="sd",
-                            sd_defer_rebuilds=False)
-        edges = sorted(engine.graph.edges())[:4]
-        before = engine.backend.rebuild_count
-        from repro.workloads import DeleteEdge
-
-        engine.apply_batch([DeleteEdge(u, v) for u, v in edges])
-        assert engine.backend.rebuild_count == before + 4
         assert engine.check()
 
     def test_single_delete_outside_batch_rebuilds_immediately(self, sd_engine):

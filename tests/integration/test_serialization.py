@@ -3,12 +3,10 @@
 import json
 
 import repro
-from repro.core import SPCIndex, build_spc_index, dec_spc, inc_spc
-from repro.directed import DirectedSPCIndex, build_directed_spc_index
+from repro.core import DirectedSPCIndex, SPCIndex, build_spc_index, dec_spc, inc_spc
 from repro.engine.adapters import WeightedBackend
 from repro.graph import WeightedGraph, erdos_renyi, random_directed, random_weighted
 from repro.verify import check_invariants
-from repro.weighted import build_weighted_spc_index
 
 
 def _roundtrip(payload):
@@ -38,7 +36,7 @@ class TestUndirectedSerialization:
 class TestDirectedSerialization:
     def test_roundtrip(self):
         g = random_directed(15, 40, seed=2)
-        index = build_directed_spc_index(g)
+        index = build_spc_index(g)
         restored = DirectedSPCIndex.from_dict(_roundtrip(index.to_dict()))
         for s in g.vertices():
             for t in g.vertices():
@@ -46,7 +44,7 @@ class TestDirectedSerialization:
 
     def test_copy_independent(self):
         g = random_directed(10, 25, seed=3)
-        index = build_directed_spc_index(g)
+        index = build_spc_index(g)
         clone = index.copy()
         clone.in_label_set(next(iter(g.vertices()))).clear()
         # The original is untouched.
@@ -56,7 +54,7 @@ class TestDirectedSerialization:
 class TestWeightedSerialization:
     def test_roundtrip(self):
         g = random_weighted(14, 30, max_weight=4, seed=4)
-        index = build_weighted_spc_index(g)
+        index = build_spc_index(g)
         restored = SPCIndex.from_dict(_roundtrip(index.to_dict()))
         for s in g.vertices():
             for t in g.vertices():
@@ -97,7 +95,7 @@ class TestWeightedSerialization:
 
     def test_copy_independent(self):
         g = random_weighted(10, 20, max_weight=3, seed=5)
-        index = build_weighted_spc_index(g)
+        index = build_spc_index(g)
         clone = index.copy()
         v = next(iter(g.vertices()))
         clone.label_set(v).set(index.rank(v), 0, 99)

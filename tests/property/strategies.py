@@ -106,9 +106,11 @@ def _absent_edges(graph):
     ]
 
 
-def next_update(engine, kind, i, directed, weighted):
+def next_update(engine, kind, i):
     """Materialize one abstract op against the live graph, or None."""
     g = engine.graph
+    directed = isinstance(g, DiGraph)
+    weighted = isinstance(g, WeightedGraph)
     vs = sorted(g.vertices())
     if kind == "addv":
         return InsertVertex(vs[-1] + 1 if vs else 0)

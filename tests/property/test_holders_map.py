@@ -9,27 +9,15 @@ must survive ``to_dict``/``from_dict``/``copy`` roundtrips.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import build_spc_index, dec_spc, inc_spc
+from repro.core import DirectedSPCIndex, build_spc_index, dec_spc, inc_spc
 from repro.core.index import SPCIndex
-from repro.directed import (
-    DirectedSPCIndex,
-    build_directed_spc_index,
-    dec_spc_directed,
-    inc_spc_directed,
-)
 from repro.verify import check_invariants
-from repro.weighted import (
-    build_weighted_spc_index,
-    dec_spc_weighted,
-    decrease_weight,
-    inc_spc_weighted,
-    increase_weight,
-)
 from tests.property.strategies import (
     small_digraphs,
     small_graphs,
     small_weighted_graphs,
 )
+from tests.weighted.updates import decrease_weight, inc_spc_weighted, increase_weight
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -100,7 +88,7 @@ class TestDirectedHoldersMap:
         max_size=8,
     ))
     def test_mixed_stream_matches_recomputation(self, g, ops):
-        index = build_directed_spc_index(g)
+        index = build_spc_index(g)
         assert_holders_exact(index)
         n = g.num_vertices
         all_pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
@@ -109,19 +97,19 @@ class TestDirectedHoldersMap:
                 candidates = [p for p in all_pairs if not g.has_edge(*p)]
                 if not candidates:
                     continue
-                inc_spc_directed(g, index, *candidates[idx % len(candidates)])
+                inc_spc(g, index, *candidates[idx % len(candidates)])
             else:
                 arcs = sorted(g.edges())
                 if not arcs:
                     continue
-                dec_spc_directed(g, index, *arcs[idx % len(arcs)])
+                dec_spc(g, index, *arcs[idx % len(arcs)])
             assert_holders_exact(index)
         assert check_invariants(index)
 
     @settings(max_examples=15, **COMMON)
     @given(g=small_digraphs())
     def test_roundtrips_preserve_holders(self, g):
-        index = build_directed_spc_index(g)
+        index = build_spc_index(g)
         restored = DirectedSPCIndex.from_dict(index.to_dict())
         assert restored.in_holders_map() == index.in_holders_map()
         assert restored.out_holders_map() == index.out_holders_map()
@@ -146,7 +134,7 @@ class TestWeightedHoldersMap:
         ),
     )
     def test_mixed_stream_matches_recomputation(self, g, ops):
-        index = build_weighted_spc_index(g)
+        index = build_spc_index(g)
         assert_holders_exact(index)
         n = g.num_vertices
         all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
@@ -161,7 +149,7 @@ class TestWeightedHoldersMap:
                 if not edges:
                     continue
                 u, v, _ = edges[idx % len(edges)]
-                dec_spc_weighted(g, index, u, v)
+                dec_spc(g, index, u, v)
             else:
                 edges = sorted(g.edges())
                 if not edges:
@@ -177,7 +165,7 @@ class TestWeightedHoldersMap:
     @settings(max_examples=15, **COMMON)
     @given(g=small_weighted_graphs())
     def test_roundtrips_preserve_holders(self, g):
-        index = build_weighted_spc_index(g)
+        index = build_spc_index(g)
         restored = SPCIndex.from_dict(index.to_dict())
         assert restored.holders_map() == index.holders_map()
         clone = index.copy()

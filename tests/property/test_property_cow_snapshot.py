@@ -59,10 +59,8 @@ def payloads(backend, vertices):
 
 
 def run_stream(name, graph, batches, journal):
-    engine = SPCEngine(graph, config=EngineConfig(backend=name,
-                                                  sd_defer_rebuilds=True))
+    engine = SPCEngine(graph, config=EngineConfig(backend=name))
     backend = engine.backend
-    directed, weighted = backend.directed, backend.weighted
     if journal:
         assert backend.label_changes() is None  # arms the journal drain
     taken = []
@@ -74,7 +72,7 @@ def run_stream(name, graph, batches, journal):
         backend.begin_update_batch()
         try:
             for kind, i in ops:
-                update = next_update(engine, kind, i, directed, weighted)
+                update = next_update(engine, kind, i)
                 if update is not None:
                     engine.apply(update)
         finally:

@@ -40,25 +40,18 @@ from repro.core.decremental import (
     try_isolated_fast_path,
 )
 from repro.core.stats import UpdateStats
-from repro.directed import build_directed_spc_index, dec_spc_directed, inc_spc_directed
 from repro.exceptions import EdgeNotFound
 from repro.graph import Graph, erdos_renyi, random_weighted
 from repro.order import VertexOrder
 from repro.traversal.bfs import bfs_counting_sssp, directed_bfs_counting_sssp
 from repro.traversal.dijkstra import dijkstra_counting_sssp
 from repro.verify import check_invariants, verify_espc
-from repro.weighted import (
-    build_weighted_spc_index,
-    dec_spc_weighted,
-    decrease_weight,
-    inc_spc_weighted,
-    increase_weight,
-)
 from tests.property.strategies import (
     small_digraphs,
     small_graphs,
     small_weighted_graphs,
 )
+from tests.weighted.updates import decrease_weight, inc_spc_weighted, increase_weight
 
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -91,7 +84,7 @@ def reference_dec_spc(graph, index, a, b):
 
 
 def reference_dec_spc_directed(graph, index, a, b):
-    """``dec_spc_directed`` before kept holders."""
+    """``dec_spc`` before kept holders."""
     stats = UpdateStats(kind="delete", edge=(a, b))
     if not graph.has_edge(a, b):
         raise EdgeNotFound(a, b)
@@ -310,7 +303,7 @@ def weighted_update(graph, index, kind, a, b, w):
     if kind == "ins":
         return inc_spc_weighted(graph, index, a, b, w)
     if kind == "del":
-        return dec_spc_weighted(graph, index, a, b)
+        return dec_spc(graph, index, a, b)
     change = decrease_weight if w < graph.weight(a, b) else increase_weight
     return change(graph, index, a, b, w)
 
@@ -358,13 +351,13 @@ UNDIRECTED = Family(
     _undirected_sides, verify_espc, check_invariants,
 )
 DIRECTED = Family(
-    build_directed_spc_index, _unit_updates(inc_spc_directed, dec_spc_directed),
-    _unit_updates(inc_spc_directed, reference_dec_spc_directed),
+    build_spc_index, _unit_updates(inc_spc, dec_spc),
+    _unit_updates(inc_spc, reference_dec_spc_directed),
     lambda vs: [(u, v) for u in vs for v in vs if u != v],
     _directed_sides, verify_espc, check_invariants,
 )
 WEIGHTED = Family(
-    build_weighted_spc_index, weighted_update, reference_weighted_update,
+    build_spc_index, weighted_update, reference_weighted_update,
     _undirected_pairs, _weighted_sides, verify_espc, check_invariants,
 )
 

@@ -34,7 +34,6 @@ import repro.core.decremental
 from repro.core import build_spc_index, dec_spc, inc_spc
 from repro.core.labels import prequery_prunes
 from repro.core.stats import UpdateStats
-from repro.directed import build_directed_spc_index, dec_spc_directed, inc_spc_directed
 from repro.graph import DiGraph, Graph, erdos_renyi, path_graph
 from repro.order import VertexOrder
 from repro.verify import check_invariants, verify_espc
@@ -222,8 +221,8 @@ class TestStreamsMatchFullBfs:
     @settings(max_examples=100, **COMMON)
     @given(g=small_digraphs(max_vertices=8), ops=ops_lists)
     def test_directed(self, g, ops):
-        _, index = _run_stream(g, build_directed_spc_index,
-                               inc_spc_directed, dec_spc_directed, ops,
+        _, index = _run_stream(g, build_spc_index,
+                               inc_spc, dec_spc, ops,
                                _directed_pairs)
         assert check_invariants(index)
 
@@ -297,10 +296,10 @@ class TestNamedCases:
         """On the cycle 0 -> 1 -> 2 -> 0, deleting 0 -> 1 puts 2 in both
         SRa and SRb.  Its two repairs must leave both self-labels alone."""
         g = DiGraph.from_edges([(0, 1), (1, 2), (2, 0)])
-        live, ref = _twins(g, build_directed_spc_index,
+        live, ref = _twins(g, build_spc_index,
                            order=VertexOrder([2, 0, 1]))
         recorder = Recorder()
-        _twin_delete(live, ref, dec_spc_directed, 0, 1, recorder)
+        _twin_delete(live, ref, dec_spc, 0, 1, recorder)
         assert [c[0] for c in recorder.calls].count(2) == 2
         index = live[1]
         rank_2 = index.order.rank_map()[2]

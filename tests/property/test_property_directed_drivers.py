@@ -13,7 +13,10 @@ too.  The former drivers are kept below as the reference:
 * a delete on a 2-cycle whose hub sits in SRa ∩ SRb must run both of its
   repairs;
 * an arc delete that strands a vertex must not take the undirected
-  §3.2.3 fast path.
+  §3.2.3 fast path;
+* arc-delete streams through ``dec_spc`` with its default arguments, on
+  graphs with pendant arcs, delete arcs whose tail or head has total
+  degree 1 and still equal the reference.
 """
 
 from time import perf_counter
@@ -24,10 +27,10 @@ from hypothesis import strategies as st
 
 import repro
 import repro.core.decremental
+from repro.core import build_spc_index, dec_spc, inc_spc
 from repro.core.decremental import dec_bfs, drop_kept, regions_below, srr_search
 from repro.core.incremental import inc_bfs
 from repro.core.stats import UpdateStats
-from repro.directed import build_directed_spc_index, dec_spc_directed, inc_spc_directed
 from repro.exceptions import EdgeNotFound
 from repro.graph import DiGraph
 from repro.order import VertexOrder
@@ -114,7 +117,7 @@ def _counts(stats):
 
 def _twins(graph, order=None):
     """(graph, index) pairs for the live and the reference drivers."""
-    return [(g, build_directed_spc_index(g, order=order))
+    return [(g, build_spc_index(g, order=order))
             for g in (graph.copy(), graph.copy())]
 
 
@@ -128,8 +131,8 @@ def _assert_same(live, ref):
 def _twin_update(live, ref, kind, a, b):
     """Apply one update through both drivers; compare labels and counts."""
     driver, reference = (
-        (inc_spc_directed, reference_inc_spc_directed) if kind == "ins"
-        else (dec_spc_directed, reference_dec_spc_directed))
+        (inc_spc, reference_inc_spc_directed) if kind == "ins"
+        else (dec_spc, reference_dec_spc_directed))
     stats = driver(*live, a, b)
     assert _counts(stats) == _counts(reference(*ref, a, b))
     _assert_same(live, ref)
@@ -160,6 +163,36 @@ class TestDirectedDriversMatchReference:
         assert check_invariants(live[1])
         assert verify_espc(*live)
 
+    @settings(max_examples=120, **COMMON)
+    @given(g=small_digraphs(max_vertices=7),
+           pendants=st.lists(st.tuples(st.integers(0, 6), st.booleans()),
+                             min_size=1, max_size=4),
+           picks=st.lists(st.integers(0, 10_000), max_size=10))
+    def test_delete_streams_with_degree_one_endpoints(self, g, pendants,
+                                                      picks):
+        """Each pendant is a new vertex with one arc to or from a vertex of
+        ``g``.  Every delete takes an arc with an endpoint of total degree
+        1 while there is one; ``dec_spc`` runs with its default
+        arguments, fast path included."""
+        n = g.num_vertices
+        for i, (v, outward) in enumerate(pendants):
+            p = n + i
+            g.add_vertex(p)
+            g.add_edge(*((v % n, p) if outward else (p, v % n)))
+        live, ref = _twins(g)
+        graph = live[0]
+        for idx in picks:
+            arcs = sorted(graph.edges())
+            if not arcs:
+                break
+            pendant = [(a, b) for a, b in arcs
+                       if 1 in (graph.degree(a), graph.degree(b))]
+            arcs = pendant or arcs
+            stats = _twin_update(live, ref, "del", *arcs[idx % len(arcs)])
+            assert not stats.isolated_fast_path
+        assert check_invariants(live[1])
+        assert verify_espc(*live)
+
     def test_two_cycle_hub_on_both_sides_gets_both_repairs(self):
         """Arcs 1 <-> 2, 0 -> 1 and 2 -> 0; delete 1 -> 2.  Hub 0 has
         sd(0, 1) + 1 = sd(0, 2) and sd(2, 0) + 1 = sd(1, 0), with one path
@@ -175,7 +208,7 @@ class TestDirectedDriversMatchReference:
                            h_vertex, *args)
 
         with mock.patch.object(repro.core.decremental, "dec_bfs", recording):
-            stats = dec_spc_directed(*live, 1, 2)
+            stats = dec_spc(*live, 1, 2)
         assert hubs.count(0) == 2
         assert _counts(stats) == _counts(reference_dec_spc_directed(*ref, 1, 2))
         _assert_same(live, ref)

@@ -24,16 +24,9 @@ import repro.core.decremental
 import repro.core.incremental
 from repro.core import build_spc_index, dec_spc, inc_spc
 from repro.core.labels import LabelSet, prequery_prunes
-from repro.directed import build_directed_spc_index, dec_spc_directed, inc_spc_directed
 from repro.graph import WeightedGraph
-from repro.weighted import (
-    build_weighted_spc_index,
-    dec_spc_weighted,
-    decrease_weight,
-    inc_spc_weighted,
-    increase_weight,
-)
 from tests.property.strategies import small_digraphs, small_graphs
+from tests.weighted.updates import decrease_weight, inc_spc_weighted, increase_weight
 
 INF = float("inf")
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -200,7 +193,7 @@ class TestStreamsMatchReference:
     def test_directed(self, g, ops):
         def make():
             graph = g.copy()
-            return graph, build_directed_spc_index(graph)
+            return graph, build_spc_index(graph)
 
         def apply_op(state, op):
             graph, index = state
@@ -208,13 +201,13 @@ class TestStreamsMatchReference:
             if kind == "del":
                 arc = _pick(sorted(graph.edges()), idx)
                 if arc:
-                    dec_spc_directed(graph, index, *arc)
+                    dec_spc(graph, index, *arc)
                 return arc
             vs = sorted(graph.vertices())
             arc = _pick([(u, v) for u in vs for v in vs
                          if u != v and not graph.has_edge(u, v)], idx)
             if arc:
-                inc_spc_directed(graph, index, *arc)
+                inc_spc(graph, index, *arc)
             return arc
 
         _twin_runs(ops, apply_op, make, lambda state: state[1].to_dict())
@@ -235,7 +228,7 @@ class TestStreamsMatchReference:
             for u, v, w in edges:
                 if u < n and v < n and u != v and not graph.has_edge(u, v):
                     graph.add_edge(u, v, w)
-            return graph, build_weighted_spc_index(graph)
+            return graph, build_spc_index(graph)
 
         def apply_op(state, op):
             graph, index = state
@@ -253,7 +246,7 @@ class TestStreamsMatchReference:
                 return None
             u, v, old = edge
             if kind == "del":
-                dec_spc_weighted(graph, index, u, v)
+                dec_spc(graph, index, u, v)
             elif w < old:
                 decrease_weight(graph, index, u, v, w)
             elif w > old:

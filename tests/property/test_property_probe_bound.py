@@ -136,11 +136,9 @@ def test_bounded_probe_equals_merge_under_updates(name):
     @given(graph=GRAPHS[name](max_vertices=8), ops=OPS)
     def check(graph, ops):
         engine = open_engine(name, graph)
-        backend = engine.backend
         assert_probe_is_merge(engine)
         for kind, i in ops:
-            update = next_update(engine, kind, i, backend.directed,
-                                 backend.weighted)
+            update = next_update(engine, kind, i)
             if update is not None:
                 engine.apply(update)
                 assert_probe_is_merge(engine)

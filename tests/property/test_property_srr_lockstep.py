@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.core import build_spc_index, dec_spc, inc_spc
 from repro.core.decremental import srr_search
-from repro.directed import build_directed_spc_index, dec_spc_directed, inc_spc_directed
 from repro.graph import DiGraph, Graph, erdos_renyi, path_graph
 from repro.order import VertexOrder
 from repro.traversal import bfs_counting_pair
@@ -155,8 +154,8 @@ class TestStreamsMatchLabelScan:
     @settings(max_examples=150, **COMMON)
     @given(g=small_digraphs(max_vertices=8), ops=ops_lists)
     def test_directed(self, g, ops):
-        run_stream(g, build_directed_spc_index(g), directed_sides,
-                   inc_spc_directed, dec_spc_directed, ops, _directed_pairs)
+        run_stream(g, build_spc_index(g), directed_sides,
+                   inc_spc, dec_spc, ops, _directed_pairs)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_graph_churn(self, seed):
@@ -212,8 +211,8 @@ class TestNamedCases:
         sides: it reaches 1 only through the arc and 0 reaches it only
         through the arc."""
         graph = DiGraph.from_edges([(0, 1), (1, 2), (2, 0)])
-        index = build_directed_spc_index(graph, order=VertexOrder([2, 0, 1]))
+        index = build_spc_index(graph, order=VertexOrder([2, 0, 1]))
         source, target = agreed(directed_sides(graph, index, 0, 1))
         assert 2 in set().union(*source) and 2 in set().union(*target)
-        stats = dec_spc_directed(graph, index, 0, 1)
+        stats = dec_spc(graph, index, 0, 1)
         assert stats.sr_a + stats.r_a == 2 and stats.sr_b + stats.r_b == 2

@@ -31,16 +31,9 @@ from hypothesis import strategies as st
 import repro.core.decremental
 import repro.core.incremental
 from repro.core import build_spc_index, dec_spc, inc_spc
-from repro.directed import build_directed_spc_index, dec_spc_directed, inc_spc_directed
 from repro.graph import Graph, WeightedGraph
-from repro.weighted import (
-    build_weighted_spc_index,
-    dec_spc_weighted,
-    decrease_weight,
-    inc_spc_weighted,
-    increase_weight,
-)
 from tests.property.strategies import small_digraphs, small_graphs
+from tests.weighted.updates import decrease_weight, inc_spc_weighted, increase_weight
 
 INF = float("inf")
 COMMON = dict(deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -277,18 +270,18 @@ class TestKernelsMatchReference:
     def test_directed(self, g, ops):
         def make():
             graph = g.copy()
-            return graph, build_directed_spc_index(graph)
+            return graph, build_spc_index(graph)
 
         def apply_op(state, op):
             graph, index = state
             kind, idx, _ = op
             if kind == "del":
                 arc = _pick(sorted(graph.edges()), idx)
-                return arc and dec_spc_directed(graph, index, *arc)
+                return arc and dec_spc(graph, index, *arc)
             vs = sorted(graph.vertices())
             arc = _pick([(u, v) for u in vs for v in vs
                          if u != v and not graph.has_edge(u, v)], idx)
-            return arc and inc_spc_directed(graph, index, *arc)
+            return arc and inc_spc(graph, index, *arc)
 
         _twin_runs(ops, apply_op, make)
 
@@ -308,7 +301,7 @@ class TestKernelsMatchReference:
             for u, v, w in edges:
                 if u < n and v < n and u != v and not graph.has_edge(u, v):
                     graph.add_edge(u, v, w)
-            return graph, build_weighted_spc_index(graph)
+            return graph, build_spc_index(graph)
 
         def apply_op(state, op):
             graph, index = state
@@ -324,7 +317,7 @@ class TestKernelsMatchReference:
                 return None
             u, v, old = edge
             if kind == "del":
-                return dec_spc_weighted(graph, index, u, v)
+                return dec_spc(graph, index, u, v)
             if w < old:
                 return decrease_weight(graph, index, u, v, w)
             if w > old:

@@ -32,9 +32,7 @@ class TestPublicApi:
     def test_subpackages_importable(self):
         import repro.bench
         import repro.datasets
-        import repro.directed
         import repro.sd
-        import repro.weighted
         import repro.workloads
 
         assert repro.bench.PAPER_SET

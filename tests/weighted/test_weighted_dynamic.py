@@ -5,16 +5,12 @@ import random
 import pytest
 
 import repro
-from repro.exceptions import EdgeNotFound, GraphError
+from repro.core import build_spc_index, dec_spc
+from repro.exceptions import EdgeNotFound
 from repro.graph import WeightedGraph, random_weighted
 from repro.verify import verify_espc
-from repro.weighted import (
-    build_weighted_spc_index,
-    dec_spc_weighted,
-    decrease_weight,
-    inc_spc_weighted,
-    increase_weight,
-)
+
+from tests.weighted.updates import decrease_weight, inc_spc_weighted, increase_weight
 
 INF = float("inf")
 
@@ -22,21 +18,21 @@ INF = float("inf")
 class TestWeightedIncremental:
     def test_insert_shortcut(self):
         g = WeightedGraph.from_edges([(0, 1, 3), (1, 2, 3)])
-        index = build_weighted_spc_index(g)
+        index = build_spc_index(g)
         inc_spc_weighted(g, index, 0, 2, 4)
         assert index.query(0, 2) == (4, 1)
         assert verify_espc(g, index)
 
     def test_insert_tie(self):
         g = WeightedGraph.from_edges([(0, 1, 2), (1, 2, 2)])
-        index = build_weighted_spc_index(g)
+        index = build_spc_index(g)
         inc_spc_weighted(g, index, 0, 2, 4)
         assert index.query(0, 2) == (4, 2)
         assert verify_espc(g, index)
 
     def test_insert_useless_heavy_edge(self):
         g = WeightedGraph.from_edges([(0, 1, 1), (1, 2, 1)])
-        index = build_weighted_spc_index(g)
+        index = build_spc_index(g)
         inc_spc_weighted(g, index, 0, 2, 10)
         assert index.query(0, 2) == (2, 1)
         assert verify_espc(g, index)
@@ -45,7 +41,7 @@ class TestWeightedIncremental:
     def test_random_insertions(self, seed):
         rng = random.Random(seed)
         g = random_weighted(14, 25, max_weight=4, seed=seed)
-        index = build_weighted_spc_index(g)
+        index = build_spc_index(g)
         done = 0
         while done < 8:
             u, v = rng.randrange(14), rng.randrange(14)
@@ -59,27 +55,29 @@ class TestWeightedIncremental:
 class TestWeightChanges:
     def test_decrease_creates_shortcut(self):
         g = WeightedGraph.from_edges([(0, 1, 2), (1, 2, 2), (0, 2, 10)])
-        index = build_weighted_spc_index(g)
+        index = build_spc_index(g)
         decrease_weight(g, index, 0, 2, 3)
         assert index.query(0, 2) == (3, 1)
         assert verify_espc(g, index)
 
     def test_decrease_to_tie(self):
         g = WeightedGraph.from_edges([(0, 1, 2), (1, 2, 2), (0, 2, 10)])
-        index = build_weighted_spc_index(g)
+        index = build_spc_index(g)
         decrease_weight(g, index, 0, 2, 4)
         assert index.query(0, 2) == (4, 2)
         assert verify_espc(g, index)
 
-    def test_decrease_guard(self):
-        g = WeightedGraph.from_edges([(0, 1, 2)])
-        index = build_weighted_spc_index(g)
-        with pytest.raises(GraphError):
-            decrease_weight(g, index, 0, 1, 2)
+    def test_decrease_runs_incspc(self):
+        g = WeightedGraph.from_edges([(0, 1, 2), (1, 2, 2), (0, 2, 10)])
+        engine = repro.open(g, cache_size=0)
+        stats = engine.set_weight(0, 2, 3)
+        assert stats.kind == "insert"
+        assert engine.query(0, 2) == (3, 1)
+        assert engine.check()
 
     def test_increase_breaks_tie(self):
         g = WeightedGraph.from_edges([(0, 1, 2), (1, 3, 2), (0, 2, 2), (2, 3, 2)])
-        index = build_weighted_spc_index(g)
+        index = build_spc_index(g)
         assert index.query(0, 3) == (4, 2)
         increase_weight(g, index, 2, 3, 5)
         assert index.query(0, 3) == (4, 1)
@@ -87,22 +85,25 @@ class TestWeightChanges:
 
     def test_increase_changes_distance(self):
         g = WeightedGraph.from_edges([(0, 1, 1), (1, 2, 1), (0, 2, 5)])
-        index = build_weighted_spc_index(g)
+        index = build_spc_index(g)
         increase_weight(g, index, 0, 1, 10)
         assert index.query(0, 1) == (6, 1)  # 0-2-1 via weights 5+1
         assert verify_espc(g, index)
 
-    def test_increase_guard(self):
-        g = WeightedGraph.from_edges([(0, 1, 2)])
-        index = build_weighted_spc_index(g)
-        with pytest.raises(GraphError):
-            increase_weight(g, index, 0, 1, 1)
+    def test_increase_runs_decspc(self):
+        g = WeightedGraph.from_edges([(0, 1, 1), (1, 2, 1), (0, 2, 5)])
+        engine = repro.open(g, cache_size=0)
+        stats = engine.set_weight(0, 1, 10)
+        assert stats.kind == "delete"
+        assert not stats.isolated_fast_path
+        assert engine.query(0, 1) == (6, 1)
+        assert engine.check()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_weight_churn(self, seed):
         rng = random.Random(50 + seed)
         g = random_weighted(12, 24, max_weight=5, seed=seed)
-        index = build_weighted_spc_index(g)
+        index = build_spc_index(g)
         for _ in range(12):
             u, v, w = rng.choice(sorted(g.edges()))
             new_w = rng.randint(1, 6)
@@ -118,41 +119,41 @@ class TestWeightChanges:
 class TestWeightedDecremental:
     def test_delete_reroutes(self):
         g = WeightedGraph.from_edges([(0, 1, 1), (1, 2, 1), (0, 2, 5)])
-        index = build_weighted_spc_index(g)
-        dec_spc_weighted(g, index, 0, 1)
+        index = build_spc_index(g)
+        dec_spc(g, index, 0, 1)
         assert index.query(0, 1) == (6, 1)
         assert verify_espc(g, index)
 
     def test_delete_disconnects(self):
         g = WeightedGraph.from_edges([(0, 1, 1), (1, 2, 2)])
-        index = build_weighted_spc_index(g)
-        dec_spc_weighted(g, index, 1, 2, use_isolated_fast_path=False)
+        index = build_spc_index(g)
+        dec_spc(g, index, 1, 2, use_isolated_fast_path=False)
         assert index.query(0, 2) == (INF, 0)
         assert verify_espc(g, index)
 
     def test_isolated_fast_path(self):
         g = WeightedGraph.from_edges([(0, 1, 1), (0, 2, 1), (1, 2, 1), (2, 3, 4)])
-        index = build_weighted_spc_index(g)
-        stats = dec_spc_weighted(g, index, 2, 3)
+        index = build_spc_index(g)
+        stats = dec_spc(g, index, 2, 3)
         assert stats.isolated_fast_path
         assert index.query(3, 0) == (INF, 0)
         assert verify_espc(g, index)
 
     def test_missing_edge(self):
         g = WeightedGraph.from_edges([(0, 1, 1)], vertices=[2])
-        index = build_weighted_spc_index(g)
+        index = build_spc_index(g)
         with pytest.raises(EdgeNotFound):
-            dec_spc_weighted(g, index, 0, 2)
+            dec_spc(g, index, 0, 2)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_deletions(self, seed):
         rng = random.Random(80 + seed)
         g = random_weighted(13, 30, max_weight=4, seed=seed)
-        index = build_weighted_spc_index(g)
+        index = build_spc_index(g)
         edges = sorted(g.edges())
         rng.shuffle(edges)
         for u, v, _ in edges[:10]:
-            dec_spc_weighted(g, index, u, v)
+            dec_spc(g, index, u, v)
             assert verify_espc(g, index), f"seed={seed}"
 
 

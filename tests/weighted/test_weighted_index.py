@@ -6,11 +6,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import build_spc_index
 from repro.core.index import SPCIndex
 from repro.graph import WeightedGraph, random_weighted
 from repro.order import make_order
 from repro.verify import verify_espc
-from repro.weighted import build_weighted_spc_index
 from tests.property.strategies import small_weighted_graphs
 
 INF = float("inf")
@@ -72,44 +72,44 @@ class TestSharedBuilderMatchesDijkstra:
             if half:
                 g.set_weight(u, v, w / 2)
         order = make_order(g, "degree")
-        assert (build_weighted_spc_index(g, order=order).to_dict()
+        assert (build_spc_index(g, order=order).to_dict()
                 == dijkstra_builder(g, order).to_dict())
 
     @pytest.mark.parametrize("seed", range(3))
     def test_random_weighted(self, seed):
         g = random_weighted(60, 150, max_weight=10, seed=seed)
         order = make_order(g, "degree")
-        assert (build_weighted_spc_index(g, order=order).to_dict()
+        assert (build_spc_index(g, order=order).to_dict()
                 == dijkstra_builder(g, order).to_dict())
 
 
 class TestWeightedConstruction:
     def test_weighted_diamond(self):
         g = WeightedGraph.from_edges([(0, 1, 1), (0, 2, 2), (1, 3, 2), (2, 3, 1)])
-        index = build_weighted_spc_index(g)
+        index = build_spc_index(g)
         assert index.query(0, 3) == (3, 2)
 
     def test_weight_breaks_tie(self):
         g = WeightedGraph.from_edges([(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 2)])
-        index = build_weighted_spc_index(g)
+        index = build_spc_index(g)
         assert index.query(0, 3) == (2, 1)
 
     def test_heavy_direct_edge_loses(self):
         g = WeightedGraph.from_edges([(0, 1, 5), (0, 2, 1), (2, 1, 1)])
-        index = build_weighted_spc_index(g)
+        index = build_spc_index(g)
         assert index.query(0, 1) == (2, 1)
 
     def test_self_and_disconnected(self):
         g = WeightedGraph.from_edges([(0, 1, 2)])
         g.add_vertex(9)
-        index = build_weighted_spc_index(g)
+        index = build_spc_index(g)
         assert index.query(0, 0) == (0, 1)
         assert index.query(0, 9) == (INF, 0)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_espc_random_weighted(self, seed):
         g = random_weighted(18, 40, max_weight=4, seed=seed)
-        index = build_weighted_spc_index(g)
+        index = build_spc_index(g)
         assert verify_espc(g, index)
 
     def test_unit_weights_match_unweighted(self):
@@ -121,7 +121,7 @@ class TestWeightedConstruction:
         for v in base.vertices():
             wg.add_vertex(v, exist_ok=True)
         unweighted = build_spc_index(base)
-        weighted = build_weighted_spc_index(wg)
+        weighted = build_spc_index(wg)
         for s in range(20):
             for t in range(20):
                 assert weighted.query(s, t) == unweighted.query(s, t)
@@ -130,13 +130,13 @@ class TestWeightedConstruction:
 class TestWeightedIndexApi:
     def test_labels_and_sizes(self):
         g = WeightedGraph.from_edges([(0, 1, 2), (1, 2, 3)])
-        index = build_weighted_spc_index(g, strategy="natural")
+        index = build_spc_index(g, strategy="natural")
         assert index.labels(2)[-1] == (2, 0, 1)
         assert index.size_bytes == 8 * index.num_entries
 
     def test_add_drop_vertex(self):
         g = WeightedGraph.from_edges([(0, 1, 1)])
-        index = build_weighted_spc_index(g)
+        index = build_spc_index(g)
         index.add_vertex(7)
         assert index.query(7, 7) == (0, 1)
         index.drop_vertex_labels(7)
@@ -147,7 +147,7 @@ class TestWeightedIndexApi:
 
     def test_pre_query_upper_bound(self):
         g = random_weighted(12, 25, max_weight=3, seed=4)
-        index = build_weighted_spc_index(g)
+        index = build_spc_index(g)
         for s in range(12):
             for t in range(12):
                 assert index.pre_query(s, t)[0] >= index.query(s, t)[0]
